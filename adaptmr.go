@@ -127,8 +127,6 @@ type options struct {
 	ctx          context.Context
 	check        *check.Set
 	perf         bool
-	profile      *sim.PerfProfile
-	poolReqs     *bool
 	online       *control.Policy
 }
 
@@ -158,16 +156,6 @@ func (o options) apply(cfg ClusterConfig) ClusterConfig {
 	}
 	if o.check != nil {
 		cfg.Check = o.check
-	}
-	if o.profile != nil || o.poolReqs != nil {
-		p := *sim.DefaultPerfProfile()
-		if o.profile != nil {
-			p = *o.profile
-		}
-		if o.poolReqs != nil {
-			p.PoolRequests = *o.poolReqs
-		}
-		cfg.Perf = &p
 	}
 	return cfg
 }
@@ -266,33 +254,6 @@ func WithPerfStats() Option { return func(o *options) { o.perf = true } }
 // PerfStat is one run's engine self-telemetry (see WithPerfStats).
 type PerfStat = perfstat.Stat
 
-// PerfProfile selects the engine-layer allocation strategy (event and
-// request pooling). Profiles change only where objects live, never what
-// the simulation computes: results are byte-identical across profiles,
-// and the evaluation-cache digest deliberately excludes them.
-type PerfProfile = sim.PerfProfile
-
-// DefaultPerfProfile returns the stock profile: event pooling and request
-// pooling both enabled.
-func DefaultPerfProfile() *PerfProfile { return sim.DefaultPerfProfile() }
-
-// WithEngineProfile overrides the engine allocation profile for the runs
-// this entry point executes. nil (or omitting the option) keeps
-// DefaultPerfProfile. The profile affects throughput and allocation
-// behaviour only; simulated output is byte-identical across profiles.
-func WithEngineProfile(p *PerfProfile) Option {
-	return func(o *options) { o.profile = p }
-}
-
-// WithRequestPool enables or disables block-request pooling, keeping the
-// rest of the engine profile at its current setting (WithEngineProfile if
-// supplied, DefaultPerfProfile otherwise). WithRequestPool(false) is the
-// escape hatch for callers that retain *Request pointers beyond the
-// completion callback and therefore must opt out of recycling.
-func WithRequestPool(enabled bool) Option {
-	return func(o *options) { o.poolReqs = &enabled }
-}
-
 // WithContext bounds every evaluation with ctx: cancellation or deadline
 // expiry is checked before each evaluation and periodically inside the
 // simulation event loop, so a tuning search can be abandoned mid-run.
@@ -300,7 +261,7 @@ func WithRequestPool(enabled bool) Option {
 // fired should be discarded (failed evaluations are memoised).
 //
 // Honoured by Run and every NewTuner entry point (Tune, RunPlan,
-// BruteForce, Profile); RunChain/TuneChain/RunFineGrained currently
+// BruteForce, Profile) and by RunOnline; RunChain/TuneChain currently
 // ignore it.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
@@ -327,8 +288,7 @@ func OpenEvalCache(dir string) (*EvalCache, error) { return core.OpenEvalCache(d
 
 // Run executes one job under a single scheduler pair on a fresh
 // deterministic cluster and returns its result. WithTracer/WithMetrics
-// attach observation, WithEngineProfile/WithRequestPool select the engine
-// allocation strategy; WithParallelism and WithEvalCache are accepted but
+// attach observation; WithParallelism and WithEvalCache are accepted but
 // have no effect on a single direct run.
 func Run(cfg ClusterConfig, job JobConfig, pair Pair, opts ...Option) (JobResult, error) {
 	if err := job.Validate(); err != nil {
@@ -423,8 +383,7 @@ type Tuner struct {
 }
 
 // NewTuner creates a tuner over all 16 pairs with the two-phase scheme.
-// Options: WithTracer, WithMetrics, WithParallelism, WithEvalCache,
-// WithEngineProfile, WithRequestPool.
+// Options: WithTracer, WithMetrics, WithParallelism, WithEvalCache.
 func NewTuner(cfg ClusterConfig, job JobConfig, opts ...Option) *Tuner {
 	o := buildOptions(opts)
 	cfg = o.apply(cfg)
@@ -534,29 +493,6 @@ func (t *Tuner) CacheStats() (EvalCacheStats, bool) {
 // ---------------------------------------------------------------------------
 // Extensions from the paper's future-work agenda
 // ---------------------------------------------------------------------------
-
-// FineGrained is the reactive per-host controller sketched in the paper's
-// future work: it watches each host's read/write mix and switches the pair
-// on regime changes, with no knowledge of job phase boundaries.
-type FineGrained = core.FineGrained
-
-// DefaultFineGrained returns the controller with the regime mapping the
-// coarse-grained study suggests.
-func DefaultFineGrained() *FineGrained { return core.DefaultFineGrained() }
-
-// RunFineGrained executes a job under the reactive controller, returning
-// the job result and the number of switch commands issued.
-func RunFineGrained(cfg ClusterConfig, job JobConfig, fg *FineGrained, opts ...Option) (JobResult, int, error) {
-	if err := job.Validate(); err != nil {
-		return JobResult{}, 0, fmt.Errorf("adaptmr: %w", err)
-	}
-	o := buildOptions(opts)
-	res, switches, err := core.RunFineGrained(o.apply(cfg), job, fg)
-	if err := o.verify(err); err != nil {
-		return JobResult{}, 0, err
-	}
-	return res, switches, nil
-}
 
 // ChainResult is a chained (Pig-style) multi-job execution.
 type ChainResult = core.ChainResult

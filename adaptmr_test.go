@@ -1,6 +1,8 @@
 package adaptmr_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -53,38 +55,39 @@ func TestRunFacade(t *testing.T) {
 	}
 }
 
-func TestEngineProfileOptions(t *testing.T) {
-	base, err := adaptmr.Run(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, adaptmr.DefaultPair)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// Every engine profile must produce byte-identical simulated results —
-	// pooling changes where objects live, never what the run computes.
+// TestRequestLifecyclesIdentical pins that a host's three block-request
+// lifecycles simulate the same job: the default recycling pool, the
+// detect-only pool under invariant checking, and no pool under journey
+// tracing (journeys read requests after their queue completed them).
+func TestRequestLifecyclesIdentical(t *testing.T) {
+	job := adaptmr.SortBenchmark(96 << 20).Job
+	var want []byte
 	for _, tc := range []struct {
 		name string
-		opt  adaptmr.Option
+		opts []adaptmr.Option
 	}{
-		{"no-request-pool", adaptmr.WithRequestPool(false)},
-		{"explicit-default", adaptmr.WithEngineProfile(&adaptmr.PerfProfile{PoolEvents: true, PoolRequests: true})},
-		{"all-off", adaptmr.WithEngineProfile(&adaptmr.PerfProfile{})},
+		{"recycling-pool", nil},
+		{"detect-only-pool", []adaptmr.Option{adaptmr.WithInvariantChecks()}},
+		{"no-pool", []adaptmr.Option{adaptmr.WithJourney()}},
 	} {
-		res, err := adaptmr.Run(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, adaptmr.DefaultPair, tc.opt)
+		res, err := adaptmr.Run(quickCluster(), job, adaptmr.DefaultPair, tc.opts...)
 		if err != nil {
 			t.Fatalf("%s: Run: %v", tc.name, err)
 		}
-		if res.Duration != base.Duration || res.NumMaps != base.NumMaps || res.MapsDoneAt != base.MapsDoneAt {
-			t.Fatalf("%s: profile changed the simulation: %+v vs %+v", tc.name, res, base)
+		// Observation summaries differ by construction; the simulated job
+		// must not.
+		res.Metrics, res.Perf, res.Journeys, res.Decisions = nil, nil, nil, nil
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// WithRequestPool composes with WithEngineProfile: the pool flag wins.
-	res, err := adaptmr.Run(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, adaptmr.DefaultPair,
-		adaptmr.WithEngineProfile(&adaptmr.PerfProfile{PoolEvents: true, PoolRequests: false}),
-		adaptmr.WithRequestPool(true))
-	if err != nil {
-		t.Fatalf("composed: Run: %v", err)
-	}
-	if res.Duration != base.Duration {
-		t.Fatalf("composed profile changed the simulation: %+v vs %+v", res, base)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: lifecycle changed the simulation (%d vs %d result bytes)", tc.name, len(got), len(want))
+		}
 	}
 }
 
@@ -198,8 +201,8 @@ func TestValidationFacade(t *testing.T) {
 		adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair)); err == nil {
 		t.Fatal("RunPlan accepted a zero-input job")
 	}
-	if _, _, err := adaptmr.RunFineGrained(quickCluster(), bad, nil); err == nil {
-		t.Fatal("RunFineGrained accepted a zero-input job")
+	if _, err := adaptmr.RunOnline(quickCluster(), bad); err == nil {
+		t.Fatal("RunOnline accepted a zero-input job")
 	}
 	good := adaptmr.SortBenchmark(96 << 20).Job
 	if _, err := adaptmr.RunChain(quickCluster(),

@@ -277,28 +277,6 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 // Extension benches (paper future work implemented in internal/core)
 // ---------------------------------------------------------------------------
 
-// BenchmarkFineGrainedController compares the reactive per-host controller
-// against the static default on sort.
-func BenchmarkFineGrainedController(b *testing.B) {
-	cfg := adaptmr.DefaultClusterConfig()
-	cfg.Hosts = 2
-	cfg.VMsPerHost = 2
-	job := adaptmr.SortBenchmark(96 << 20).Job
-	for i := 0; i < b.N; i++ {
-		static, err := adaptmr.Run(cfg, job, adaptmr.DefaultPair)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reactive, switches, err := adaptmr.RunFineGrained(cfg, job, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(static.Duration.Seconds(), "static_s")
-		b.ReportMetric(reactive.Duration.Seconds(), "reactive_s")
-		b.ReportMetric(float64(switches), "switches")
-	}
-}
-
 // BenchmarkChainTuning tunes a two-stage chain and reports the chain-level
 // gain over the all-default execution.
 func BenchmarkChainTuning(b *testing.B) {

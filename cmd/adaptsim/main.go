@@ -7,7 +7,7 @@
 //	adaptsim -bench sort -pair cfq,cfq
 //	adaptsim -bench sort -plan "ad|ca"           # explicit two-phase plan
 //	adaptsim -bench wordcount -adaptive          # run the meta-scheduler
-//	adaptsim -bench sort -reactive               # the reactive controller
+//	adaptsim -bench sort -online                 # the online controller
 //	adaptsim -bench sort -hosts 6 -vms 4 -input 1024 -adaptive
 //	adaptsim -bench sort -trace trace.json -metrics metrics.csv
 //	adaptsim -fleet scenario.json -check         # multi-job fleet scenario
@@ -61,7 +61,6 @@ func main() {
 	pairArg := flag.String("pair", "cc", "scheduler pair for a single run (code or long form)")
 	planArg := flag.String("plan", "", "explicit phase plan, pair codes joined by '|' (e.g. ad|ca)")
 	adaptive := flag.Bool("adaptive", false, "run the adaptive meta-scheduler instead of one pair")
-	reactive := flag.Bool("reactive", false, "run under the reactive per-host controller")
 	online := flag.Bool("online", false, "run under the online adaptive controller (live phase classification, in-run switching)")
 	onlineWindow := flag.Int64("online-window", 0, "online controller sampling window in ms (0 = policy default)")
 	onlineDwell := flag.Int64("online-dwell", 0, "online controller minimum dwell between switches in ms (0 = policy default)")
@@ -232,15 +231,6 @@ func main() {
 			}
 			fmt.Printf("online result written to %s\n", *onlineJSON)
 		}
-
-	case *reactive:
-		res, switches, err := adaptmr.RunFineGrained(cfg, wl.Job, nil, opts...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("reactive controller on %s: %.1fs (%d switch commands)\n",
-			wl.Job.Name, res.Duration.Seconds(), switches)
-		printPhases(res)
 
 	case *adaptive:
 		tuner := adaptmr.NewTuner(cfg, wl.Job, opts...).WithScheme(scheme)

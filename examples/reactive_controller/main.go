@@ -1,13 +1,14 @@
 // Reactive controller: the paper's future-work idea made concrete — no
-// job knowledge at all. Each host watches its own read/write mix and
-// switches the scheduler pair when the regime changes, rate-limited
-// because every switch drains the queues.
+// job knowledge at all. The online controller watches the live Dom0 I/O
+// mix, classifies each window's regime, and switches the scheduler pair
+// in-run when the regime changes, rate-limited because every switch
+// drains the queues.
 //
 // Compare three ways of running the same sort job:
 //
 //	static default   (CFQ, CFQ) for the whole job
 //	meta-scheduler   profile + Algorithm 1 (needs phase boundaries)
-//	reactive         per-host regime detection (needs nothing)
+//	online           live regime detection (needs nothing)
 //
 //	go run ./examples/reactive_controller
 package main
@@ -39,12 +40,11 @@ func main() {
 	fmt.Printf("meta-scheduler   %7.1f s  %s (offline: %d profiling/search executions)\n",
 		tuned.Duration.Seconds(), tuned.Plan, tuned.Evaluations)
 
-	reactive, switches, err := adaptmr.RunFineGrained(cfg, job, nil)
+	online, err := adaptmr.RunOnline(cfg, job)
 	check(err)
-	fmt.Printf("reactive         %7.1f s  (%d online switch commands, zero offline runs)\n",
-		reactive.Duration.Seconds(), switches)
+	fmt.Printf("online           %7.1f s  (%s -> %s, %d in-run switches, zero offline runs)\n",
+		online.Job.Duration.Seconds(), online.StartPairCode, online.FinalPairCode, online.Switches)
 
-	fmt.Println("\nThe reactive controller trades a little of the meta-scheduler's gain")
-	fmt.Println("for zero profiling cost and no dependence on job phase boundaries —")
-	fmt.Println("it keeps working when the cluster runs many jobs at once.")
+	fmt.Println("\nThe online controller trades a little of the meta-scheduler's gain")
+	fmt.Println("for zero profiling cost and no dependence on job phase boundaries.")
 }

@@ -6,19 +6,6 @@ import (
 	"adaptmr"
 )
 
-func TestFineGrainedFacade(t *testing.T) {
-	res, switches, err := adaptmr.RunFineGrained(quickCluster(), adaptmr.SortBenchmark(96<<20).Job, nil)
-	if err != nil {
-		t.Fatalf("RunFineGrained: %v", err)
-	}
-	if res.Duration <= 0 {
-		t.Fatal("no result")
-	}
-	if switches < 0 {
-		t.Fatal("negative switches")
-	}
-}
-
 func TestChainFacade(t *testing.T) {
 	stages := []adaptmr.JobConfig{
 		adaptmr.WordCountNoCombinerBenchmark(96 << 20).Job,

@@ -44,12 +44,6 @@ type Config struct {
 	// queue). See internal/check; nil disables checking at zero cost.
 	Check *check.Set
 
-	// Perf selects the engine-layer allocation strategy (event and request
-	// pooling); nil means sim.DefaultPerfProfile(). Profiles change only
-	// where memory comes from — simulated results, traces and reports are
-	// identical under every profile.
-	Perf *sim.PerfProfile
-
 	// HostDiskSlowdown optionally makes specific hosts' disks slower by
 	// the given factor (2.0 = half the transfer rate, double the seeks) —
 	// the heterogeneous-cluster scenario under which the paper warns its
@@ -87,11 +81,6 @@ func New(cfg Config) *Cluster {
 		panic("cluster: need at least one host and one VM")
 	}
 	eng := sim.New(cfg.Seed)
-	perf := cfg.Perf
-	if perf == nil {
-		perf = sim.DefaultPerfProfile()
-	}
-	eng.SetEventPooling(perf.PoolEvents)
 	c := &Cluster{Eng: eng, cfg: cfg}
 	c.Net = netsim.New(eng, cfg.Hosts, cfg.Net)
 	if cfg.Obs.Enabled() {
@@ -107,7 +96,6 @@ func New(cfg Config) *Cluster {
 		hostCfg := cfg.Host
 		hostCfg.Obs = cfg.Obs
 		hostCfg.Check = cfg.Check
-		hostCfg.Perf = perf
 		if f, ok := cfg.HostDiskSlowdown[h]; ok && f > 0 {
 			hostCfg.Disk.TransferMBps /= f
 			hostCfg.Disk.SeekMin = sim.Duration(float64(hostCfg.Disk.SeekMin) * f)

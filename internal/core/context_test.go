@@ -66,6 +66,14 @@ func TestRunnerContextNilBackgroundIdentical(t *testing.T) {
 	}
 }
 
+// joined reports whether key's in-flight call has at least dups followers.
+func joined(g *Group, key string, dups int) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c, ok := g.calls[key]
+	return ok && c.dups >= dups
+}
+
 func TestGroupSingleFlight(t *testing.T) {
 	var g Group
 	const waiters = 8
@@ -98,11 +106,10 @@ func TestGroupSingleFlight(t *testing.T) {
 			mu.Unlock()
 		}(i)
 	}
-	// Wait for the leader to be in flight, then release everyone.
-	for {
-		if g.InFlight() == 1 {
-			break
-		}
+	// Release the leader only once every other waiter has joined its
+	// flight; releasing earlier lets a late waiter find the key forgotten
+	// and start a second flight.
+	for !joined(&g, "k", waiters-1) {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)

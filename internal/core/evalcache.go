@@ -137,10 +137,6 @@ func (c *EvalCache) Dir() string { return c.dir }
 func EvalDigest(cc cluster.Config, job mapred.Config, plan Plan) (string, error) {
 	cc.Obs = obs.Sink{}
 	cc.Host.Obs = obs.Sink{}
-	// The allocation profile changes where memory comes from, never the
-	// simulated outcome, so it must not split the cache key space.
-	cc.Perf = nil
-	cc.Host.Perf = nil
 	h := sha256.New()
 	h.Write([]byte(evalCacheVersion))
 	h.Write([]byte{0})

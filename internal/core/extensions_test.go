@@ -18,75 +18,6 @@ func smallCC() cluster.Config {
 }
 
 // ---------------------------------------------------------------------------
-// Fine-grained (reactive) controller
-// ---------------------------------------------------------------------------
-
-func TestFineGrainedRunsAndSwitches(t *testing.T) {
-	fg := DefaultFineGrained()
-	res, switches, err := RunFineGrained(smallCC(), workloads.Sort(128<<20).Job, fg)
-	if err != nil {
-		t.Fatalf("RunFineGrained: %v", err)
-	}
-	if res.Duration <= 0 {
-		t.Fatal("job failed under the controller")
-	}
-	// Sort's read-heavy map phase followed by the write-heavy reduce phase
-	// must trigger at least one regime change.
-	if switches == 0 {
-		t.Fatal("reactive controller never switched on a phase-changing workload")
-	}
-}
-
-func TestFineGrainedDwellLimitsSwitches(t *testing.T) {
-	eager := DefaultFineGrained()
-	eager.MinDwell = 1 * sim.Second
-	lazy := DefaultFineGrained()
-	lazy.MinDwell = 1000 * sim.Second
-	_, eagerSw, err := RunFineGrained(smallCC(), workloads.Sort(128<<20).Job, eager)
-	if err != nil {
-		t.Fatalf("eager: %v", err)
-	}
-	_, lazySw, err := RunFineGrained(smallCC(), workloads.Sort(128<<20).Job, lazy)
-	if err != nil {
-		t.Fatalf("lazy: %v", err)
-	}
-	if lazySw > eagerSw {
-		t.Fatalf("dwell limit increased switches: %d > %d", lazySw, eagerSw)
-	}
-	// With an (effectively) infinite dwell each host gets at most its one
-	// opening switch.
-	if lazySw > 2 {
-		t.Fatalf("huge dwell still switched %d times on 2 hosts", lazySw)
-	}
-}
-
-func TestFineGrainedCompetitiveWithStatic(t *testing.T) {
-	job := workloads.Sort(128 << 20).Job
-	static := mustRun(t, NewRunner(smallCC(), job), Uniform(TwoPhases, iosched.DefaultPair))
-	reactive, _, err := RunFineGrained(smallCC(), job, nil)
-	if err != nil {
-		t.Fatalf("RunFineGrained: %v", err)
-	}
-	// The controller pays switch costs; it must stay within 15% of the
-	// static default on a small job (and typically beats it at scale).
-	if float64(reactive.Duration) > 1.15*float64(static.Duration) {
-		t.Fatalf("reactive %v far worse than static %v", reactive.Duration, static.Duration)
-	}
-}
-
-func TestFineGrainedDetachStopsMonitoring(t *testing.T) {
-	cc := smallCC()
-	cl := cluster.New(cc)
-	fg := DefaultFineGrained()
-	detach := fg.Attach(cl)
-	detach()
-	cl.Eng.Run() // monitors must not keep the calendar alive forever
-	if cl.Eng.Now() > sim.Time(3*fg.SampleEvery) {
-		t.Fatalf("detached monitor kept running until %v", cl.Eng.Now())
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Chains
 // ---------------------------------------------------------------------------
 

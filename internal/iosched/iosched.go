@@ -133,19 +133,18 @@ func DefaultParams() Params {
 	}
 }
 
-// New constructs a scheduler by name, wrapped for devirtualized dispatch
-// (see Devirt). Use the concrete constructors (NewCFQ etc.) directly to get
-// unwrapped schedulers.
+// New constructs a scheduler by name: a *NoopSched, *DeadlineSched,
+// *AnticipatorySched or *CFQSched behind the block.Elevator interface.
 func New(name string, p Params) (block.Elevator, error) {
 	switch name {
 	case Noop:
-		return DevirtNoop(NewNoop(p)), nil
+		return NewNoop(p), nil
 	case Deadline:
-		return DevirtDeadline(NewDeadline(p)), nil
+		return NewDeadline(p), nil
 	case Anticipatory:
-		return DevirtAnticipatory(NewAnticipatory(p)), nil
+		return NewAnticipatory(p), nil
 	case CFQ:
-		return DevirtCFQ(NewCFQ(p)), nil
+		return NewCFQ(p), nil
 	}
 	return nil, fmt.Errorf("iosched: unknown scheduler %q", name)
 }

@@ -15,10 +15,18 @@ import (
 // a post-drain poll fires phantom timeout/expire decisions and mutates
 // per-stream trust state on an elevator that has logically exited.
 
+// fixedLatencyDev services each request in 200us plus 10us per sector.
+type fixedLatencyDev struct{ eng *sim.Engine }
+
+func (d *fixedLatencyDev) Service(r *block.Request, done func(*block.Request)) {
+	lat := sim.Duration(200+r.Count*10) * sim.Microsecond
+	d.eng.Schedule(lat, func() { done(r) })
+}
+
 // liveSwitchQueue builds a real queue over elv with a fixed-latency device.
 func liveSwitchQueue(elv block.Elevator) (*sim.Engine, *block.Queue) {
 	eng := sim.New(1)
-	q := block.NewQueue(eng, elv, &devirtDev{eng: eng}, 1)
+	q := block.NewQueue(eng, elv, &fixedLatencyDev{eng: eng}, 1)
 	return eng, q
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"adaptmr"
 	"adaptmr/internal/analyze"
@@ -174,47 +173,56 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return prepared{}, err
 		}
-		var lr *liveRun
-		if req.RunID != "" {
-			if err := validateRunID(req.RunID); err != nil {
-				return prepared{}, err
-			}
-			lr = s.streams.getOrCreate(req.RunID)
-			key += ":stream:" + req.RunID
+		if req.RunID == "" {
+			return prepared{key: key, timeout: timeout, exec: func(ctx context.Context) ([]byte, error) {
+				return s.execAutotune(ctx, cfg, job, pol)
+			}}, nil
 		}
-		return prepared{key: key, timeout: timeout, stream: lr,
+		if err := validateRunID(req.RunID); err != nil {
+			return prepared{}, err
+		}
+		lr := s.streams.getOrCreate(req.RunID)
+		return prepared{key: key + ":stream:" + req.RunID, timeout: timeout, stream: lr,
 			exec: func(ctx context.Context) ([]byte, error) {
-				return s.execAutotune(ctx, cfg, job, pol, lr)
+				return s.execStreamedAutotune(ctx, cfg, job, pol, lr)
 			}}, nil
 	})
 }
 
-// execAutotune executes one job under the online controller, optionally
-// streaming. It mirrors execStreamedRun's runner wiring (fresh runner,
-// private sinks, sample pump) and additionally attaches the controller,
-// whose OnDecision hook publishes a "decision" frame per evaluated
-// window the instant the simulation produces it — interleaved with the
-// periodic "sample" frames in simulated-time order.
+// execAutotune executes one job under the online controller through the
+// facade. RunOnline builds a fresh, uncached runner per call, so the
+// request always costs exactly one evaluation.
 func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
+	job adaptmr.JobConfig, pol control.Policy) ([]byte, error) {
+
+	opts := []adaptmr.Option{
+		adaptmr.WithOnlineControl(pol),
+		adaptmr.WithContext(ctx),
+		adaptmr.WithParallelism(1),
+	}
+	if s.cfg.CheckInvariants {
+		opts = append(opts, adaptmr.WithInvariantChecks())
+	}
+	res, err := adaptmr.RunOnline(cfg, job, opts...)
+	s.met.addCounter(mEvaluations, 1)
+	if err != nil {
+		return nil, err
+	}
+	return encodePayload(autotuneResponse(res, 1))
+}
+
+// execStreamedAutotune is the streamed /v1/autotune: the shared streamed
+// executor plus the controller, whose OnDecision hook publishes a
+// "decision" frame per evaluated window the instant the simulation
+// produces it — interleaved with the periodic "sample" frames in
+// simulated-time order.
+func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	job adaptmr.JobConfig, pol control.Policy, lr *liveRun) ([]byte, error) {
 
-	var checks *adaptmr.CheckSet
-	if s.cfg.CheckInvariants {
-		checks = adaptmr.NewCheckSet()
-		cfg.Check = checks
-	}
-	run := core.NewRunner(cfg, job)
-	run.Parallelism = 1
-	run.Context = ctx
-	run.CollectPerf = lr != nil
-	started := time.Now()
-
 	var ctrl *control.Controller
-	run.OnEvaluation = func(_ core.Plan, cl *cluster.Cluster) {
-		smp := analyze.NewSampler()
-		smp.AttachCluster(cl)
-		ctrl = control.New(pol)
-		if lr != nil {
+	res, evaluations, err := s.execStreamed(ctx, cfg, job, core.Uniform(core.TwoPhases, pol.StartPair), lr,
+		func(cl *cluster.Cluster, smp *analyze.Sampler) int {
+			ctrl = control.New(pol)
 			seq := 0
 			ctrl.OnDecision = func(d control.Decision) {
 				sd := streamDecision{RunID: lr.id, Seq: seq, Decision: d}
@@ -223,72 +231,46 @@ func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 					lr.publish("decision", data)
 				}
 			}
-		}
-		if lr != nil {
 			// The pump and the controller tick are both self-re-arming
 			// watchers; each discounts the other's calendar entry (the
 			// Housekeeping allowance) so they stop once only the two of
 			// them remain — otherwise they'd keep the engine alive forever.
 			ctrl.Housekeeping = 1
-		}
-		ctrl.Attach(cl, smp)
-		if lr != nil {
-			eng := cl.Eng
-			seq := 0
-			var pump func()
-			pump = func() {
-				sample := streamSample{
-					RunID:      lr.id,
-					Seq:        seq,
-					Events:     eng.EventsFired(),
-					WallMS:     float64(time.Since(started).Microseconds()) / 1e3,
-					LiveSample: smp.Live(eng.Now()),
-				}
-				seq++
-				if data, err := json.Marshal(sample); err == nil {
-					lr.publish("sample", data)
-				}
-				if eng.Pending() > 1 { // 1 = the controller's tick
-					eng.Schedule(streamPumpInterval, pump)
-				}
-			}
-			eng.Schedule(0, pump)
-		}
-	}
-
-	res, err := run.Run(core.Uniform(core.TwoPhases, pol.StartPair))
-	if err == nil && checks != nil {
-		checks.Finalize()
-		if cerr := checks.Err(); cerr != nil {
-			err = fmt.Errorf("server: invariant check failed: %w", cerr)
-		}
-	}
-	if run.Evaluations > 0 {
-		s.met.addCounter(mEvaluations, int64(run.Evaluations))
-	}
+			ctrl.Attach(cl, smp)
+			return 1
+		})
 	if err != nil {
 		return nil, err
 	}
-	if lr != nil && res.Perf != nil {
-		s.publishPerf(res.Perf)
-		if data, merr := json.Marshal(res.Perf); merr == nil {
-			lr.publish("perf", data)
-		}
-	}
-	decisions := ctrl.Decisions()
+	return encodePayload(autotuneResponse(adaptmr.OnlineResult{
+		Job:           res.Job,
+		StartPairCode: pol.StartPair.Code(),
+		FinalPairCode: ctrl.InstalledPair().Code(),
+		Switches:      ctrl.Switches(),
+		Windows:       ctrl.Windows(),
+		Decisions:     ctrl.Decisions(),
+		SwitchStall:   res.SwitchStall,
+	}, evaluations))
+}
+
+// autotuneResponse shapes an online run into the /v1/autotune payload;
+// both paths share it so a streamed run's terminal frame is
+// byte-identical to a plain POST body.
+func autotuneResponse(res adaptmr.OnlineResult, evaluations int) AutotuneResponse {
+	decisions := res.Decisions
 	if decisions == nil {
 		decisions = []control.Decision{}
 	}
-	return encodePayload(AutotuneResponse{
-		StartPair:    pol.StartPair.Code(),
-		FinalPair:    ctrl.InstalledPair().Code(),
-		Switches:     ctrl.Switches(),
-		Windows:      ctrl.Windows(),
+	return AutotuneResponse{
+		StartPair:    res.StartPairCode,
+		FinalPair:    res.FinalPairCode,
+		Switches:     res.Switches,
+		Windows:      res.Windows,
 		Decisions:    decisions,
-		DurationNS:   int64(res.Duration),
-		DurationS:    res.Duration.Seconds(),
+		DurationNS:   int64(res.Job.Duration),
+		DurationS:    res.Job.Duration.Seconds(),
 		SwitchStallS: res.SwitchStall.Seconds(),
 		Job:          jobJSON(res.Job),
-		Evaluations:  run.Evaluations,
-	})
+		Evaluations:  evaluations,
+	}
 }

@@ -282,49 +282,41 @@ type streamJourney struct {
 	Decisions *obs.DecisionSummary `json:"decisions,omitempty"`
 }
 
-// execStreamedRun executes one plan with live streaming. It drives a
-// core.Runner directly (instead of the facade) so it can attach a
-// sampler and a self-rescheduling pump event to the evaluating cluster;
-// the pump publishes a sample frame per streamPumpInterval of simulated
-// time, starting at the evaluation's first instant so even a trivial run
-// streams at least one sample before its result. The disk cache is
-// deliberately not consulted: a cache hit has no simulation to stream.
+// execStreamed executes one plan with live streaming: the wiring /v1/run
+// and /v1/autotune share. It drives a fresh core.Runner directly
+// (instead of the facade) so it can attach a sampler and a
+// self-rescheduling pump event to the evaluating cluster; the disk cache
+// is deliberately not consulted, because a cache hit has no simulation
+// to stream.
 //
-// Streamed runs execute fully instrumented — tracer, metrics, journey
-// log and decision log — so completion publishes a "journey" frame (the
-// run's latency decomposition and decision tallies, summarised) and
-// stores the full explain document for GET /v1/explain?id=. The returned
-// payload is built by the same encoder as the non-streamed path, so the
-// terminal frame is byte-identical to a plain POST body.
-func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
-	plan adaptmr.Plan, lr *liveRun, workload string, inputMB int64) ([]byte, error) {
+// wire extends the evaluating cluster after the sampler attached and
+// before the pump starts, and returns how many
+// self-re-arming watchers it installed. The pump publishes a "sample"
+// frame per streamPumpInterval of simulated time, starting at the
+// evaluation's first instant so even a trivial run streams at least one
+// sample, and re-arms only while model events remain beyond those
+// watchers, so it never keeps a finished simulation alive.
+//
+// On success it publishes, in order, a "journey" frame when the result
+// carries journey or decision summaries and a "perf" frame with the
+// engine self-telemetry; the caller builds the terminal payload.
+func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
+	plan core.Plan, lr *liveRun, wire func(*cluster.Cluster, *analyze.Sampler) int) (core.RunResult, int, error) {
 
 	var checks *adaptmr.CheckSet
 	if s.cfg.CheckInvariants {
 		checks = adaptmr.NewCheckSet()
 		cfg.Check = checks
 	}
-	tracer := obs.NewTracer()
-	metrics := obs.NewRegistry()
-	journeys := obs.NewJourneyLog()
-	decisions := obs.NewDecisionLog()
-	cfg.Obs.Trace = tracer
-	cfg.Obs.Metrics = metrics
-	cfg.Obs.Journeys = journeys
-	cfg.Obs.Decisions = decisions
-	cfg.Obs.PIDBase = 0
 	run := core.NewRunner(cfg, job)
 	run.Parallelism = 1 // one plan, one evaluation
 	run.Context = ctx
 	run.CollectPerf = true
 	started := time.Now()
-	// The sampler outlives the evaluation: BuildExplain finalises it into
-	// the explain document's timeseries. One plan, one evaluation, so the
-	// single assignment is safe.
-	var smp *analyze.Sampler
-	run.OnEvaluation = func(p core.Plan, cl *cluster.Cluster) {
-		smp = analyze.NewSampler()
+	run.OnEvaluation = func(_ core.Plan, cl *cluster.Cluster) {
+		smp := analyze.NewSampler()
 		smp.AttachCluster(cl)
+		watchers := wire(cl, smp)
 		eng := cl.Eng
 		seq := 0
 		var pump func()
@@ -340,9 +332,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 			if data, err := json.Marshal(sample); err == nil {
 				lr.publish("sample", data)
 			}
-			// Reschedule only while model events remain, so the pump never
-			// keeps a finished simulation alive.
-			if eng.Pending() > 0 {
+			if eng.Pending() > watchers {
 				eng.Schedule(streamPumpInterval, pump)
 			}
 		}
@@ -360,7 +350,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 		s.met.addCounter(mEvaluations, int64(run.Evaluations))
 	}
 	if err != nil {
-		return nil, err
+		return core.RunResult{}, 0, err
 	}
 	if res.Journeys != nil || res.Decisions != nil {
 		jf := streamJourney{RunID: lr.id, Journeys: res.Journeys, Decisions: res.Decisions}
@@ -373,6 +363,38 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 		if data, merr := json.Marshal(res.Perf); merr == nil {
 			lr.publish("perf", data)
 		}
+	}
+	return res, run.Evaluations, nil
+}
+
+// execStreamedRun is the streamed /v1/run. It executes fully
+// instrumented — tracer, metrics, journey log and decision log — so
+// completion publishes a "journey" frame (the run's latency
+// decomposition and decision tallies, summarised) and stores the full
+// explain document for GET /v1/explain?id=. The returned payload is
+// built by the same encoder as the non-streamed path, so the terminal
+// frame is byte-identical to a plain POST body.
+func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
+	plan adaptmr.Plan, lr *liveRun, workload string, inputMB int64) ([]byte, error) {
+
+	tracer := obs.NewTracer()
+	journeys := obs.NewJourneyLog()
+	decisions := obs.NewDecisionLog()
+	cfg.Obs.Trace = tracer
+	cfg.Obs.Metrics = obs.NewRegistry()
+	cfg.Obs.Journeys = journeys
+	cfg.Obs.Decisions = decisions
+	cfg.Obs.PIDBase = 0
+	// The sampler outlives the evaluation: BuildExplain finalises it into
+	// the explain document's timeseries. One plan, one evaluation, so the
+	// single assignment is safe.
+	var smp *analyze.Sampler
+	res, evaluations, err := s.execStreamed(ctx, cfg, job, plan, lr, func(_ *cluster.Cluster, sm *analyze.Sampler) int {
+		smp = sm
+		return 0
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Build and stash the explain document before the terminal frame, so a
 	// client that saw "result" can immediately GET /v1/explain. Perf is
@@ -392,7 +414,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	} else if data, merr := json.Marshal(exp); merr == nil {
 		lr.setExplain(data)
 	}
-	return encodePayload(runResponse(res, run.Evaluations))
+	return encodePayload(runResponse(res, evaluations))
 }
 
 // handleStream serves GET /v1/stream?id=...: the SSE feed of one

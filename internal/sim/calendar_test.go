@@ -180,7 +180,7 @@ func TestEventPoolingReusesAndResets(t *testing.T) {
 		t.Fatalf("freelist len = %d after discard, want 1", len(e.free))
 	}
 
-	e.SetEventPooling(false)
+	e.pooling = false
 	e.free = nil
 	a := e.Schedule(Millisecond, func() {})
 	e.Run()
@@ -195,7 +195,7 @@ func TestEventPoolingReusesAndResets(t *testing.T) {
 func TestPoolingIdenticalTrace(t *testing.T) {
 	run := func(pool bool) []Time {
 		e := New(99)
-		e.SetEventPooling(pool)
+		e.pooling = pool
 		var fired []Time
 		var spawn func(depth int)
 		spawn = func(depth int) {
@@ -241,7 +241,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			e := New(1)
-			e.SetEventPooling(pool)
+			e.pooling = pool
 			var tick func()
 			n := 0
 			tick = func() {

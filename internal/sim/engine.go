@@ -47,41 +47,13 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
-// PerfProfile tunes the engine-layer allocation strategy. It changes only
-// where memory comes from, never event order: results, traces and metrics
-// are byte-identical under every profile.
-//
-// A nil *PerfProfile everywhere means "default": event pooling on, request
-// pooling on. Construct an explicit profile to switch either off (e.g. when
-// embedding the simulator under a tool that retains request pointers past
-// completion).
-type PerfProfile struct {
-	// PoolEvents recycles fired and discarded calendar events through an
-	// engine-internal freelist instead of allocating one per Schedule/At.
-	// Safe because every in-tree event holder drops its handle when the
-	// event fires (or cancels it before replacing it).
-	PoolEvents bool
-	// PoolRequests recycles block-layer requests through per-host pools
-	// with a free-at-complete lifecycle. Automatically bypassed by layers
-	// that must read a request after its queue completed it (journey
-	// tracking), and downgraded to a detect-only mode under invariant
-	// checking so pointer-keyed check state stays valid.
-	PoolRequests bool
-}
-
-// DefaultPerfProfile returns the default allocation strategy: both pools
-// enabled.
-func DefaultPerfProfile() *PerfProfile {
-	return &PerfProfile{PoolEvents: true, PoolRequests: true}
-}
-
 // Event is a scheduled callback. It may be cancelled before it fires.
 //
-// With event pooling enabled the engine recycles an Event once it has fired
-// (or once a cancelled event is discarded from the calendar), so callers
-// must not retain a handle past the event's own callback: drop the handle
-// when the callback runs, and cancel-before-replace when rescheduling.
-// Every holder in this repository follows that discipline.
+// The engine recycles an Event once it has fired (or once a cancelled
+// event is discarded from the calendar), so callers must not retain a
+// handle past the event's own callback: drop the handle when the callback
+// runs, and cancel-before-replace when rescheduling. Every holder in this
+// repository follows that discipline.
 type Event struct {
 	at       Time
 	seq      uint64
@@ -223,15 +195,15 @@ type Engine struct {
 	cancelledPending int
 
 	// free is the event freelist; fired and discarded events return here
-	// when pooling is on and are reset on reuse by At.
+	// and are reset on reuse by At. pooling is always true outside the
+	// package's own tests, which switch it off as an unpooled reference.
 	free    []*Event
 	pooling bool
 
 	obs Observer
 }
 
-// New returns an engine whose random source is seeded with seed. Event
-// pooling is on by default (see SetEventPooling).
+// New returns an engine whose random source is seeded with seed.
 func New(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed)), pooling: true}
 }
@@ -253,12 +225,6 @@ func (e *Engine) Pending() int { return e.events.len() - e.cancelledPending }
 // SetObserver installs (or, with nil, removes) the engine's execution
 // observer.
 func (e *Engine) SetObserver(o Observer) { e.obs = o }
-
-// SetEventPooling enables or disables event recycling. Pooling never
-// changes event order; disabling it only trades speed for fresh
-// allocations (useful when external code retains event handles past their
-// firing, which nothing in this repository does).
-func (e *Engine) SetEventPooling(on bool) { e.pooling = on }
 
 // release returns a finished (fired or discarded-cancelled) event to the
 // freelist. The callback reference is dropped so the freelist never roots

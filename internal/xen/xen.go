@@ -50,13 +50,6 @@ type HostConfig struct {
 	// queue built for this host (Dom0 and each guest). Violations
 	// accumulate in the set; nil disables checking at zero cost.
 	Check *check.Set
-	// Perf selects the allocation strategy (request/event pooling); nil
-	// means sim.DefaultPerfProfile(). Pooling never changes simulated
-	// results. Request pooling is automatically bypassed when journey
-	// tracing is attached (journeys read requests after queue completion)
-	// and runs in detect-only mode under Check (the checker's ledger is
-	// pointer-keyed).
-	Perf *sim.PerfProfile
 }
 
 // DefaultHostConfig mirrors the paper testbed: Xen 3.4.2, one SATA disk,
@@ -97,9 +90,12 @@ type Host struct {
 	// both queue levels (see journey.go).
 	journeys *journeyTracker
 
-	// pool, when non-nil, recycles every request the host's stack creates
-	// (guest submissions and the Dom0 requests the rings spawn) with a
-	// free-at-complete lifecycle. See HostConfig.Perf.
+	// pool recycles every request the host's stack creates (guest
+	// submissions and the Dom0 requests the rings spawn) with a
+	// free-at-complete lifecycle. It is nil under journey tracing, which
+	// reads requests after queue completion, and detect-only under Check,
+	// whose ledger is pointer-keyed. Pooling never changes simulated
+	// results.
 	pool *block.Pool
 }
 
@@ -134,11 +130,7 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	if cfg.Obs.Journeys != nil {
 		h.journeys = newJourneyTracker(h)
 	}
-	perf := cfg.Perf
-	if perf == nil {
-		perf = sim.DefaultPerfProfile()
-	}
-	if perf.PoolRequests && h.journeys == nil {
+	if h.journeys == nil {
 		if cfg.Check != nil {
 			// Detect-only pool: lifecycle violations land in the checker's
 			// report; memory is never recycled, so the checker's

@@ -89,8 +89,8 @@ type OnlineResult struct {
 // gates — no profiling runs, no prior knowledge of phase boundaries.
 //
 // Options: WithOnlineControl selects the policy; WithTracer, WithMetrics,
-// WithJourney, WithDecisionLog, WithInvariantChecks, WithPerfStats,
-// WithEngineProfile, WithRequestPool and WithContext behave as on Run.
+// WithJourney, WithDecisionLog, WithInvariantChecks, WithPerfStats and
+// WithContext behave as on Run.
 // Output is deterministic and byte-identical at every WithParallelism
 // setting.
 func RunOnline(cfg ClusterConfig, job JobConfig, opts ...Option) (OnlineResult, error) {
