@@ -24,27 +24,29 @@
 //	adaptreport gate [sim flags] [-baseline BENCH_baseline.json] [-tol 0.05]
 //	                 [-candidate BENCH_candidate.json] [-html report.html] [-update]
 //	                 [-parallel N] [-sweep-out sweep.json] [-o compare.txt]
-//	                 [-fleet-baseline BENCH_fleet.json] [-fleet-candidate FLEET.json]
-//	    Run the same instrumented job, condense it to a bench summary and
-//	    compare against the committed baseline. Exits 1 when a gated
-//	    metric regressed beyond the tolerance. -update rewrites the
-//	    baseline instead of comparing. -sweep-out additionally times the
-//	    16-pair profile sweep serial vs -parallel workers, verifies the
-//	    outputs are identical, and writes the speedup record as JSON.
-//	    -fleet-baseline additionally runs the built-in multi-job fleet
-//	    smoke scenario (deterministic, no wall-clock dimensions) and
-//	    gates its bench against that committed baseline.
+//	    Run the suite's three workloads — the instrumented job ("sort"),
+//	    the built-in fleet smoke scenario ("fleet:fleet-smoke") and the
+//	    job under the online controller ("online:sort") — and compare
+//	    each against its baseline entry. Exits 1 when a gated metric
+//	    regressed beyond the tolerance. -update rewrites the baseline
+//	    instead of comparing. -sweep-out additionally times the 16-pair
+//	    profile sweep serial vs -parallel workers, verifies the outputs
+//	    are identical, and writes the speedup record as JSON.
 //
 //	adaptreport compare [-tol 0.05] [-o compare.txt] base.json candidate.json
-//	    Compare two previously written bench summaries. -o additionally
-//	    writes the comparison to a file (JSON when the path ends in
-//	    .json, the text table otherwise) — on both gate and compare, and
-//	    even when the verdict is FAIL, so CI can upload it as an
-//	    artifact.
+//	    Compare two previously written suites.
 //
-// Sim flags (run and gate): -bench, -pair, -hosts, -vms, -input, -seed,
-// -slowdown. All output is deterministic for a fixed configuration, which
-// is what makes byte-level baseline comparison possible.
+// Every bench file is a suite: a JSON array of bench summaries, one per
+// workload (run -bench-out writes a one-entry suite). gate and compare
+// pair entries by workload and print one verdict table each; a workload
+// missing from one side, or listed twice, is a config error (exit 2). -o
+// also writes the tables to a file (a JSON object keyed by workload when
+// the path ends in .json), even on FAIL, so CI can upload the verdict.
+//
+// Sim flags (run, explain and gate): -bench, -pair, -hosts, -vms, -input,
+// -seed, -slowdown. All output is deterministic for a fixed
+// configuration, which is what makes byte-level baseline comparison
+// possible.
 package main
 
 import (
@@ -166,19 +168,24 @@ func (sf *simFlags) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pa
 	return cfg, wl, pair, nil
 }
 
+// reportOptions labels the instrumented run with the sim flags.
+func (sf *simFlags) reportOptions() adaptmr.ReportOptions {
+	return adaptmr.ReportOptions{
+		Workload:         *sf.bench,
+		InputMB:          *sf.inputMB,
+		TimeseriesPoints: *sf.points,
+		CheckInvariants:  *sf.check,
+		CollectPerf:      *sf.perf,
+	}
+}
+
 // run executes one instrumented job per the sim flags and analyzes it.
 func (sf *simFlags) run() (*adaptmr.Report, error) {
 	cfg, wl, pair, err := sf.setup()
 	if err != nil {
 		return nil, err
 	}
-	return adaptmr.RunReport(cfg, wl.Job, pair, adaptmr.ReportOptions{
-		Workload:         *sf.bench,
-		InputMB:          *sf.inputMB,
-		TimeseriesPoints: *sf.points,
-		CheckInvariants:  *sf.check,
-		CollectPerf:      *sf.perf,
-	})
+	return adaptmr.RunReport(cfg, wl.Job, pair, sf.reportOptions())
 }
 
 func cmdRun(args []string) {
@@ -186,7 +193,7 @@ func cmdRun(args []string) {
 	sf := bindSimFlags(fs)
 	format := fs.String("format", "md", "output format: md, html or json")
 	out := fs.String("o", "", "output path (default stdout)")
-	benchOut := fs.String("bench-out", "", "also write the run's bench summary JSON here")
+	benchOut := fs.String("bench-out", "", "also write the run's bench summary here, as a one-entry suite")
 	evalCache := cliutil.BindEvalCacheFlag(fs)
 	prof := cliutil.BindProfileFlags(fs)
 	fs.Parse(args)
@@ -209,31 +216,11 @@ func cmdRun(args []string) {
 	if err != nil {
 		fail(err)
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "md", "markdown":
-		err = rep.WriteMarkdown(w)
-	case "html":
-		err = rep.WriteHTML(w)
-	case "json":
-		err = writeJSON(w, rep)
-	default:
-		err = fmt.Errorf("unknown format %q (want md, html or json)", *format)
-	}
-	if err != nil {
+	if err := writeReport(rep, *format, *out); err != nil {
 		fail(err)
 	}
 	if *benchOut != "" {
-		if err := writeJSONFile(*benchOut, rep.Bench); err != nil {
+		if err := writeJSONFile(*benchOut, []adaptmr.Bench{rep.Bench}); err != nil {
 			fail(err)
 		}
 	}
@@ -260,42 +247,39 @@ func cmdExplain(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	rep, err := adaptmr.RunExplain(cfg, wl.Job, pair, adaptmr.ReportOptions{
-		Workload:         *sf.bench,
-		InputMB:          *sf.inputMB,
-		TimeseriesPoints: *sf.points,
-		CheckInvariants:  *sf.check,
-		CollectPerf:      *sf.perf,
-	})
+	rep, err := adaptmr.RunExplain(cfg, wl.Job, pair, sf.reportOptions())
 	if err != nil {
 		fail(err)
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	switch *format {
-	case "md", "markdown":
-		err = rep.WriteMarkdown(w)
-	case "html":
-		err = rep.WriteHTML(w)
-	case "json":
-		err = writeJSON(w, rep)
-	default:
-		err = fmt.Errorf("unknown format %q (want md, html or json)", *format)
-	}
-	if err != nil {
+	if err := writeReport(rep, *format, *out); err != nil {
 		fail(err)
 	}
 	if err := prof.Stop(); err != nil {
 		fail(err)
 	}
+}
+
+// writeReport renders rep as md, html or json to path, or to stdout
+// when path is empty.
+func writeReport(rep interface {
+	WriteMarkdown(io.Writer) error
+	WriteHTML(io.Writer) error
+}, format, path string) error {
+	var render func(io.Writer) error
+	switch format {
+	case "md", "markdown":
+		render = rep.WriteMarkdown
+	case "html":
+		render = rep.WriteHTML
+	case "json":
+		render = func(w io.Writer) error { return writeJSON(w, rep) }
+	default:
+		return fmt.Errorf("unknown format %q (want md, html or json)", format)
+	}
+	if path == "" {
+		return render(os.Stdout)
+	}
+	return writeFile(path, render)
 }
 
 // primeEvalCache runs the report's (cluster, job, pair) evaluation
@@ -324,22 +308,16 @@ func primeEvalCache(sf *simFlags, dir string) error {
 func cmdGate(args []string) {
 	fs := flag.NewFlagSet("adaptreport gate", flag.ExitOnError)
 	sf := bindSimFlags(fs)
-	baseline := fs.String("baseline", "BENCH_baseline.json", "committed baseline bench JSON")
+	baseline := fs.String("baseline", "BENCH_baseline.json", "committed baseline suite JSON (one bench per workload)")
 	tol := fs.Float64("tol", 0.05, "relative regression tolerance on gated metrics")
-	candidate := fs.String("candidate", "", "write the candidate bench JSON here (for CI artifacts)")
+	candidate := fs.String("candidate", "", "write the candidate suite JSON here (for CI artifacts)")
 	htmlOut := fs.String("html", "", "write the candidate's full HTML report here")
 	update := fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
-	fleetBaseline := fs.String("fleet-baseline", "",
-		"also gate the built-in fleet smoke scenario against this committed bench JSON (-update rewrites it)")
-	fleetCandidate := fs.String("fleet-candidate", "", "write the fleet candidate bench JSON here (for CI artifacts)")
-	onlineBaseline := fs.String("online-baseline", "",
-		"also gate the online-controller run of this workload against this committed bench JSON (-update rewrites it)")
-	onlineCandidate := fs.String("online-candidate", "", "write the online candidate bench JSON here (for CI artifacts)")
 	parallel := cliutil.BindParallelFlag(fs)
 	sweepOut := fs.String("sweep-out", "",
 		"also run the 16-pair profile sweep serial and with -parallel workers, verify identical output, and write the timing JSON here")
 	cmpOut := fs.String("o", "",
-		"write the comparison here too (JSON when the path ends in .json, the text table otherwise)")
+		"write the comparison here too (JSON when the path ends in .json, the text tables otherwise)")
 	prof := cliutil.BindProfileFlags(fs)
 	fs.Parse(args)
 	initLogger(sf.log)
@@ -377,135 +355,55 @@ func cmdGate(args []string) {
 		}
 	}
 
-	// The fleet workload: the built-in multi-job smoke scenario, run
-	// without perf collection so its bench is byte-deterministic
-	// (makespan, per-phase sums and event counts gate; no wall-clock
-	// dimensions).
-	var fleetBench adaptmr.Bench
-	if *fleetBaseline != "" {
-		res, err := adaptmr.RunFleet(adaptmr.SmokeFleetScenario(), adaptmr.WithParallelism(*parallel))
-		if err != nil {
-			fail(err)
-		}
-		fleetBench = adaptmr.FleetBench(res)
-		if *fleetCandidate != "" {
-			if err := writeJSONFile(*fleetCandidate, fleetBench); err != nil {
-				fail(err)
-			}
-		}
+	// The fleet smoke scenario and the same job under the online
+	// controller at smoke-scale policy run without perf collection, so
+	// their entries are byte-deterministic. The online switch count gates
+	// near-exactly: a controller behaviour change needs an explicit
+	// baseline update.
+	fleet, err := adaptmr.RunFleet(adaptmr.SmokeFleetScenario(), adaptmr.WithParallelism(*parallel))
+	if err != nil {
+		fail(err)
 	}
-	// The online workload: the same (cluster, job) as the main bench but
-	// executed under the online adaptive controller at smoke-scale policy,
-	// without perf collection so the bench is byte-deterministic. Switch
-	// count gates near-exactly: a controller behaviour change must come
-	// with an explicit baseline update.
-	var onlineBench adaptmr.Bench
-	if *onlineBaseline != "" {
-		cfg, wl, _, err := sf.setup()
-		if err != nil {
-			fail(err)
-		}
-		res, err := adaptmr.RunOnline(cfg, wl.Job,
-			adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()),
-			adaptmr.WithParallelism(*parallel))
-		if err != nil {
-			fail(err)
-		}
-		onlineBench = adaptmr.OnlineBench(res, *sf.bench, cfg, *sf.inputMB)
-		if *onlineCandidate != "" {
-			if err := writeJSONFile(*onlineCandidate, onlineBench); err != nil {
-				fail(err)
-			}
-		}
+	cfg, wl, _, err := sf.setup()
+	if err != nil {
+		fail(err)
 	}
+	online, err := adaptmr.RunOnline(cfg, wl.Job,
+		adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()),
+		adaptmr.WithParallelism(*parallel))
+	if err != nil {
+		fail(err)
+	}
+	suite := []adaptmr.Bench{rep.Bench, adaptmr.FleetBench(fleet),
+		adaptmr.OnlineBench(online, *sf.bench, cfg, *sf.inputMB)}
 	if *candidate != "" {
-		if err := writeJSONFile(*candidate, rep.Bench); err != nil {
+		if err := writeJSONFile(*candidate, suite); err != nil {
 			fail(err)
 		}
 	}
 	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := rep.WriteHTML(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*htmlOut, rep.WriteHTML); err != nil {
 			fail(err)
 		}
 	}
 	if *update {
-		if err := writeJSONFile(*baseline, rep.Bench); err != nil {
+		if err := writeJSONFile(*baseline, suite); err != nil {
 			fail(err)
 		}
-		fmt.Printf("baseline updated: %s (makespan %.3fs)\n", *baseline, rep.Bench.MakespanS)
-		if *fleetBaseline != "" {
-			if err := writeJSONFile(*fleetBaseline, fleetBench); err != nil {
-				fail(err)
-			}
-			fmt.Printf("fleet baseline updated: %s (makespan %.3fs)\n", *fleetBaseline, fleetBench.MakespanS)
-		}
-		if *onlineBaseline != "" {
-			if err := writeJSONFile(*onlineBaseline, onlineBench); err != nil {
-				fail(err)
-			}
-			fmt.Printf("online baseline updated: %s (makespan %.3fs, %d switches)\n",
-				*onlineBaseline, onlineBench.MakespanS, onlineBench.Switches)
-		}
+		fmt.Printf("baseline updated: %s (%d workloads)\n", *baseline, len(suite))
 		if err := prof.Stop(); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	base, err := readBench(*baseline)
+	base, err := readSuite(*baseline)
 	if err != nil {
 		fail(err)
 	}
-	cmp, err := adaptmr.CompareBenches(base, rep.Bench, *tol)
+	regressed, err := compareSuites(os.Stdout, base, suite, *tol, *cmpOut)
 	if err != nil {
 		fail(err)
-	}
-	if err := cmp.WriteText(os.Stdout); err != nil {
-		fail(err)
-	}
-	if *cmpOut != "" {
-		if err := writeComparison(*cmpOut, cmp); err != nil {
-			fail(err)
-		}
-	}
-	regressed := cmp.Regressed()
-	if *fleetBaseline != "" {
-		fleetBase, err := readBench(*fleetBaseline)
-		if err != nil {
-			fail(err)
-		}
-		fleetCmp, err := adaptmr.CompareBenches(fleetBase, fleetBench, *tol)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nfleet workload (%s):\n", fleetBench.Workload)
-		if err := fleetCmp.WriteText(os.Stdout); err != nil {
-			fail(err)
-		}
-		regressed = regressed || fleetCmp.Regressed()
-	}
-	if *onlineBaseline != "" {
-		onlineBase, err := readBench(*onlineBaseline)
-		if err != nil {
-			fail(err)
-		}
-		onlineCmp, err := adaptmr.CompareBenches(onlineBase, onlineBench, *tol)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nonline workload (%s):\n", onlineBench.Workload)
-		if err := onlineCmp.WriteText(os.Stdout); err != nil {
-			fail(err)
-		}
-		regressed = regressed || onlineCmp.Regressed()
 	}
 	if err := prof.Stop(); err != nil {
 		fail(err)
@@ -519,55 +417,83 @@ func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("adaptreport compare", flag.ExitOnError)
 	tol := fs.Float64("tol", 0.05, "relative regression tolerance on gated metrics")
 	cmpOut := fs.String("o", "",
-		"write the comparison here too (JSON when the path ends in .json, the text table otherwise)")
+		"write the comparison here too (JSON when the path ends in .json, the text tables otherwise)")
 	lf := cliutil.BindLogFlag(fs)
 	fs.Parse(args)
 	initLogger(lf)
 	if fs.NArg() != 2 {
-		fail(fmt.Errorf("compare needs exactly two bench JSON paths, got %d", fs.NArg()))
+		fail(fmt.Errorf("compare needs exactly two suite JSON paths, got %d", fs.NArg()))
 	}
-	base, err := readBench(fs.Arg(0))
+	base, err := readSuite(fs.Arg(0))
 	if err != nil {
 		fail(err)
 	}
-	cand, err := readBench(fs.Arg(1))
+	cand, err := readSuite(fs.Arg(1))
 	if err != nil {
 		fail(err)
 	}
-	cmp, err := adaptmr.CompareBenches(base, cand, *tol)
+	regressed, err := compareSuites(os.Stdout, base, cand, *tol, *cmpOut)
 	if err != nil {
 		fail(err)
 	}
-	if err := cmp.WriteText(os.Stdout); err != nil {
-		fail(err)
-	}
-	if *cmpOut != "" {
-		if err := writeComparison(*cmpOut, cmp); err != nil {
-			fail(err)
-		}
-	}
-	if cmp.Regressed() {
+	if regressed {
 		os.Exit(1)
 	}
 }
 
-// writeComparison writes the rendered comparison to path: JSON (the full
-// Comparison struct) when the path ends in .json, the benchstat-style
-// text table otherwise. Written even on FAIL, so CI can upload the
-// verdict as an artifact before the gate's exit status stops the job.
-func writeComparison(path string, cmp adaptmr.Comparison) error {
-	if strings.HasSuffix(path, ".json") {
-		return writeJSONFile(path, cmp)
+// compareSuites pairs the baseline and candidate entries by workload,
+// writes one verdict table per workload to w, in baseline order, and
+// reports whether any workload regressed. A workload missing from either
+// side, or listed twice, is a config error. When out is set the tables
+// are also written there — even on FAIL, so CI can upload the verdict
+// before the exit status stops the job.
+func compareSuites(w io.Writer, base, cand []adaptmr.Bench, tol float64, out string) (bool, error) {
+	candBy := make(map[string]adaptmr.Bench, len(cand))
+	for _, c := range cand {
+		if _, dup := candBy[c.Workload]; dup {
+			return false, fmt.Errorf("the candidate lists workload %q twice", c.Workload)
+		}
+		candBy[c.Workload] = c
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	var text bytes.Buffer
+	tables := make(map[string]adaptmr.Comparison, len(base))
+	regressed := false
+	for i, b := range base {
+		if _, dup := tables[b.Workload]; dup {
+			return false, fmt.Errorf("the baseline lists workload %q twice", b.Workload)
+		}
+		c, ok := candBy[b.Workload]
+		if !ok {
+			return false, fmt.Errorf("workload %q is in the baseline but not the candidate", b.Workload)
+		}
+		cmp, err := adaptmr.CompareBenches(b, c, tol)
+		if err != nil {
+			return false, fmt.Errorf("workload %q: %w", b.Workload, err)
+		}
+		if i > 0 {
+			text.WriteByte('\n')
+		}
+		fmt.Fprintf(&text, "workload %s:\n", b.Workload)
+		cmp.WriteText(&text)
+		tables[b.Workload] = cmp
+		regressed = regressed || cmp.Regressed()
 	}
-	if err := cmp.WriteText(f); err != nil {
-		f.Close()
-		return err
+	for _, c := range cand {
+		if _, ok := tables[c.Workload]; !ok {
+			return false, fmt.Errorf("workload %q is in the candidate but not the baseline", c.Workload)
+		}
 	}
-	return f.Close()
+	if _, err := w.Write(text.Bytes()); err != nil {
+		return false, err
+	}
+	switch {
+	case out == "":
+		return regressed, nil
+	case strings.HasSuffix(out, ".json"):
+		return regressed, writeJSONFile(out, tables)
+	default:
+		return regressed, os.WriteFile(out, text.Bytes(), 0o644)
+	}
 }
 
 // sweepRecord is the JSON artifact produced by gate -sweep-out: the
@@ -646,16 +572,18 @@ func writeSweep(sf *simFlags, parallel int, path string) error {
 	return nil
 }
 
-func readBench(path string) (adaptmr.Bench, error) {
-	var b adaptmr.Bench
+// readSuite loads a bench file: a JSON array of bench summaries, one
+// per workload.
+func readSuite(path string) ([]adaptmr.Bench, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return b, err
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &b); err != nil {
-		return b, fmt.Errorf("%s: %w", path, err)
+	var suite []adaptmr.Bench
+	if err := json.Unmarshal(data, &suite); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return b, nil
+	return suite, nil
 }
 
 func writeJSON(w io.Writer, v any) error {
@@ -665,11 +593,17 @@ func writeJSON(w io.Writer, v any) error {
 }
 
 func writeJSONFile(path string, v any) error {
+	return writeFile(path, func(w io.Writer) error { return writeJSON(w, v) })
+}
+
+// writeFile creates path and renders into it, returning the first error
+// from the render or the close.
+func writeFile(path string, render func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := writeJSON(f, v); err != nil {
+	if err := render(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -278,6 +279,23 @@ func TestCompareGating(t *testing.T) {
 	cand.Seed = 2
 	if _, err := Compare(base, cand, 0.05); err == nil {
 		t.Fatal("seed mismatch should error")
+	}
+}
+
+// failWriter rejects every write, standing in for a full disk or a
+// closed pipe under a comparison artifact.
+type failWriter struct{}
+
+var errWriteFailed = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
+
+// TestCompareWriteTextReportsWriteError pins that a failed write of the
+// verdict table surfaces as an error rather than passing silently.
+func TestCompareWriteTextReportsWriteError(t *testing.T) {
+	cmp := Comparison{TolFrac: 0.05, Deltas: []Delta{{Metric: "makespan_s", Base: 1, Candidate: 1, Gated: true}}}
+	if err := cmp.WriteText(failWriter{}); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("WriteText to a failing writer returned %v, want %v", err, errWriteFailed)
 	}
 }
 

@@ -266,9 +266,11 @@ func configMismatch(base, cand Bench) error {
 }
 
 // WriteText renders the comparison as an aligned plain-text table with a
-// PASS/FAIL verdict line, suitable for CI logs.
+// PASS/FAIL verdict line, suitable for CI logs. It returns the first
+// write error.
 func (c Comparison) WriteText(w writer) error {
-	fmt.Fprintf(w, "%-22s %14s %14s %9s  %s\n", "metric", "base", "candidate", "delta", "verdict")
+	tw := &errWriter{w: w}
+	tw.printf("%-22s %14s %14s %9s  %s\n", "metric", "base", "candidate", "delta", "verdict")
 	for _, d := range c.Deltas {
 		verdict := ""
 		switch {
@@ -281,15 +283,15 @@ func (c Comparison) WriteText(w writer) error {
 		default:
 			verdict = "ok"
 		}
-		fmt.Fprintf(w, "%-22s %14.6g %14.6g %8.2f%%  %s\n",
+		tw.printf("%-22s %14.6g %14.6g %8.2f%%  %s\n",
 			d.Metric, d.Base, d.Candidate, d.DeltaFrac*100, verdict)
 	}
 	if c.Regressed() {
-		fmt.Fprintf(w, "\nFAIL: regression beyond %.1f%% tolerance\n", c.TolFrac*100)
+		tw.printf("\nFAIL: regression beyond %.1f%% tolerance\n", c.TolFrac*100)
 	} else {
-		fmt.Fprintf(w, "\nPASS: within %.1f%% tolerance\n", c.TolFrac*100)
+		tw.printf("\nPASS: within %.1f%% tolerance\n", c.TolFrac*100)
 	}
-	return nil
+	return tw.err
 }
 
 // writer is the subset of io.Writer used by the renderers (kept local so

@@ -265,3 +265,25 @@ func TestThroughputSamplerPartialTrailingWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestThroughputSamplerRunEndsWindowsLater pins the end of a run that
+// outlives its last record by several windows: the window holding the
+// record is normalised by the full window, and every window after it up
+// to now is an explicit zero.
+func TestThroughputSamplerRunEndsWindowsLater(t *testing.T) {
+	eng := sim.New(1)
+	ts := NewThroughputSampler(eng, sim.Second)
+	eng.Schedule(5500*sim.Millisecond, func() { ts.Record(2e6) })
+	eng.Schedule(10*sim.Second, func() {})
+	eng.Run()
+	series := ts.Series()
+	want := []float64{0, 0, 0, 0, 0, 2, 0, 0, 0, 0}
+	if len(series) != len(want) {
+		t.Fatalf("series %v, want %v", series, want)
+	}
+	for i, v := range want {
+		if math.Abs(series[i]-v) > 1e-9 {
+			t.Fatalf("series %v, want %v", series, want)
+		}
+	}
+}

@@ -57,16 +57,20 @@ func (t *ThroughputSampler) closeWindow() {
 }
 
 // Series returns the completed windows as MB/s samples, including the
-// (partial) current window if it has any data.
+// (partial) current window if it has any data. It works on a copy that
+// first closes every window ended by now, so only the time elapsed within
+// the current window normalises the trailing sample.
 func (t *ThroughputSampler) Series() []float64 {
-	out := append([]float64(nil), t.series...)
-	if t.winBytes > 0 {
-		elapsed := t.eng.Now().Sub(t.winStart)
+	c := *t
+	c.series = append([]float64(nil), t.series...)
+	c.Record(0)
+	if c.winBytes > 0 {
+		elapsed := c.eng.Now().Sub(c.winStart)
 		if elapsed > 0 {
-			out = append(out, float64(t.winBytes)/1e6/elapsed.Seconds())
+			c.series = append(c.series, float64(c.winBytes)/1e6/elapsed.Seconds())
 		}
 	}
-	return out
+	return c.series
 }
 
 // TotalBytes returns all bytes recorded.

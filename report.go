@@ -54,52 +54,7 @@ type ReportOptions struct {
 // is replaced; the run is deterministic for a fixed cfg/job/pair, so the
 // report is byte-identical across invocations.
 func RunReport(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*Report, error) {
-	if err := job.Validate(); err != nil {
-		return nil, fmt.Errorf("adaptmr: %w", err)
-	}
-	tracer := NewTracer()
-	metrics := NewMetrics()
-	cfg.Obs.Trace = tracer
-	cfg.Obs.Metrics = metrics
-	cfg.Obs.PIDBase = 0
-	var checks *CheckSet
-	if opts.CheckInvariants {
-		checks = NewCheckSet()
-		cfg.Check = checks
-	}
-
-	cl := cluster.New(cfg)
-	smp := analyze.NewSampler()
-	smp.AttachCluster(cl)
-	cl.InstallPair(pair)
-	j := mapred.NewJob(cl, job)
-	j.Start(nil)
-	probe := perfstat.Start(opts.CollectPerf, cl.Eng)
-	cl.Eng.Run()
-	perf := probe.Stop()
-	if !j.Done() {
-		return nil, fmt.Errorf("adaptmr: report run drained before job completion")
-	}
-	perfstat.Publish(metrics, perf)
-	res := j.Result()
-	if checks != nil {
-		checks.Finalize()
-		if err := checks.Err(); err != nil {
-			return nil, fmt.Errorf("adaptmr: report run failed invariant checks: %w", err)
-		}
-	}
-
-	return analyze.Build(tracer, res.Metrics, smp, analyze.Options{
-		PIDBase:          0,
-		Workload:         opts.Workload,
-		Hosts:            cfg.Hosts,
-		VMs:              cfg.VMsPerHost,
-		InputMB:          opts.InputMB,
-		Seed:             cfg.Seed,
-		Pair:             pair.Code(),
-		TimeseriesPoints: opts.TimeseriesPoints,
-		Perf:             perf,
-	})
+	return runInstrumented(cfg, job, pair, opts, nil, nil, analyze.Build)
 }
 
 // ExplainReport is the "why" artefact of one instrumented run: the full
@@ -116,13 +71,28 @@ type ExplainReport = analyze.ExplainReport
 // decision is tallied per phase and queue level. Deterministic for a
 // fixed cfg/job/pair, byte-identical across invocations.
 func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*ExplainReport, error) {
+	journeys := obs.NewJourneyLog()
+	decisions := obs.NewDecisionLog()
+	return runInstrumented(cfg, job, pair, opts, journeys, decisions,
+		func(tr *obs.Tracer, snap *obs.Snapshot, smp *analyze.Sampler, o analyze.Options) (*ExplainReport, error) {
+			return analyze.BuildExplain(tr, snap, smp, journeys, decisions, o)
+		})
+}
+
+// runInstrumented is the run behind RunReport and RunExplain: one job on
+// a fresh cluster with a tracer, metrics and a live timeseries sampler
+// attached, plus the journey and decision logs when they are non-nil.
+// Hosts keep request pooling only while journeys are off. build analyzes
+// the run's observations.
+func runInstrumented[T any](cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions,
+	journeys *obs.JourneyLog, decisions *obs.DecisionLog,
+	build func(*obs.Tracer, *obs.Snapshot, *analyze.Sampler, analyze.Options) (T, error)) (T, error) {
+	var zero T
 	if err := job.Validate(); err != nil {
-		return nil, fmt.Errorf("adaptmr: %w", err)
+		return zero, fmt.Errorf("adaptmr: %w", err)
 	}
 	tracer := NewTracer()
 	metrics := NewMetrics()
-	journeys := obs.NewJourneyLog()
-	decisions := obs.NewDecisionLog()
 	cfg.Obs.Trace = tracer
 	cfg.Obs.Metrics = metrics
 	cfg.Obs.Journeys = journeys
@@ -144,18 +114,18 @@ func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions)
 	cl.Eng.Run()
 	perf := probe.Stop()
 	if !j.Done() {
-		return nil, fmt.Errorf("adaptmr: explain run drained before job completion")
+		return zero, fmt.Errorf("adaptmr: instrumented run drained before job completion")
 	}
 	perfstat.Publish(metrics, perf)
 	res := j.Result()
 	if checks != nil {
 		checks.Finalize()
 		if err := checks.Err(); err != nil {
-			return nil, fmt.Errorf("adaptmr: explain run failed invariant checks: %w", err)
+			return zero, fmt.Errorf("adaptmr: instrumented run failed invariant checks: %w", err)
 		}
 	}
 
-	return analyze.BuildExplain(tracer, res.Metrics, smp, journeys, decisions, analyze.Options{
+	return build(tracer, res.Metrics, smp, analyze.Options{
 		PIDBase:          0,
 		Workload:         opts.Workload,
 		Hosts:            cfg.Hosts,

@@ -94,6 +94,30 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
+// TestExplainReportGolden pins that RunExplain analyzes the same run as
+// RunReport: with journeys and decisions recorded, its Report still
+// renders the committed golden file byte for byte.
+func TestExplainReportGolden(t *testing.T) {
+	wl := adaptmr.SortBenchmark(32 << 20)
+	exp, err := adaptmr.RunExplain(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair, adaptmr.ReportOptions{
+		Workload: "sort", InputMB: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := exp.Report.WriteMarkdown(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "report_sort_2x2_seed1.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("explain run's report differs from the RunReport golden\n--- got ---\n%s", buf.String())
+	}
+}
+
 // TestReportProperties checks the structural invariants across several
 // configurations: critical-path coverage ≥ 90%, per-layer blame
 // partitioning each segment (and the whole path) within float epsilon,
