@@ -1,6 +1,8 @@
 package guestio
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -239,6 +241,55 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatal("evicted file served from cache")
 	}
 	_ = fs
+}
+
+// refAddResident is the sort-then-merge form of addResident: append the
+// range, sort by offset, merge the whole list. It returns the new list and
+// the number of newly resident bytes.
+func refAddResident(resident []span, off, count int64) ([]span, int64) {
+	var overlap int64
+	for _, s := range resident {
+		lo := max64(s.off, off)
+		hi := min64(s.off+s.count, off+count)
+		if hi > lo {
+			overlap += hi - lo
+		}
+	}
+	resident = append(resident, span{off, count})
+	sort.Slice(resident, func(i, j int) bool { return resident[i].off < resident[j].off })
+	merged := resident[:0]
+	for _, s := range resident {
+		if n := len(merged); n > 0 && merged[n-1].off+merged[n-1].count >= s.off {
+			end := max64(merged[n-1].off+merged[n-1].count, s.off+s.count)
+			merged[n-1].count = end - merged[n-1].off
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	return merged, (count - overlap) * block.SectorSize
+}
+
+// Property: addResident returns the reference's byte count and leaves the
+// reference's span list, zero-length ranges included.
+func TestQuickAddResidentMatchesReference(t *testing.T) {
+	f := func(ranges [][2]uint16) bool {
+		file := &File{dirtyFrom: -1}
+		var ref []span
+		for _, r := range ranges {
+			off, cnt := int64(r[0]%512), int64(r[1]%64)
+			got := file.addResident(off, cnt)
+			var want int64
+			ref, want = refAddResident(ref, off, cnt)
+			if got != want || !slices.Equal(file.resident, ref) {
+				t.Logf("add [%d,+%d): got %d %v, reference %d %v", off, cnt, got, file.resident, want, ref)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestQuickResidentSpans(t *testing.T) {

@@ -409,27 +409,33 @@ type span struct {
 }
 
 // addResident merges the range into the file's resident set and returns
-// the number of newly resident bytes.
+// the number of newly resident bytes. The set is ordered and neither
+// overlaps nor touches, so only the spans around the range's sorted
+// position can merge with it.
 func (f *File) addResident(off, count int64) int64 {
+	rs := f.resident
+	lo := sort.Search(len(rs), func(i int) bool { return rs[i].off > off })
+	if lo > 0 && rs[lo-1].off+rs[lo-1].count >= off {
+		lo--
+	}
+	start, end := off, off+count
 	var overlap int64
-	for _, s := range f.resident {
-		lo := max64(s.off, off)
-		hi := min64(s.off+s.count, off+count)
-		if hi > lo {
-			overlap += hi - lo
+	hi := lo
+	for ; hi < len(rs) && rs[hi].off <= end; hi++ {
+		s := rs[hi]
+		if o := min64(s.off+s.count, off+count) - max64(s.off, off); o > 0 {
+			overlap += o
 		}
+		start = min64(start, s.off)
+		end = max64(end, s.off+s.count)
 	}
-	f.resident = append(f.resident, span{off, count})
-	sort.Slice(f.resident, func(i, j int) bool { return f.resident[i].off < f.resident[j].off })
-	merged := f.resident[:0]
-	for _, s := range f.resident {
-		if n := len(merged); n > 0 && merged[n-1].off+merged[n-1].count >= s.off {
-			end := max64(merged[n-1].off+merged[n-1].count, s.off+s.count)
-			merged[n-1].count = end - merged[n-1].off
-		} else {
-			merged = append(merged, s)
-		}
+	if lo == hi {
+		rs = append(rs, span{})
+		copy(rs[lo+1:], rs[lo:])
+	} else {
+		rs = append(rs[:lo+1], rs[hi:]...)
 	}
-	f.resident = merged
+	rs[lo] = span{start, end - start}
+	f.resident = rs
 	return (count - overlap) * block.SectorSize
 }

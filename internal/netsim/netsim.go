@@ -37,7 +37,12 @@ type Flow struct {
 	rate      float64 // bytes/sec, recomputed on membership changes
 	start     sim.Time
 	done      func()
-	canceled  bool
+
+	// links are the flow's capacity constraints as link indices: NIC
+	// uplink then downlink, or the bridge alone (nlinks 1).
+	links  [2]int
+	nlinks int
+	frozen bool // rate fixed by the current water-filling pass
 }
 
 // Rate returns the flow's current allocation in bytes/second.
@@ -55,9 +60,6 @@ func (f *Flow) Bytes() float64 { return f.bytes }
 // Start returns when the transfer was issued.
 func (f *Flow) Start() sim.Time { return f.start }
 
-// Cancel abandons the transfer without invoking its callback.
-func (f *Flow) Cancel() { f.canceled = true }
-
 // Stats aggregates network activity.
 type Stats struct {
 	Flows       int64
@@ -74,11 +76,22 @@ type Network struct {
 	flows      []*Flow // insertion order, for deterministic accounting
 	lastUpdate sim.Time
 	next       *sim.Event
+	complete   func() // completeDue, bound once so re-arming does not allocate
+
+	// Water-filling scratch reused by every recompute. capLeft, members
+	// and unfrozen are indexed by link; members holds indices into flows,
+	// and only links in order have non-empty member lists.
+	capLeft  []float64
+	members  [][]int32
+	unfrozen []int
+	order    []int // links in first-use order
+
+	finished []*Flow // completeDue's scratch, cleared after each use
 
 	stats Stats
 
-	// OnFlowDone, if set, observes every non-cancelled flow as it finishes
-	// (tracing hook; netsim itself stays observability-agnostic).
+	// OnFlowDone, if set, observes every flow as it finishes (tracing
+	// hook; netsim itself stays observability-agnostic).
 	OnFlowDone func(f *Flow)
 }
 
@@ -87,7 +100,15 @@ func New(eng *sim.Engine, nodes int, cfg Config) *Network {
 	if nodes <= 0 || cfg.NICBps <= 0 || cfg.BridgeBps <= 0 {
 		panic("netsim: invalid config")
 	}
-	return &Network{eng: eng, cfg: cfg, nodes: nodes}
+	links := nodes * linkKinds
+	n := &Network{
+		eng: eng, cfg: cfg, nodes: nodes,
+		capLeft:  make([]float64, links),
+		members:  make([][]int32, links),
+		unfrozen: make([]int, links),
+	}
+	n.complete = n.completeDue
+	return n
 }
 
 // Stats returns a snapshot of the counters.
@@ -108,11 +129,14 @@ func (n *Network) Send(src, dst int, bytes float64, done func()) *Flow {
 	}
 	n.advance()
 	f := &Flow{src: src, dst: dst, bytes: bytes, remaining: bytes, start: n.eng.Now(), done: done}
+	if src == dst {
+		f.links[0], f.nlinks = src*linkKinds+linkBridge, 1
+		n.stats.BridgeFlows++
+	} else {
+		f.links, f.nlinks = [2]int{src*linkKinds + linkUp, dst*linkKinds + linkDown}, 2
+	}
 	n.flows = append(n.flows, f)
 	n.stats.Flows++
-	if src == dst {
-		n.stats.BridgeFlows++
-	}
 	n.recompute()
 	return f
 }
@@ -132,12 +156,14 @@ func (n *Network) advance() {
 	}
 }
 
-// link identifies a capacity constraint: NIC up/down per node, bridge per
-// node.
-type link struct {
-	node int
-	kind uint8 // 0 = up, 1 = down, 2 = bridge
-}
+// A link is a capacity constraint, indexed node*linkKinds + kind: NIC
+// uplink and downlink per node, and the bridge per node.
+const (
+	linkUp = iota
+	linkDown
+	linkBridge
+	linkKinds
+)
 
 // recompute performs max-min water-filling over all links and re-arms the
 // next completion event.
@@ -150,73 +176,62 @@ func (n *Network) recompute() {
 		return
 	}
 
-	// Build link membership. Links are collected in first-use order so
-	// the water-filling iteration is deterministic.
-	capLeft := make(map[link]float64)
-	members := make(map[link][]*Flow)
-	flowLinks := make(map[*Flow][]link)
-	var links []link
-	for _, f := range n.flows {
-		var ls []link
-		if f.src == f.dst {
-			ls = []link{{f.src, 2}}
-		} else {
-			ls = []link{{f.src, 0}, {f.dst, 1}}
-		}
-		flowLinks[f] = ls
-		for _, l := range ls {
-			if _, ok := capLeft[l]; !ok {
-				if l.kind == 2 {
-					capLeft[l] = n.cfg.BridgeBps
+	// Build link membership. Links are collected in first-use order and
+	// members in flow-insertion order so the water-filling iteration is
+	// deterministic.
+	for _, l := range n.order {
+		n.members[l] = n.members[l][:0]
+	}
+	n.order = n.order[:0]
+	for i, f := range n.flows {
+		f.frozen = false
+		for _, l := range f.links[:f.nlinks] {
+			if len(n.members[l]) == 0 {
+				if l%linkKinds == linkBridge {
+					n.capLeft[l] = n.cfg.BridgeBps
 				} else {
-					capLeft[l] = n.cfg.NICBps
+					n.capLeft[l] = n.cfg.NICBps
 				}
-				links = append(links, l)
+				n.order = append(n.order, l)
 			}
-			members[l] = append(members[l], f)
+			n.members[l] = append(n.members[l], int32(i))
 		}
 	}
-
-	frozen := make(map[*Flow]bool)
-	unfrozenOn := func(l link) int {
-		c := 0
-		for _, f := range members[l] {
-			if !frozen[f] {
-				c++
-			}
-		}
-		return c
+	for _, l := range n.order {
+		n.unfrozen[l] = len(n.members[l])
 	}
 
-	for len(frozen) < len(n.flows) {
+	for frozen := 0; frozen < len(n.flows); {
 		// Find the bottleneck link: smallest fair share among links with
 		// unfrozen flows.
-		var bott link
+		bott := -1
 		best := math.Inf(1)
-		found := false
-		for _, l := range links {
-			k := unfrozenOn(l)
+		for _, l := range n.order {
+			k := n.unfrozen[l]
 			if k == 0 {
 				continue
 			}
-			share := capLeft[l] / float64(k)
+			share := n.capLeft[l] / float64(k)
 			if share < best {
-				best, bott, found = share, l, true
+				best, bott = share, l
 			}
 		}
-		if !found {
+		if bott < 0 {
 			break
 		}
-		for _, f := range members[bott] {
-			if frozen[f] {
+		for _, i := range n.members[bott] {
+			f := n.flows[i]
+			if f.frozen {
 				continue
 			}
-			frozen[f] = true
+			f.frozen = true
 			f.rate = best
-			for _, l := range flowLinks[f] {
-				capLeft[l] -= best
-				if capLeft[l] < 0 {
-					capLeft[l] = 0
+			frozen++
+			for _, l := range f.links[:f.nlinks] {
+				n.unfrozen[l]--
+				n.capLeft[l] -= best
+				if n.capLeft[l] < 0 {
+					n.capLeft[l] = 0
 				}
 			}
 		}
@@ -245,7 +260,7 @@ func (n *Network) recompute() {
 		// completion event would loop at the current instant forever.
 		d = 1
 	}
-	n.next = n.eng.Schedule(d, n.completeDue)
+	n.next = n.eng.Schedule(d, n.complete)
 }
 
 // completeDue retires all flows that have drained.
@@ -253,7 +268,7 @@ func (n *Network) completeDue() {
 	n.next = nil
 	n.advance()
 	const eps = 1.0 // sub-byte residue is float noise
-	var finished []*Flow
+	finished := n.finished[:0]
 	live := n.flows[:0]
 	for _, f := range n.flows {
 		if f.remaining <= eps {
@@ -262,12 +277,10 @@ func (n *Network) completeDue() {
 			live = append(live, f)
 		}
 	}
+	clear(n.flows[len(live):]) // the backing array must not keep finished flows alive
 	n.flows = live
 	n.recompute()
 	for _, f := range finished {
-		if f.canceled {
-			continue
-		}
 		if n.OnFlowDone != nil {
 			n.OnFlowDone(f)
 		}
@@ -275,4 +288,6 @@ func (n *Network) completeDue() {
 			f.done()
 		}
 	}
+	clear(finished)
+	n.finished = finished[:0]
 }
