@@ -24,8 +24,6 @@ type AnticipatorySched struct {
 	expiry [2]fifo
 	merges *merger
 
-	deadlines map[*block.Request]sim.Time
-
 	batchOp    block.Op
 	batchUntil sim.Time
 	inBatch    bool
@@ -70,7 +68,6 @@ func NewAnticipatory(p Params) *AnticipatorySched {
 	return &AnticipatorySched{
 		p:            p,
 		merges:       newMerger(p.MaxSectors),
-		deadlines:    make(map[*block.Request]sim.Time),
 		misses:       make(map[block.StreamID]int),
 		lastReadDone: make(map[block.StreamID]sim.Time),
 	}
@@ -109,8 +106,7 @@ func (s *AnticipatorySched) Add(r *block.Request, now sim.Time) {
 		return
 	}
 	s.sorted[r.Op].insert(r)
-	s.expiry[r.Op].push(r)
-	s.deadlines[r] = now.Add(s.expire(r.Op))
+	s.expiry[r.Op].push(r, now.Add(s.expire(r.Op)))
 	s.merges.add(r)
 }
 
@@ -194,7 +190,7 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 	// saturation everything is somewhat past expiry, and restarting every
 	// batch at the oldest request would turn the scan into random jumps.
 	var r *block.Request
-	if f := s.expiry[op].front(); f != nil && s.deadlines[f].Add(3*s.expire(op)) <= now {
+	if f, deadline := s.expiry[op].front(); f != nil && deadline.Add(3*s.expire(op)) <= now {
 		r = f
 	} else {
 		r = s.sorted[op].next(s.nextPos)
@@ -227,15 +223,14 @@ func (s *AnticipatorySched) findCloseStreamRead(stream block.StreamID) *block.Re
 }
 
 func (s *AnticipatorySched) frontExpired(op block.Op, now sim.Time) bool {
-	f := s.expiry[op].front()
-	return f != nil && s.deadlines[f] <= now
+	f, deadline := s.expiry[op].front()
+	return f != nil && deadline <= now
 }
 
 func (s *AnticipatorySched) take(r *block.Request) *block.Request {
 	s.sorted[r.Op].remove(r)
 	s.expiry[r.Op].remove(r)
 	s.merges.remove(r)
-	delete(s.deadlines, r)
 	s.nextPos = r.End()
 	return r
 }

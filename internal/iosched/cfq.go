@@ -40,10 +40,6 @@ type CFQSched struct {
 	// them forever.
 	asyncStarved int
 
-	// deadlines holds each queued request's fifo deadline (entry time +
-	// FifoExpireSync/Async); absent when the expiry knobs are zero.
-	deadlines map[*block.Request]sim.Time
-
 	nextPos int64
 	pending int
 }
@@ -52,8 +48,10 @@ type cfqQueue struct {
 	stream block.StreamID
 	sync   bool
 	list   sortedList
-	// expiry holds the queue's requests in arrival order for the
-	// cfq_check_fifo deadline (see take).
+	// expiry holds the queue's requests in arrival order, each with its
+	// cfq_check_fifo deadline (see take). It is in use only when the
+	// queue's expiry knob (FifoExpireSync/Async) is non-zero; then it
+	// holds exactly the requests on list.
 	expiry fifo
 	onRR   bool
 }
@@ -61,10 +59,9 @@ type cfqQueue struct {
 // NewCFQ returns a CFQ elevator with the given tunables.
 func NewCFQ(p Params) *CFQSched {
 	s := &CFQSched{
-		p:         p,
-		queues:    make(map[block.StreamID]*cfqQueue),
-		merges:    newMerger(p.MaxSectors),
-		deadlines: make(map[*block.Request]sim.Time),
+		p:      p,
+		queues: make(map[block.StreamID]*cfqQueue),
+		merges: newMerger(p.MaxSectors),
 	}
 	s.async = &cfqQueue{stream: -1, sync: false}
 	return s
@@ -96,13 +93,8 @@ func (s *CFQSched) Add(r *block.Request, now sim.Time) {
 	}
 	q := s.queueFor(r)
 	q.list.insert(r)
-	expire := s.p.FifoExpireSync
-	if !q.sync {
-		expire = s.p.FifoExpireAsync
-	}
-	if expire > 0 {
-		q.expiry.push(r)
-		s.deadlines[r] = now.Add(expire)
+	if expire := s.fifoExpire(q); expire > 0 {
+		q.expiry.push(r, now.Add(expire))
 	}
 	s.merges.add(r)
 	s.pending++
@@ -250,6 +242,14 @@ func (s *CFQSched) pushRR(q *cfqQueue) {
 
 func (s *CFQSched) asyncPending() bool { return s.async.list.len() > 0 }
 
+// fifoExpire is q's fifo deadline knob; zero disables q's expiry fifo.
+func (s *CFQSched) fifoExpire(q *cfqQueue) sim.Duration {
+	if q.sync {
+		return s.p.FifoExpireSync
+	}
+	return s.p.FifoExpireAsync
+}
+
 // expire ends the current slice. An emptied queue stays on the ring with
 // onRR set and is dropped lazily by the nextQueue scan; because nextQueue
 // re-appends a queue exactly once when selecting it (and Add checks onRR
@@ -269,14 +269,13 @@ func (s *CFQSched) expire(now sim.Time) {
 // refilled queue from bypassing one old request sweep after sweep.
 func (s *CFQSched) take(q *cfqQueue, now sim.Time) *block.Request {
 	r := q.list.next(s.nextPos)
-	if f := q.expiry.front(); f != nil && f != r && s.deadlines[f] <= now {
+	if f, deadline := q.expiry.front(); f != nil && f != r && deadline <= now {
 		s.p.Decisions.RecordStream(now, obs.DecCFQFifoExpired, int64(q.stream))
 		r = f
 	}
 	q.list.remove(r)
-	if _, ok := s.deadlines[r]; ok {
+	if s.fifoExpire(q) > 0 {
 		q.expiry.remove(r)
-		delete(s.deadlines, r)
 	}
 	s.merges.remove(r)
 	s.pending--

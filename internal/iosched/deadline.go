@@ -21,8 +21,6 @@ type DeadlineSched struct {
 	expiry [2]fifo
 	merges *merger
 
-	deadlines map[*block.Request]sim.Time
-
 	batchOp      block.Op
 	batchLeft    int
 	nextPos      int64
@@ -32,9 +30,8 @@ type DeadlineSched struct {
 // NewDeadline returns a deadline elevator with the given tunables.
 func NewDeadline(p Params) *DeadlineSched {
 	return &DeadlineSched{
-		p:         p,
-		merges:    newMerger(p.MaxSectors),
-		deadlines: make(map[*block.Request]sim.Time),
+		p:      p,
+		merges: newMerger(p.MaxSectors),
 	}
 }
 
@@ -58,8 +55,7 @@ func (s *DeadlineSched) Add(r *block.Request, now sim.Time) {
 		return
 	}
 	s.sorted[r.Op].insert(r)
-	s.expiry[r.Op].push(r)
-	s.deadlines[r] = now.Add(s.expire(r.Op))
+	s.expiry[r.Op].push(r, now.Add(s.expire(r.Op)))
 	s.merges.add(r)
 }
 
@@ -95,7 +91,7 @@ func (s *DeadlineSched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 	// An expired FIFO head restarts the scan at the oldest request;
 	// otherwise the batch continues from the last dispatched position.
 	var r *block.Request
-	if f := s.expiry[op].front(); f != nil && s.deadlines[f] <= now {
+	if f, deadline := s.expiry[op].front(); f != nil && deadline <= now {
 		s.p.Decisions.RecordStream(now, obs.DecDeadlineExpired, int64(f.Stream))
 		r = f
 	} else {
@@ -106,8 +102,8 @@ func (s *DeadlineSched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 }
 
 func (s *DeadlineSched) frontExpired(op block.Op, now sim.Time) bool {
-	f := s.expiry[op].front()
-	return f != nil && s.deadlines[f] <= now
+	f, deadline := s.expiry[op].front()
+	return f != nil && deadline <= now
 }
 
 func otherOp(op block.Op) block.Op {
@@ -121,7 +117,6 @@ func (s *DeadlineSched) take(r *block.Request) *block.Request {
 	s.sorted[r.Op].remove(r)
 	s.expiry[r.Op].remove(r)
 	s.merges.remove(r)
-	delete(s.deadlines, r)
 	s.nextPos = r.End()
 	s.batchLeft--
 	return r

@@ -183,20 +183,27 @@ func (l *sortedList) remove(r *block.Request) {
 	i := sort.Search(len(l.reqs), func(i int) bool { return l.reqs[i].Sector >= r.Sector })
 	for ; i < len(l.reqs) && l.reqs[i].Sector == r.Sector; i++ {
 		if l.reqs[i] == r {
-			copy(l.reqs[i:], l.reqs[i+1:])
-			l.reqs = l.reqs[:len(l.reqs)-1]
+			l.cut(i)
 			return
 		}
 	}
 	// Front merges move a request's start sector; fall back to linear scan.
 	for j, q := range l.reqs {
 		if q == r {
-			copy(l.reqs[j:], l.reqs[j+1:])
-			l.reqs = l.reqs[:len(l.reqs)-1]
+			l.cut(j)
 			return
 		}
 	}
 	panic("iosched: removing request not in sorted list")
+}
+
+// cut deletes slot i, clearing the vacated tail slot so the backing array
+// does not root a dispatched (and possibly recycled) request.
+func (l *sortedList) cut(i int) {
+	n := len(l.reqs) - 1
+	copy(l.reqs[i:], l.reqs[i+1:])
+	l.reqs[n] = nil
+	l.reqs = l.reqs[:n]
 }
 
 // refresh restores r's sort position after its start sector changed (a
@@ -227,27 +234,39 @@ func (l *sortedList) front() *block.Request {
 	return l.reqs[0]
 }
 
-// fifo is an insertion-ordered queue used for deadline enforcement.
+// fifo is an insertion-ordered queue used for deadline enforcement. Each
+// entry carries its request's expiry time, as Linux requests carry
+// rq->fifo_time, so no side map is needed to look deadlines up.
 type fifo struct {
-	reqs []*block.Request
+	reqs []fifoEntry
+}
+
+type fifoEntry struct {
+	r        *block.Request
+	deadline sim.Time
 }
 
 func (f *fifo) len() int { return len(f.reqs) }
 
-func (f *fifo) push(r *block.Request) { f.reqs = append(f.reqs, r) }
+func (f *fifo) push(r *block.Request, deadline sim.Time) {
+	f.reqs = append(f.reqs, fifoEntry{r, deadline})
+}
 
-func (f *fifo) front() *block.Request {
+// front returns the oldest request and its deadline, or nil when empty.
+func (f *fifo) front() (*block.Request, sim.Time) {
 	if len(f.reqs) == 0 {
-		return nil
+		return nil, 0
 	}
-	return f.reqs[0]
+	return f.reqs[0].r, f.reqs[0].deadline
 }
 
 func (f *fifo) remove(r *block.Request) {
-	for i, q := range f.reqs {
-		if q == r {
+	for i, e := range f.reqs {
+		if e.r == r {
+			n := len(f.reqs) - 1
 			copy(f.reqs[i:], f.reqs[i+1:])
-			f.reqs = f.reqs[:len(f.reqs)-1]
+			f.reqs[n] = fifoEntry{}
+			f.reqs = f.reqs[:n]
 			return
 		}
 	}
@@ -302,28 +321,131 @@ func (b *mergeBucket) cut(r *block.Request) {
 	}
 }
 
+// mergeTable maps a sector key to its bucket. It is open-addressed: linear
+// probing over a power-of-two slot array from a multiplicative (Fibonacci)
+// hash of the key, backward-shift deletion so the table never holds
+// tombstones, and doubling at 3/4 load. Key -1 marks an empty slot, which
+// is safe because sectors are never negative. A Go map here spent most of
+// the merger's time hashing (DESIGN.md §13).
+//
+// A slot is a key and one pointer, 16 bytes. Keep it that small: a tuning
+// search builds about a thousand mergers, and storing the bucket inline
+// in the slot raised the search's peak heap without running faster.
+type mergeTable struct {
+	slots []mergeSlot
+	live  int
+	shift uint // 64 - log2(len(slots))
+}
+
+type mergeSlot struct {
+	key int64
+	b   *mergeBucket
+}
+
+const (
+	mergeTableMinBits = 4
+	emptyKey          = -1
+)
+
+func newMergeTable(bits uint) mergeTable {
+	slots := make([]mergeSlot, 1<<bits)
+	for i := range slots {
+		slots[i].key = emptyKey
+	}
+	return mergeTable{slots: slots, shift: 64 - bits}
+}
+
+// home is key's preferred slot: the top bits of key times 2^64/φ.
+func (t *mergeTable) home(key int64) int {
+	return int(uint64(key) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// find returns key's slot index, or -1 if key is absent.
+func (t *mergeTable) find(key int64) int {
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			return i
+		case emptyKey:
+			return -1
+		}
+	}
+}
+
+// get returns the bucket under key, or nil.
+func (t *mergeTable) get(key int64) *mergeBucket {
+	if i := t.find(key); i >= 0 {
+		return t.slots[i].b
+	}
+	return nil
+}
+
+// put inserts key, which must be absent.
+func (t *mergeTable) put(key int64, b *mergeBucket) {
+	if key < 0 {
+		panic("iosched: negative sector key")
+	}
+	if (t.live+1)*4 > len(t.slots)*3 {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	i := t.home(key)
+	for t.slots[i].key != emptyKey {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = mergeSlot{key, b}
+	t.live++
+}
+
+// deleteAt empties slot i, then walks the rest of its probe run and moves
+// back every entry whose home does not lie cyclically between the hole
+// and the entry itself, so each key stays reachable from its home without
+// tombstones.
+func (t *mergeTable) deleteAt(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].key != emptyKey; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = mergeSlot{key: emptyKey}
+	t.live--
+}
+
+func (t *mergeTable) grow() {
+	old := t.slots
+	*t = newMergeTable(64 - t.shift + 1)
+	for _, s := range old {
+		if s.key != emptyKey {
+			t.put(s.key, s.b)
+		}
+	}
+}
+
 // Buckets are stored by pointer so the hot path mutates them in place: an
-// add touches the map only on a lookup (plus one insert when the key is
-// new), never re-assigning the bucket value. Emptied buckets go to a
-// freelist keeping their overflow capacity.
+// add probes the table once (plus one insert when the key is new), never
+// re-assigning the bucket value. Emptied buckets go to a freelist keeping
+// their overflow capacity.
 type merger struct {
-	byStart    map[int64]*mergeBucket
-	byEnd      map[int64]*mergeBucket
+	byStart    mergeTable
+	byEnd      mergeTable
 	free       []*mergeBucket
 	maxSectors int64
 }
 
 func newMerger(maxSectors int64) *merger {
 	return &merger{
-		byStart:    make(map[int64]*mergeBucket),
-		byEnd:      make(map[int64]*mergeBucket),
+		byStart:    newMergeTable(mergeTableMinBits),
+		byEnd:      newMergeTable(mergeTableMinBits),
 		maxSectors: maxSectors,
 	}
 }
 
 // bucket resolves (creating if needed) the bucket under key in idx.
-func (m *merger) bucket(idx map[int64]*mergeBucket, key int64) *mergeBucket {
-	b := idx[key]
+func (m *merger) bucket(idx *mergeTable, key int64) *mergeBucket {
+	b := idx.get(key)
 	if b == nil {
 		if n := len(m.free); n > 0 {
 			b = m.free[n-1]
@@ -332,34 +454,37 @@ func (m *merger) bucket(idx map[int64]*mergeBucket, key int64) *mergeBucket {
 		} else {
 			b = &mergeBucket{}
 		}
-		idx[key] = b
+		idx.put(key, b)
 	}
 	return b
 }
 
 func (m *merger) add(r *block.Request) {
-	m.bucket(m.byStart, r.Sector).add(r)
-	m.bucket(m.byEnd, r.End()).add(r)
+	m.bucket(&m.byStart, r.Sector).add(r)
+	m.bucket(&m.byEnd, r.End()).add(r)
 }
 
-// remove deletes r's index entries. Emptied buckets are deleted from the
-// map — a missing key and an empty bucket offer identical candidates, and
-// dropping dead keys keeps the maps sized to the queued population instead
-// of every sector the run ever touched.
+// remove deletes r's index entries. Emptied buckets leave the table — a
+// missing key and an empty bucket offer identical candidates, and dropping
+// dead keys keeps the tables sized to the queued population instead of
+// every sector the run ever touched.
 func (m *merger) remove(r *block.Request) {
-	if b := m.byStart[r.Sector]; b != nil {
-		b.cut(r)
-		if b.first == nil {
-			delete(m.byStart, r.Sector)
-			m.free = append(m.free, b)
-		}
+	m.unindex(&m.byStart, r.Sector, r)
+	m.unindex(&m.byEnd, r.End(), r)
+}
+
+// unindex drops r from the bucket under key, releasing the bucket once it
+// empties.
+func (m *merger) unindex(idx *mergeTable, key int64, r *block.Request) {
+	i := idx.find(key)
+	if i < 0 {
+		return
 	}
-	if b := m.byEnd[r.End()]; b != nil {
-		b.cut(r)
-		if b.first == nil {
-			delete(m.byEnd, r.End())
-			m.free = append(m.free, b)
-		}
+	b := idx.slots[i].b
+	b.cut(r)
+	if b.first == nil {
+		idx.deleteAt(i)
+		m.free = append(m.free, b)
 	}
 }
 
@@ -368,7 +493,7 @@ func (m *merger) remove(r *block.Request) {
 // cascading merges of the third adjacent request are not attempted, like
 // most 2.6 elevators.
 func (m *merger) tryMerge(r *block.Request) *block.Request {
-	if b := m.byEnd[r.Sector]; b != nil {
+	if b := m.byEnd.get(r.Sector); b != nil {
 		if b.first.CanBackMerge(r, m.maxSectors) {
 			q := b.first
 			m.remove(q)
@@ -385,7 +510,7 @@ func (m *merger) tryMerge(r *block.Request) *block.Request {
 			}
 		}
 	}
-	if b := m.byStart[r.End()]; b != nil {
+	if b := m.byStart.get(r.End()); b != nil {
 		if b.first.CanFrontMerge(r, m.maxSectors) {
 			q := b.first
 			m.remove(q)

@@ -92,13 +92,13 @@ func TestFIFO(t *testing.T) {
 	var f fifo
 	a := block.NewRequest(block.Read, 10, 4, true, 1)
 	b := block.NewRequest(block.Read, 20, 4, true, 1)
-	f.push(a)
-	f.push(b)
-	if f.front() != a {
+	f.push(a, 100)
+	f.push(b, 200)
+	if r, deadline := f.front(); r != a || deadline != 100 {
 		t.Fatal("front is not oldest")
 	}
 	f.remove(a)
-	if f.front() != b || f.len() != 1 {
+	if r, deadline := f.front(); r != b || deadline != 200 || f.len() != 1 {
 		t.Fatal("remove broke fifo")
 	}
 }

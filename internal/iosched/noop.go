@@ -28,13 +28,13 @@ func (s *NoopSched) Add(r *block.Request, _ sim.Time) {
 	if s.merges.tryMerge(r) != nil {
 		return
 	}
-	s.q.push(r)
+	s.q.push(r, 0) // noop never expires a request
 	s.merges.add(r)
 }
 
 // Dispatch implements block.Elevator.
 func (s *NoopSched) Dispatch(_ sim.Time) (*block.Request, sim.Time) {
-	r := s.q.front()
+	r, _ := s.q.front()
 	if r == nil {
 		return nil, 0
 	}

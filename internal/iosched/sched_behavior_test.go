@@ -514,3 +514,142 @@ func TestCFQAsyncFifoExpiry(t *testing.T) {
 	}
 	t.Fatal("victim write never served: fifo deadline ignored")
 }
+
+// cfqFifoRun drives CFQ with p through a deep mixed backlog — three sync
+// read streams and two async write streams at random sectors, a quarter
+// of them contiguous with their stream's previous request so that some
+// merge — serving one request per 5 ms. It checks that every request that
+// did not merge dispatches exactly once and that each queue's expiry fifo
+// is in use exactly when its knob is non-zero, holding the same requests
+// as its sorted list. It returns how many dispatches departed from their
+// queue's C-SCAN candidate, keyed by whether the queue is sync.
+func cfqFifoRun(t *testing.T, p Params) map[bool]int {
+	t.Helper()
+	offScan := map[bool]int{}
+	eng := sim.New(1)
+	s := NewCFQ(p)
+	rng := rand.New(rand.NewSource(7))
+	var queued []*block.Request
+	served := map[*block.Request]int{}
+	last := map[block.StreamID]int64{}
+	add := func() {
+		stream := block.StreamID(1 + rng.Intn(5))
+		op, sync := block.Read, true
+		if stream > 3 {
+			op, sync = block.Write, false
+		}
+		sector := 8 * int64(rng.Intn(100_000))
+		if end, ok := last[stream]; ok && rng.Intn(4) == 0 {
+			sector = end
+		}
+		r := block.NewRequest(op, sector, 8, sync, stream)
+		last[stream] = r.End()
+		before := s.Pending()
+		s.Add(r, eng.Now())
+		if s.Pending() > before {
+			queued = append(queued, r)
+		}
+	}
+	checkFifos := func() {
+		qs := []*cfqQueue{s.async}
+		for _, q := range s.queues {
+			qs = append(qs, q)
+		}
+		for _, q := range qs {
+			inFifo := map[*block.Request]bool{}
+			for _, e := range q.expiry.reqs {
+				inFifo[e.r] = true
+			}
+			if s.fifoExpire(q) == 0 {
+				if len(inFifo) != 0 {
+					t.Fatalf("stream %d: expiry fifo in use with its knob at 0", q.stream)
+				}
+				continue
+			}
+			if len(inFifo) != q.expiry.len() || q.expiry.len() != q.list.len() {
+				t.Fatalf("stream %d: expiry fifo holds %d requests, sorted list %d", q.stream, q.expiry.len(), q.list.len())
+			}
+			for _, r := range q.list.reqs {
+				if !inFifo[r] {
+					t.Fatalf("stream %d: %v queued but not in the expiry fifo", q.stream, r)
+				}
+			}
+		}
+	}
+	dispatch := func() bool {
+		cand := map[*cfqQueue]*block.Request{s.async: s.async.list.next(s.nextPos)}
+		for _, q := range s.queues {
+			cand[q] = q.list.next(s.nextPos)
+		}
+		r, wake := s.Dispatch(eng.Now())
+		if r == nil {
+			if wake <= eng.Now() {
+				return false
+			}
+			eng.RunUntil(wake)
+			return true
+		}
+		served[r]++
+		if q := s.queueFor(r); r != cand[q] {
+			offScan[q.sync]++
+		}
+		eng.RunUntil(eng.Now().Add(5 * sim.Millisecond))
+		s.Completed(r, eng.Now())
+		checkFifos()
+		return true
+	}
+	for i := 0; i < 600; i++ {
+		add()
+		if i%2 == 0 {
+			add()
+		}
+		dispatch()
+	}
+	for s.Pending() > 0 {
+		if !dispatch() {
+			t.Fatalf("stalled with %d pending", s.Pending())
+		}
+	}
+	if len(served) != len(queued) {
+		t.Fatalf("dispatched %d distinct requests, queued %d unmerged", len(served), len(queued))
+	}
+	for _, r := range queued {
+		if served[r] != 1 {
+			t.Fatalf("%v dispatched %d times", r, served[r])
+		}
+	}
+	return offScan
+}
+
+// TestCFQFifoExpiryDisabled runs CFQ with one or both fifo expiry knobs at
+// zero, which leaves that class's expiry fifo unused. Every request still
+// dispatches exactly once, and a class with its knob at zero dispatches in
+// pure C-SCAN order. A class with its knob at the default departs from
+// C-SCAN on the same backlog, so the workload does exercise expiry.
+func TestCFQFifoExpiryDisabled(t *testing.T) {
+	def := DefaultParams()
+	cases := []struct {
+		name        string
+		async, sync sim.Duration
+	}{
+		{"both-off", 0, 0},
+		{"sync-off", def.FifoExpireAsync, 0},
+		{"async-off", 0, def.FifoExpireSync},
+		{"defaults", def.FifoExpireAsync, def.FifoExpireSync},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := DefaultParams()
+			p.FifoExpireAsync, p.FifoExpireSync = c.async, c.sync
+			off := cfqFifoRun(t, p)
+			for sync, knob := range map[bool]sim.Duration{false: c.async, true: c.sync} {
+				if knob == 0 && off[sync] != 0 {
+					t.Errorf("sync=%v: %d dispatches left C-SCAN order with fifo expiry off", sync, off[sync])
+				}
+				if knob != 0 && off[sync] == 0 {
+					t.Errorf("sync=%v: fifo expiry never fired on the backlog", sync)
+				}
+			}
+		})
+	}
+}

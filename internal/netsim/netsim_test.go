@@ -331,17 +331,16 @@ func TestQuickMaxMinFair(t *testing.T) {
 }
 
 // sendCompleteCycle builds a network carrying 80 long flows on 4 nodes
-// (bridge flows included) and returns its engine and one unit of
-// steady-state work: a Send and the run to its completion, which
-// water-fills twice.
-func sendCompleteCycle() (*sim.Engine, func()) {
+// (bridge flows included) and returns one unit of steady-state work: a
+// Send and the run to its completion, which water-fills twice.
+func sendCompleteCycle() func() {
 	eng, n := testNet(4)
 	for i := 0; i < 80; i++ {
 		n.Send(i%4, i/4%4, 1e15, nil)
 	}
 	fired := false
 	done := func() { fired = true }
-	return eng, func() {
+	return func() {
 		fired = false
 		n.Send(0, 1, 1e6, done)
 		for !fired {
@@ -352,7 +351,7 @@ func sendCompleteCycle() (*sim.Engine, func()) {
 
 // BenchmarkRecompute measures the water-filling at about 80 flows.
 func BenchmarkRecompute(b *testing.B) {
-	_, cycle := sendCompleteCycle()
+	cycle := sendCompleteCycle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -361,22 +360,12 @@ func BenchmarkRecompute(b *testing.B) {
 }
 
 // TestSendCompleteSteadyStateAllocs pins the reused water-filling scratch:
-// once warm, a Send and the run to its completion allocate one object in
-// netsim, the returned *Flow.
+// once warm, a Send and the run to its completion allocate one object, the
+// returned *Flow. The completion event each Send supersedes is recycled as
+// soon as it is cancelled, so the engine allocates nothing.
 func TestSendCompleteSteadyStateAllocs(t *testing.T) {
-	eng, cycle := sendCompleteCycle()
-	// The engine cancels lazily: the far-future completion event each Send
-	// supersedes stays in the calendar until its time passes, so the engine
-	// allocates one replacement Event per cycle. Stock its freelist (and
-	// calendar) first so the count is netsim's alone.
-	const spare = 256
-	for i := 0; i < spare; i++ {
-		eng.Schedule(0, func() {})
-	}
-	for i := 0; i < spare; i++ {
-		eng.Step()
-	}
+	cycle := sendCompleteCycle()
 	if a := testing.AllocsPerRun(100, cycle); a != 1 {
-		t.Fatalf("Send and completion allocate %v objects in netsim, want 1", a)
+		t.Fatalf("Send and completion allocate %v objects, want 1", a)
 	}
 }

@@ -33,9 +33,11 @@ func (h *refHeap) Pop() any {
 }
 
 // TestCalendarMatchesBinaryHeap drives 10k random timed inserts — with a
-// deliberately small timestamp domain so equal timestamps are common — and
-// asserts the 4-ary calendar pops in exactly the order the old binary heap
-// did. Keys are unique thanks to seq, so the orders must be identical.
+// deliberately small timestamp domain so equal timestamps are common —
+// interleaved with pops and removals from arbitrary slots (what Cancel
+// does), and asserts the 4-ary calendar pops in exactly the order the old
+// binary heap did. Keys are unique thanks to seq, so the orders must be
+// identical.
 func TestCalendarMatchesBinaryHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 10000
@@ -61,11 +63,30 @@ func TestCalendarMatchesBinaryHeap(t *testing.T) {
 		}
 	}
 
-	// Interleave inserts and pops so the heaps churn at many sizes.
+	removeBoth := func() {
+		ev := cal.a[rng.Intn(cal.len())]
+		cal.remove(ev.index)
+		if ev.index != -1 {
+			t.Fatalf("removed event index = %d, want -1", ev.index)
+		}
+		for j, it := range *ref {
+			if it.at == ev.at && it.seq == ev.seq {
+				heap.Remove(ref, j)
+				return
+			}
+		}
+		t.Fatalf("removed event (at=%d seq=%d) missing from reference", ev.at, ev.seq)
+	}
+
+	// Interleave inserts, pops and removals so the heaps churn at many
+	// sizes.
 	for i := 0; i < n; i++ {
 		insert()
 		if cal.len() > 1 && rng.Intn(3) == 0 {
 			popBoth()
+		}
+		if cal.len() > 1 && rng.Intn(5) == 0 {
+			removeBoth()
 		}
 	}
 	for cal.len() > 0 {
@@ -77,29 +98,49 @@ func TestCalendarMatchesBinaryHeap(t *testing.T) {
 }
 
 // TestCalendarIndexInvariant checks that every event's index field points
-// at its actual slot after arbitrary push/pop churn — the property Cancel's
-// O(1) accounting depends on.
+// at its actual slot after arbitrary push/pop/remove churn — the property
+// Cancel's in-place removal depends on. Pushes and shrinking operations
+// are equally likely, so the heap random-walks several levels deep; the
+// test asserts that it did, and that some removal refilled its hole by
+// sifting up (which needs a hole at least two levels deep).
 func TestCalendarIndexInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cal := &eventCalendar{}
 	var seq uint64
+	maxLen, upRemovals := 0, 0
 	for i := 0; i < 2000; i++ {
-		if cal.len() == 0 || rng.Intn(2) == 0 {
+		var out *Event
+		switch k := rng.Intn(4); {
+		case cal.len() == 0 || k < 2:
 			cal.push(&Event{at: Time(rng.Intn(50)), seq: seq, fn: func() {}})
 			seq++
-		} else {
-			cal.pop()
+		case k == 2:
+			out = cal.pop()
+		default:
+			j, n := rng.Intn(cal.len()), cal.len()-1
+			if j > 0 && j < n && eventLess(cal.a[n], cal.a[(j-1)>>2]) {
+				upRemovals++
+			}
+			out = cal.a[j]
+			cal.remove(j)
+		}
+		if out != nil && out.index != -1 {
+			t.Fatalf("after op %d: event out of the calendar has index %d", i, out.index)
 		}
 		for slot, ev := range cal.a {
 			if ev.index != slot {
 				t.Fatalf("after op %d: event at slot %d has index %d", i, slot, ev.index)
 			}
 		}
+		maxLen = max(maxLen, cal.len())
+	}
+	if maxLen < 21 || upRemovals == 0 {
+		t.Fatalf("churn too shallow: max len %d (want >= 21, three full levels), %d sift-up removals (want > 0)", maxLen, upRemovals)
 	}
 }
 
 // TestPendingInterleavedCancelStepRun regression-tests cancelled-event
-// accounting across the lazy-discard paths of Step, Run and RunUntil.
+// accounting across Step, Run and RunUntil.
 func TestPendingInterleavedCancelStepRun(t *testing.T) {
 	e := New(1)
 	noop := func() {}
@@ -120,8 +161,8 @@ func TestPendingInterleavedCancelStepRun(t *testing.T) {
 		t.Fatalf("after cancels Pending = %d, want 6", got)
 	}
 
-	// Step fires the first runnable event (evs[1]), lazily discarding the
-	// cancelled evs[0] on the way.
+	// Step fires the first runnable event (evs[1]); the cancelled evs[0]
+	// already left the calendar.
 	if !e.Step() {
 		t.Fatal("Step returned false with runnable events pending")
 	}
@@ -129,7 +170,7 @@ func TestPendingInterleavedCancelStepRun(t *testing.T) {
 		t.Fatalf("after Step Pending = %d, want 5", got)
 	}
 
-	// RunUntil through evs[4]'s timestamp discards cancelled evs[3] lazily.
+	// RunUntil through evs[4]'s timestamp fires evs[2] and evs[4].
 	e.RunUntil(Time(5 * Millisecond))
 	if got := e.Pending(); got != 3 {
 		t.Fatalf("after RunUntil Pending = %d, want 3", got)
@@ -160,25 +201,25 @@ func TestEventPoolingReusesAndResets(t *testing.T) {
 	if second != first {
 		t.Fatal("pooled engine did not reuse the fired event")
 	}
-	if second.Canceled() {
-		t.Fatal("recycled event still marked cancelled/stale")
-	}
 	if second.At() != Time(3*Millisecond) {
 		t.Fatalf("recycled event At = %v, want 3ms", second.At())
 	}
 	e.Run()
 
-	// Cancelled events are recycled at lazy discard too: the Schedule call
-	// drains the freelist, the discard refills it.
+	// Cancelled events are recycled at once: the Schedule call drains the
+	// freelist, the Cancel refills it before anything runs.
 	ev := e.Schedule(Millisecond, func() {})
 	if len(e.free) != 0 {
 		t.Fatalf("freelist len = %d after reuse, want 0", len(e.free))
 	}
 	ev.Cancel()
-	e.Run()
-	if len(e.free) != 1 {
-		t.Fatalf("freelist len = %d after discard, want 1", len(e.free))
+	if len(e.free) != 1 || e.Pending() != 0 {
+		t.Fatalf("freelist len = %d, pending = %d after cancel, want 1 and 0", len(e.free), e.Pending())
 	}
+	if again := e.Schedule(Millisecond, func() {}); again != ev {
+		t.Fatal("pooled engine did not reuse the cancelled event")
+	}
+	e.Run()
 
 	e.pooling = false
 	e.free = nil

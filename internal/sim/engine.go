@@ -49,39 +49,33 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
 // Event is a scheduled callback. It may be cancelled before it fires.
 //
-// The engine recycles an Event once it has fired (or once a cancelled
-// event is discarded from the calendar), so callers must not retain a
-// handle past the event's own callback: drop the handle when the callback
-// runs, and cancel-before-replace when rescheduling. Every holder in this
+// A handle is dead once its event fires or is cancelled: the engine
+// recycles the Event after its callback returns, and at once on Cancel, so
+// a later Schedule may hand the same pointer out again. Drop the handle
+// inside the callback, and nil or overwrite it right after cancelling
+// (cancel-before-replace when rescheduling). Every holder in this
 // repository follows that discipline.
 type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	eng      *Engine
-	canceled bool
-	index    int // calendar index, -1 once popped
+	at    Time
+	seq   uint64
+	fn    func()
+	eng   *Engine
+	index int // calendar index, -1 once popped or removed
 }
 
 // At returns the time the event is scheduled to fire.
 func (ev *Event) At() Time { return ev.at }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// Cancel prevents the event from firing, removing it from the calendar
+// in O(log n) and recycling it at once. Cancelling an event that has left
+// the calendar (cancelled already, or from inside its own callback) is a
+// no-op.
 func (ev *Event) Cancel() {
-	if ev.canceled {
-		return
-	}
-	ev.canceled = true
-	// Track cancelled-but-undiscarded calendar entries so Pending() reports
-	// only runnable events.
-	if ev.index >= 0 && ev.eng != nil {
-		ev.eng.cancelledPending++
+	if ev.index >= 0 {
+		ev.eng.events.remove(ev.index)
+		ev.eng.release(ev)
 	}
 }
-
-// Canceled reports whether Cancel was called.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // eventLess orders the calendar: by firing time, then by insertion sequence
 // so same-timestamp events fire FIFO. seq is unique per engine, making this
@@ -98,7 +92,7 @@ func eventLess(a, b *Event) bool {
 // indirection and `any` boxing on every push/pop, performs the (at, seq)
 // comparison inline, and halves the tree depth — siblings share a cache
 // line of the backing slice, so sift-down touches fewer lines per level.
-// Each event carries its slot index so Cancel stays O(1).
+// Each event carries its slot index so Cancel can remove it in O(log n).
 type eventCalendar struct {
 	a []*Event
 }
@@ -107,8 +101,38 @@ func (h *eventCalendar) len() int { return len(h.a) }
 
 // push inserts ev, maintaining the heap order and slot indexes.
 func (h *eventCalendar) push(ev *Event) {
-	h.a = append(h.a, ev)
-	i := len(h.a) - 1
+	h.a = append(h.a, nil)
+	h.siftUp(len(h.a)-1, ev)
+}
+
+// pop removes and returns the minimum event, marking it out-of-calendar.
+func (h *eventCalendar) pop() *Event {
+	top := h.a[0]
+	h.remove(0)
+	return top
+}
+
+// remove takes the event at slot i out of the calendar, marking it
+// out-of-calendar. The former last entry fills the hole and sifts up or
+// down from there.
+func (h *eventCalendar) remove(i int) {
+	ev := h.a[i]
+	n := len(h.a) - 1
+	last := h.a[n]
+	h.a[n] = nil
+	h.a = h.a[:n]
+	if i < n {
+		if i > 0 && eventLess(last, h.a[(i-1)>>2]) {
+			h.siftUp(i, last)
+		} else {
+			h.siftDown(i, last)
+		}
+	}
+	ev.index = -1
+}
+
+// siftUp places ev starting from hole i, walking toward the root.
+func (h *eventCalendar) siftUp(i int, ev *Event) {
 	for i > 0 {
 		p := (i - 1) >> 2
 		par := h.a[p]
@@ -123,25 +147,10 @@ func (h *eventCalendar) push(ev *Event) {
 	ev.index = i
 }
 
-// pop removes and returns the minimum event, marking it out-of-calendar.
-func (h *eventCalendar) pop() *Event {
-	top := h.a[0]
-	n := len(h.a) - 1
-	last := h.a[n]
-	h.a[n] = nil
-	h.a = h.a[:n]
-	if n > 0 {
-		h.siftDown(last)
-	}
-	top.index = -1
-	return top
-}
-
-// siftDown places ev starting from the root, walking toward the leaves.
-func (h *eventCalendar) siftDown(ev *Event) {
+// siftDown places ev starting from hole i, walking toward the leaves.
+func (h *eventCalendar) siftDown(i int, ev *Event) {
 	a := h.a
 	n := len(a)
-	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -190,11 +199,7 @@ type Engine struct {
 	stopped bool
 	fired   uint64
 
-	// cancelledPending counts cancelled events still sitting in the
-	// calendar, so Pending() can exclude them without eager heap surgery.
-	cancelledPending int
-
-	// free is the event freelist; fired and discarded events return here
+	// free is the event freelist; fired and cancelled events return here
 	// and are reset on reuse by At. pooling is always true outside the
 	// package's own tests, which switch it off as an unpooled reference.
 	free    []*Event
@@ -219,14 +224,13 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending returns the number of runnable events currently scheduled.
-// Cancelled events still occupying calendar slots are excluded.
-func (e *Engine) Pending() int { return e.events.len() - e.cancelledPending }
+func (e *Engine) Pending() int { return e.events.len() }
 
 // SetObserver installs (or, with nil, removes) the engine's execution
 // observer.
 func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
-// release returns a finished (fired or discarded-cancelled) event to the
+// release returns a finished (fired or cancelled) event to the
 // freelist. The callback reference is dropped so the freelist never roots
 // captured state.
 func (e *Engine) release(ev *Event) {
@@ -262,7 +266,6 @@ func (e *Engine) At(t Time, fn func()) *Event {
 		ev.seq = e.seq
 		ev.fn = fn
 		ev.eng = e
-		ev.canceled = false
 	} else {
 		ev = &Event{at: t, seq: e.seq, fn: fn, eng: e}
 	}
@@ -277,27 +280,21 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single next event. It reports false when no runnable
 // event remains.
 func (e *Engine) Step() bool {
-	for e.events.len() > 0 {
-		ev := e.events.pop()
-		if ev.canceled {
-			e.cancelledPending--
-			e.release(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		if e.obs != nil {
-			e.obs.EventFired(ev.at)
-		}
-		fn := ev.fn
-		// Recycle before firing is unsafe (the callback may reschedule
-		// into this slot while a holder still points here); recycle after
-		// is safe because holders drop their handles inside the callback.
-		fn()
-		e.release(ev)
-		return true
+	if e.events.len() == 0 {
+		return false
 	}
-	return false
+	ev := e.events.pop()
+	e.now = ev.at
+	e.fired++
+	if e.obs != nil {
+		e.obs.EventFired(ev.at)
+	}
+	// Recycle before firing is unsafe (the callback may reschedule into
+	// this slot while a holder still points here); recycle after is safe
+	// because holders drop their handles inside the callback.
+	ev.fn()
+	e.release(ev)
+	return true
 }
 
 // Run executes events until the calendar is empty or Stop is called.
@@ -311,22 +308,7 @@ func (e *Engine) Run() {
 // t. Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped {
-		if e.events.len() == 0 {
-			break
-		}
-		// Peek cheapest event; lazily discard cancelled entries so the
-		// cutoff compares against a runnable event.
-		next := e.events.a[0]
-		if next.canceled {
-			e.events.pop()
-			e.cancelledPending--
-			e.release(next)
-			continue
-		}
-		if next.at > t {
-			break
-		}
+	for !e.stopped && e.events.len() > 0 && e.events.a[0].at <= t {
 		e.Step()
 	}
 	if e.now < t {
