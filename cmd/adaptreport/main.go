@@ -28,7 +28,8 @@
 //	    the built-in fleet smoke scenario ("fleet:fleet-smoke") and the
 //	    job under the online controller ("online:sort") — and compare
 //	    each against its baseline entry. Exits 1 when a gated metric
-//	    regressed beyond the tolerance. -update rewrites the baseline
+//	    regressed beyond the tolerance or the event count changed at
+//	    all. -update rewrites the baseline
 //	    instead of comparing. -sweep-out additionally times the 16-pair
 //	    profile sweep serial vs -parallel workers, verifies the outputs
 //	    are identical, and writes the speedup record as JSON.

@@ -282,6 +282,32 @@ func TestCompareGating(t *testing.T) {
 	}
 }
 
+// TestCompareSimEventsExact pins the event-count gate: the simulator is
+// deterministic, so a candidate one event off either way regresses at any
+// tolerance, and an identical count passes.
+func TestCompareSimEventsExact(t *testing.T) {
+	base := Bench{
+		Schema: benchSchema, Workload: "sort", Hosts: 2, VMs: 2, InputMB: 64, Seed: 1, Pair: "cc",
+		MakespanS: 10,
+		SimEvents: 12620,
+	}
+	cmp, err := Compare(base, base, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.Regressed() {
+		t.Fatalf("identical event count regressed: %+v", cmp.Deltas)
+	}
+	for _, off := range []int64{1, -1} {
+		cand := base
+		cand.SimEvents += off
+		cmp, _ = Compare(base, cand, 10)
+		if !cmp.Regressed() {
+			t.Fatalf("candidate %+d event(s) off passed at tolerance 10: %+v", off, cmp.Deltas)
+		}
+	}
+}
+
 // failWriter rejects every write, standing in for a full disk or a
 // closed pipe under a comparison artifact.
 type failWriter struct{}

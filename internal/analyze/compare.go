@@ -175,12 +175,15 @@ func Compare(base, cand Bench, tol float64) (Comparison, error) {
 		c.add("switches", float64(base.Switches), float64(cand.Switches), true, tol)
 	}
 
+	// The simulator is deterministic, so the event count moves only when
+	// the model does: it gates exactly, in either direction.
+	c.addExact("sim_events", float64(base.SimEvents), float64(cand.SimEvents))
+
 	// Informational metrics: reported, never gated.
 	for _, name := range sortedKeys2(base.BlameS, cand.BlameS) {
 		c.add("blame."+name+"_s", base.BlameS[name], cand.BlameS[name], false, tol)
 	}
 	c.add("dom0_mb", base.Dom0MB, cand.Dom0MB, false, tol)
-	c.add("sim_events", float64(base.SimEvents), float64(cand.SimEvents), false, tol)
 
 	// Perf dimensions (schema v2). They gate only when both benches carry
 	// them, so comparing runs recorded without perf collection (or mixing
@@ -215,6 +218,16 @@ func Compare(base, cand Bench, tol float64) (Comparison, error) {
 // add records a lower-is-better metric with the default absolute floor.
 func (c *Comparison) add(metric string, base, cand float64, gated bool, tol float64) {
 	c.addMetric(metric, base, cand, gated, tol, absFloor, false)
+}
+
+// addExact records a gated metric with no tolerance and no floor: any
+// difference from the baseline regresses.
+func (c *Comparison) addExact(metric string, base, cand float64) {
+	d := Delta{Metric: metric, Base: base, Candidate: cand, Gated: true, Regressed: cand != base}
+	if base != 0 {
+		d.DeltaFrac = round6((cand - base) / base)
+	}
+	c.Deltas = append(c.Deltas, d)
 }
 
 // addMetric records one compared metric. floor is the absolute slack below

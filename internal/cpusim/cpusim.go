@@ -10,25 +10,11 @@ import (
 	"adaptmr/internal/sim"
 )
 
-// Job is an in-flight CPU burst.
-type Job struct {
-	cpu       *VCPU
+// burst is an in-flight CPU burst. Finished bursts are recycled through
+// the VCPU's freelist.
+type burst struct {
 	remaining float64 // cpu-seconds of work left at full speed
 	done      func()
-	canceled  bool
-}
-
-// Cancel abandons the job: its completion callback will not run and its
-// CPU share is released immediately.
-func (j *Job) Cancel() {
-	if j.canceled {
-		return
-	}
-	j.canceled = true
-	if j.cpu != nil {
-		j.cpu.advance()
-		j.cpu.reschedule()
-	}
 }
 
 // VCPU is a processor-sharing CPU with a given speed in core-equivalents.
@@ -38,9 +24,15 @@ type VCPU struct {
 	eng   *sim.Engine
 	speed float64
 
-	jobs       []*Job
+	jobs       []*burst
 	lastUpdate sim.Time
 	next       *sim.Event
+
+	// Steady-state bursts allocate nothing: complete is bound once,
+	// finished is complete's reused scratch and free recycles bursts.
+	completeFn func()
+	finished   []*burst
+	free       []*burst
 
 	busyTime sim.Duration
 	doneJobs int64
@@ -51,7 +43,9 @@ func New(eng *sim.Engine, speed float64) *VCPU {
 	if speed <= 0 {
 		panic("cpusim: non-positive speed")
 	}
-	return &VCPU{eng: eng, speed: speed}
+	c := &VCPU{eng: eng, speed: speed}
+	c.completeFn = c.complete
+	return c
 }
 
 // Busy returns the cumulative time the VCPU had at least one runnable job.
@@ -66,20 +60,25 @@ func (c *VCPU) Running() int { return len(c.jobs) }
 // Run starts a burst of cpuSeconds of work (measured at full core speed)
 // and calls done when it finishes. Zero-length bursts complete on the next
 // event boundary.
-func (c *VCPU) Run(cpuSeconds float64, done func()) *Job {
+func (c *VCPU) Run(cpuSeconds float64, done func()) {
 	if cpuSeconds < 0 {
 		panic("cpusim: negative burst")
 	}
 	c.advance()
-	j := &Job{cpu: c, remaining: cpuSeconds, done: done}
+	var j *burst
+	if n := len(c.free); n > 0 {
+		j = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		j = &burst{}
+	}
+	j.remaining, j.done = cpuSeconds, done
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
-	return j
 }
 
-// advance applies elapsed progress to all jobs since the last update —
-// including just-cancelled ones, which consumed their share up to now —
-// then drops cancelled jobs.
+// advance applies elapsed progress to all jobs since the last update.
 func (c *VCPU) advance() {
 	now := c.eng.Now()
 	dt := now.Sub(c.lastUpdate).Seconds()
@@ -91,13 +90,6 @@ func (c *VCPU) advance() {
 			j.remaining -= dt * rate
 		}
 	}
-	live := c.jobs[:0]
-	for _, j := range c.jobs {
-		if !j.canceled {
-			live = append(live, j)
-		}
-	}
-	c.jobs = live
 }
 
 // reschedule arms the completion event for the burst finishing soonest.
@@ -125,16 +117,18 @@ func (c *VCPU) reschedule() {
 		// completion event would loop at the current instant forever.
 		eta = 1
 	}
-	c.next = c.eng.Schedule(eta, c.complete)
+	c.next = c.eng.Schedule(eta, c.completeFn)
 }
 
 // complete retires every finished job in insertion order, then re-arms.
+// Each burst goes back to the freelist before its callback runs, so a
+// callback that starts the next burst reuses it.
 func (c *VCPU) complete() {
 	c.next = nil
 	c.advance()
 	// One nanosecond of full-speed work: anything below is float residue.
 	const eps = 1e-9
-	var finished []*Job
+	finished := c.finished[:0]
 	live := c.jobs[:0]
 	for _, j := range c.jobs {
 		if j.remaining <= eps {
@@ -145,12 +139,15 @@ func (c *VCPU) complete() {
 	}
 	c.jobs = live
 	c.reschedule()
-	for _, j := range finished {
-		if !j.canceled {
-			c.doneJobs++
-			if j.done != nil {
-				j.done()
-			}
+	for i, j := range finished {
+		finished[i] = nil
+		done := j.done
+		j.done = nil
+		c.free = append(c.free, j)
+		c.doneJobs++
+		if done != nil {
+			done()
 		}
 	}
+	c.finished = finished[:0]
 }

@@ -85,22 +85,64 @@ func TestSpeedScaling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
+// A burst's done callback may start the next burst on the same VCPU; the
+// finished burst is recycled before done runs, so the new burst can reuse
+// it while a longer burst keeps running.
+func TestRunFromDoneCallback(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		follow       float64
+		wantFollow   sim.Time
+		wantLongDone sim.Time
+	}{
+		// A (1s) and B (3s) share the core until A finishes at 2s, with 2s
+		// of B left. A zero-length follow-up finishes at 2s without
+		// taking any of B's share: B finishes alone at 4s.
+		{"zero", 0, sim.Time(2 * sim.Second), sim.Time(4 * sim.Second)},
+		// A 0.5s follow-up shares with B from 2s: it finishes at 3s, when
+		// B has 1.5s left, and B finishes alone at 4.5s.
+		{"nonzero", 0.5, sim.Time(3 * sim.Second), sim.Time(4500 * sim.Millisecond)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(1)
+			c := New(eng, 1.0)
+			var tA, tFollow, tB sim.Time
+			c.Run(1.0, func() {
+				tA = eng.Now()
+				c.Run(tc.follow, func() { tFollow = eng.Now() })
+			})
+			c.Run(3.0, func() { tB = eng.Now() })
+			eng.Run()
+			if tA != sim.Time(2*sim.Second) {
+				t.Fatalf("A at %v, want 2s", tA)
+			}
+			if tFollow != tc.wantFollow {
+				t.Fatalf("follow-up at %v, want %v", tFollow, tc.wantFollow)
+			}
+			if tB != tc.wantLongDone {
+				t.Fatalf("B at %v, want %v", tB, tc.wantLongDone)
+			}
+			if c.CompletedJobs() != 3 || c.Running() != 0 {
+				t.Fatalf("completed %d, running %d; want 3, 0", c.CompletedJobs(), c.Running())
+			}
+		})
+	}
+}
+
+// A warm cycle of two overlapping bursts allocates nothing: the bursts,
+// the completion callback and the finished scratch are all reused.
+func TestVCPUSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.New(1)
 	c := New(eng, 1.0)
-	fired := false
-	j := c.Run(1.0, func() { fired = true })
-	var other sim.Time
-	c.Run(1.0, func() { other = eng.Now() })
-	eng.Schedule(sim.Second/2, func() { j.Cancel() })
-	eng.Run()
-	if fired {
-		t.Fatal("cancelled job callback fired")
+	done := func() {}
+	cycle := func() {
+		c.Run(1.0, done)
+		c.Run(0.5, done)
+		eng.Run()
 	}
-	// Other job: shared 0.5s (0.25 done), then full speed for 0.75s →
-	// finishes at 1.25s.
-	if other != sim.Time(1250*sim.Millisecond) {
-		t.Fatalf("other at %v, want 1.25s", other)
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("warm two-burst cycle allocates %v objects, want 0", got)
 	}
 }
 

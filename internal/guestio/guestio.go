@@ -101,6 +101,8 @@ type FS struct {
 
 	// extScratch backs sectorsFor results; see its contract there.
 	extScratch []extent
+	// readFree recycles uncached reads' in-flight state (see readOp).
+	readFree []*readOp
 
 	nextStream   block.StreamID
 	daemonStream block.StreamID

@@ -33,59 +33,116 @@ func (f *File) Read(stream block.StreamID, off, length int64, cb func()) {
 		return
 	}
 
-	exts := f.sectorsFor(offSec, cntSec)
-	// Split extents into chunk-sized requests.
-	type piece struct{ sector, count int64 }
-	var pieces []piece
-	for _, e := range exts {
-		for c := int64(0); c < e.count; c += fs.cfg.ChunkSectors {
-			n := min64(fs.cfg.ChunkSectors, e.count-c)
-			pieces = append(pieces, piece{e.sector + c, n})
-		}
+	o := fs.getReadOp()
+	o.f, o.stream, o.offSec, o.cntSec, o.cb = f, stream, offSec, cntSec, cb
+	// The extents live in the FS-wide scratch buffer, which the next
+	// sectorsFor call reuses, so the op keeps its own copy to walk.
+	o.exts = append(o.exts[:0], f.sectorsFor(offSec, cntSec)...)
+	for _, e := range o.exts {
+		o.unsent += int((e.count + fs.cfg.ChunkSectors - 1) / fs.cfg.ChunkSectors)
 	}
-	// Readahead submits window-sized slugs (the plugged block layer pushes
-	// a whole window at once), double-buffered: up to two slugs in flight.
-	// Slug submission keeps each process's arrivals contiguous, which is
-	// why even a FIFO elevator sees decent per-stream runs.
+	o.remaining = o.unsent
+	o.pump()
+}
+
+// readOp is one uncached Read in flight. It walks the read's extents in
+// chunk-sized pieces and submits them as readahead slugs: window-sized
+// groups (the plugged block layer pushes a whole window at once),
+// double-buffered, so at most two slugs are in flight. Slug submission
+// keeps each process's arrivals contiguous, which is why even a FIFO
+// elevator sees decent per-stream runs. Ops are recycled through the FS's
+// freelist, so a warm read allocates nothing.
+type readOp struct {
+	f      *File
+	stream block.StreamID
+	offSec int64
+	cntSec int64
+	cb     func()
+
+	exts   []extent // the read's extents, copied out of extScratch
+	ext    int      // cursor: extent of the next piece
+	extOff int64    // cursor: sectors of exts[ext] already submitted
+
+	unsent    int // pieces not yet submitted
+	remaining int // pieces not yet completed
+	slugs     [2]readSlug
+}
+
+// readSlug is one of an op's two slug slots: the countdown of its pieces
+// still in flight (0 when the slot is free) and their shared completion
+// hook, bound once.
+type readSlug struct {
+	op   *readOp
+	left int
+	fn   func(*block.Request) // s.done
+}
+
+func (fs *FS) getReadOp() *readOp {
+	if n := len(fs.readFree); n > 0 {
+		o := fs.readFree[n-1]
+		fs.readFree[n-1] = nil
+		fs.readFree = fs.readFree[:n-1]
+		return o
+	}
+	o := &readOp{}
+	for i := range o.slugs {
+		s := &o.slugs[i]
+		s.op = o
+		s.fn = s.done
+	}
+	return o
+}
+
+// pump submits the next slugs into whichever slots are free.
+func (o *readOp) pump() {
+	fs := o.f.fs
 	slug := fs.cfg.ReadAhead
 	if slug < 1 {
 		slug = 1
 	}
-	next := 0
-	remaining := len(pieces)
-	slugsOut := 0
-	var pump func()
-	pump = func() {
-		for slugsOut < 2 && next < len(pieces) {
-			n := slug
-			if next+n > len(pieces) {
-				n = len(pieces) - next
+	for o.unsent > 0 {
+		s := &o.slugs[0]
+		if s.left > 0 {
+			s = &o.slugs[1]
+		}
+		if s.left > 0 {
+			return // two slugs in flight
+		}
+		n := min(slug, o.unsent)
+		o.unsent -= n
+		s.left = n
+		for i := 0; i < n; i++ {
+			e := o.exts[o.ext]
+			count := min64(fs.cfg.ChunkSectors, e.count-o.extOff)
+			sector := e.sector + o.extOff
+			if o.extOff += count; o.extOff == e.count {
+				o.ext++
+				o.extOff = 0
 			}
-			slugsOut++
-			left := n
-			// One completion closure per slug, shared by its pieces — the
-			// per-piece state is just the shared countdown.
-			onDone := func(*block.Request) {
-				left--
-				remaining--
-				if remaining == 0 {
-					fs.cache.insert(f, offSec, cntSec)
-					cb()
-					return
-				}
-				if left == 0 {
-					slugsOut--
-					pump()
-				}
-			}
-			for i := 0; i < n; i++ {
-				p := pieces[next+i]
-				fs.dom.Submit(block.Read, p.sector, p.count, true, stream, onDone)
-			}
-			next += n
+			fs.dom.Submit(block.Read, sector, count, true, o.stream, s.fn)
 		}
 	}
-	pump()
+}
+
+// done retires one piece of the slot's slug. When the read's last piece
+// lands the op goes back to the freelist before the data is cached and
+// the caller's callback runs, so a Read issued from that callback can
+// reuse it.
+func (s *readSlug) done(*block.Request) {
+	o := s.op
+	s.left--
+	o.remaining--
+	if o.remaining == 0 {
+		f, offSec, cntSec, cb := o.f, o.offSec, o.cntSec, o.cb
+		o.f, o.cb, o.ext = nil, nil, 0
+		f.fs.readFree = append(f.fs.readFree, o)
+		f.fs.cache.insert(f, offSec, cntSec)
+		cb()
+		return
+	}
+	if s.left == 0 {
+		o.pump()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -167,8 +224,9 @@ type pageCache struct {
 	dirtyFiles  []*File
 	inFlight    int
 	flushTimer  *sim.Event
-	sinceCommit int64 // flushed bytes since the last journal commit
-	sinceMeta   int64 // flushed bytes since the last metadata update
+	flushFn     func() // pc.flushExpired, bound once
+	sinceCommit int64  // flushed bytes since the last journal commit
+	sinceMeta   int64  // flushed bytes since the last metadata update
 
 	blocked []blockedWrite
 
@@ -221,7 +279,9 @@ type blockedWrite struct {
 }
 
 func newPageCache(fs *FS) *pageCache {
-	return &pageCache{fs: fs, residentSet: make(map[*File]int64)}
+	pc := &pageCache{fs: fs, residentSet: make(map[*File]int64)}
+	pc.flushFn = pc.flushExpired
+	return pc
 }
 
 // wrote accounts freshly dirtied data, applies throttling, and kicks
@@ -256,11 +316,14 @@ func (pc *pageCache) armFlushTimer() {
 	if pc.flushTimer != nil || len(pc.dirtyFiles) == 0 {
 		return
 	}
-	pc.flushTimer = pc.fs.eng.Schedule(pc.fs.cfg.FlushExpire, func() {
-		pc.flushTimer = nil
-		pc.kickWriteback()
-		pc.armFlushTimer()
-	})
+	pc.flushTimer = pc.fs.eng.Schedule(pc.fs.cfg.FlushExpire, pc.flushFn)
+}
+
+// flushExpired is the periodic flush: write back expired data and re-arm.
+func (pc *pageCache) flushExpired() {
+	pc.flushTimer = nil
+	pc.kickWriteback()
+	pc.armFlushTimer()
 }
 
 // kickWriteback starts background flush work when above the background

@@ -29,10 +29,19 @@ type mapTask struct {
 	output    *guestio.File
 	completed bool
 	started   sim.Time
+
+	// unit is the size of the I/O unit in flight; the step loop's
+	// callbacks are bound once so a unit allocates nothing.
+	unit     int64
+	stepFn   func() // m.step
+	readFn   func() // m.unitRead
+	mappedFn func() // m.unitMapped
 }
 
 func newMapTask(j *Job, tt *taskTracker, id int, input *guestio.File) *mapTask {
-	return &mapTask{job: j, tt: tt, id: id, input: input}
+	m := &mapTask{job: j, tt: tt, id: id, input: input}
+	m.stepFn, m.readFn, m.mappedFn = m.step, m.unitRead, m.unitMapped
+	return m
 }
 
 // outputBytes returns the final size of the map output (valid once done).
@@ -49,36 +58,42 @@ func (m *mapTask) run() {
 
 // step advances the read→map→buffer→spill loop one I/O unit at a time.
 func (m *mapTask) step() {
-	cfg := m.job.cfg
 	remaining := m.input.Size() - m.readOff
 	if remaining <= 0 {
 		m.finalSpill()
 		return
 	}
-	unit := cfg.IOUnitBytes
-	if unit > remaining {
-		unit = remaining
+	m.unit = m.job.cfg.IOUnitBytes
+	if m.unit > remaining {
+		m.unit = remaining
 	}
-	m.input.Read(m.stream, m.readOff, unit, func() {
-		m.readOff += unit
-		mb := float64(unit) / (1 << 20)
-		m.tt.fs.Domain().VCPU.Run(mb*cfg.MapCPUSecPerMB, func() {
-			out := int64(float64(unit) * cfg.MapOutputRatio)
-			m.buffered += out
-			m.outBytes += out
-			if float64(m.buffered) >= cfg.SpillThreshold*float64(cfg.SortBufferBytes) {
-				m.spill(m.step)
-				return
-			}
-			m.step()
-		})
-	})
+	m.input.Read(m.stream, m.readOff, m.unit, m.readFn)
+}
+
+// unitRead runs the map function over the unit just read.
+func (m *mapTask) unitRead() {
+	m.readOff += m.unit
+	mb := float64(m.unit) / (1 << 20)
+	m.tt.fs.Domain().VCPU.Run(mb*m.job.cfg.MapCPUSecPerMB, m.mappedFn)
+}
+
+// unitMapped buffers the unit's map output, spilling past the threshold.
+func (m *mapTask) unitMapped() {
+	cfg := &m.job.cfg
+	out := int64(float64(m.unit) * cfg.MapOutputRatio)
+	m.buffered += out
+	m.outBytes += out
+	if float64(m.buffered) >= cfg.SpillThreshold*float64(cfg.SortBufferBytes) {
+		m.spill(m.stepFn)
+		return
+	}
+	m.step()
 }
 
 // spill sorts the buffered output (CPU) and writes it to a local spill
 // file through the page cache, then continues with next.
 func (m *mapTask) spill(next func()) {
-	cfg := m.job.cfg
+	cfg := &m.job.cfg
 	bytes := m.buffered
 	m.buffered = 0
 	if bytes <= 0 {
@@ -118,7 +133,7 @@ func (m *mapTask) finalSpill() {
 // and ≤2 GB splits that never happens here, so a single pass is modelled
 // and guarded.
 func (m *mapTask) merge() {
-	cfg := m.job.cfg
+	cfg := &m.job.cfg
 	if len(m.spills) > cfg.SortFactor {
 		// Multi-pass merge: fold the oldest SortFactor spills into one
 		// intermediate run, then recurse.
@@ -137,7 +152,7 @@ func (m *mapTask) merge() {
 // mergeSome reads the given spills, charges merge CPU, writes the merged
 // run, and hands it to done.
 func (m *mapTask) mergeSome(spills []*guestio.File, done func(*guestio.File)) {
-	cfg := m.job.cfg
+	cfg := &m.job.cfg
 	var total int64
 	for _, s := range spills {
 		total += s.Size()
