@@ -54,20 +54,27 @@ func (p *Pool) Stats() PoolStats { return p.stats }
 func (p *Pool) Checked() bool { return p.checked }
 
 // Get returns a fresh request covering count sectors starting at sector,
-// reusing freed memory when possible. The request is owned by the pool: the
-// queue that completes it frees it, after which the caller must not touch it.
+// reusing freed memory when possible. Like NewRequest, it panics on a
+// non-positive count or a negative sector. The request is owned by the
+// pool: the queue that completes it frees it, after which the caller must
+// not touch it.
 func (p *Pool) Get(op Op, sector, count int64, sync bool, stream StreamID) *Request {
 	p.stats.Gets++
 	if n := len(p.free); n > 0 {
+		checkExtent(sector, count)
 		r := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		p.stats.Reuses++
-		// Keep the merged backing array (already truncated with nil'd slots)
-		// so a recycled request merges without re-growing it.
-		m := r.merged
-		*r = Request{Op: op, Sector: sector, Count: count, Sync: sync, Stream: stream, pool: p}
-		r.merged = m
+		// Put already dropped the pointer fields, keeping merged's
+		// truncated backing array so a recycled request merges without
+		// re-growing it, and pool is unchanged: only the scalars need
+		// resetting, which spares a whole-struct copy and its write
+		// barriers.
+		r.Op, r.Sector, r.Count, r.Sync, r.Stream = op, sector, count, sync, stream
+		r.Issued, r.Dispatched, r.Completed = 0, 0, 0
+		r.Journey, r.BacklogHold = 0, 0
+		r.state = stateNew
 		return r
 	}
 	r := NewRequest(op, sector, count, sync, stream)

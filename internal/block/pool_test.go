@@ -2,7 +2,9 @@ package block
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"adaptmr/internal/sim"
 )
@@ -181,5 +183,90 @@ func TestUnpooledRequestsUnaffected(t *testing.T) {
 	eng.Run()
 	if r.state != stateDone {
 		t.Fatalf("state = %d, want stateDone", r.state)
+	}
+}
+
+// requestField returns field i of the Request v holds, unexported fields
+// included, as a settable value.
+func requestField(v reflect.Value, i int) reflect.Value {
+	f := v.Field(i)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// TestPoolRecycledMatchesFresh walks every field of Request: a request
+// whose every field was left dirty by its previous use must come back from
+// Get equal to a fresh request with the same arguments, apart from merged's
+// capacity, so a field added later cannot leak from a previous use. Both
+// paths must reject an extent no request may cover.
+func TestPoolRecycledMatchesFresh(t *testing.T) {
+	p := NewPool(false, nil)
+	r := p.Get(Write, 8, 8, false, 1)
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if name == "pool" {
+			continue // Put requires the owning pool
+		}
+		f := requestField(v, i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int:
+			f.SetInt(7)
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+			f.SetUint(1)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Func:
+			f.Set(reflect.MakeFunc(f.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 4))
+		default:
+			t.Fatalf("field %s: no dirty value for kind %v", name, f.Kind())
+		}
+	}
+	p.Put(r)
+
+	recycled := p.Get(Read, 64, 16, true, 3)
+	fresh := p.Get(Read, 64, 16, true, 3)
+	if recycled != r || fresh == r {
+		t.Fatal("Get did not recycle the freed request, then allocate")
+	}
+	rv, fv := reflect.ValueOf(recycled).Elem(), reflect.ValueOf(fresh).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		name := rv.Type().Field(i).Name
+		got, want := requestField(rv, i), requestField(fv, i)
+		if name == "merged" {
+			if got.Len() != 0 || want.Len() != 0 {
+				t.Fatalf("merged: recycled len %d, fresh len %d, want 0", got.Len(), want.Len())
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got.Interface(), want.Interface()) {
+			t.Errorf("%s: recycled %v, fresh %v", name, got, want)
+		}
+	}
+
+	p.Put(recycled)
+	for _, c := range []struct {
+		sector, count int64
+	}{{0, 0}, {0, -8}, {-1, 8}} {
+		for _, stocked := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Get(%d+%d) with stocked freelist %v did not panic", c.sector, c.count, stocked)
+					}
+				}()
+				if !stocked {
+					NewPool(false, nil).Get(Read, c.sector, c.count, false, 1)
+					return
+				}
+				p.Get(Read, c.sector, c.count, false, 1)
+			}()
+		}
+	}
+	if len(p.free) != 1 {
+		t.Fatalf("freelist holds %d requests after rejected Gets, want 1", len(p.free))
 	}
 }

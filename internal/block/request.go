@@ -101,13 +101,18 @@ const (
 
 // NewRequest builds a request covering count sectors starting at sector.
 func NewRequest(op Op, sector, count int64, sync bool, stream StreamID) *Request {
+	checkExtent(sector, count)
+	return &Request{Op: op, Sector: sector, Count: count, Sync: sync, Stream: stream}
+}
+
+// checkExtent panics on an extent no request may cover.
+func checkExtent(sector, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("block: request with non-positive count %d", count))
 	}
 	if sector < 0 {
 		panic(fmt.Sprintf("block: request with negative sector %d", sector))
 	}
-	return &Request{Op: op, Sector: sector, Count: count, Sync: sync, Stream: stream}
 }
 
 // End returns the sector just past the extent.

@@ -98,7 +98,7 @@ func (s *AnticipatorySched) Add(r *block.Request, now sim.Time) {
 			s.misses[r.Stream] = 0
 		}
 	}
-	if g := s.merges.tryMerge(r); g != nil {
+	if g := s.merges.mergeOrAdd(r); g != nil {
 		if g.Sector == r.Sector {
 			// Front merge moved g's start sector; restore sort order.
 			s.sorted[g.Op].refresh(g)
@@ -107,7 +107,6 @@ func (s *AnticipatorySched) Add(r *block.Request, now sim.Time) {
 	}
 	s.sorted[r.Op].insert(r)
 	s.expiry[r.Op].push(r, now.Add(s.expire(r.Op)))
-	s.merges.add(r)
 }
 
 // Dispatch implements block.Elevator.

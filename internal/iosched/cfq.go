@@ -84,7 +84,7 @@ func (s *CFQSched) queueFor(r *block.Request) *cfqQueue {
 
 // Add implements block.Elevator.
 func (s *CFQSched) Add(r *block.Request, now sim.Time) {
-	if g := s.merges.tryMerge(r); g != nil {
+	if g := s.merges.mergeOrAdd(r); g != nil {
 		if g.Sector == r.Sector {
 			// Front merge moved g's start sector; restore sort order.
 			s.queueFor(g).list.refresh(g)
@@ -96,7 +96,6 @@ func (s *CFQSched) Add(r *block.Request, now sim.Time) {
 	if expire := s.fifoExpire(q); expire > 0 {
 		q.expiry.push(r, now.Add(expire))
 	}
-	s.merges.add(r)
 	s.pending++
 	if !q.onRR {
 		q.onRR = true

@@ -47,7 +47,7 @@ func (s *DeadlineSched) expire(op block.Op) sim.Duration {
 
 // Add implements block.Elevator.
 func (s *DeadlineSched) Add(r *block.Request, now sim.Time) {
-	if g := s.merges.tryMerge(r); g != nil {
+	if g := s.merges.mergeOrAdd(r); g != nil {
 		if g.Sector == r.Sector {
 			// Front merge moved g's start sector; restore sort order.
 			s.sorted[g.Op].refresh(g)
@@ -56,7 +56,6 @@ func (s *DeadlineSched) Add(r *block.Request, now sim.Time) {
 	}
 	s.sorted[r.Op].insert(r)
 	s.expiry[r.Op].push(r, now.Add(s.expire(r.Op)))
-	s.merges.add(r)
 }
 
 // Dispatch implements block.Elevator.

@@ -321,7 +321,57 @@ func (b *mergeBucket) cut(r *block.Request) {
 	}
 }
 
-// mergeTable maps a sector key to its bucket. It is open-addressed: linear
+// requeue moves r to the back of the bucket, where cutting and
+// re-adding it leaves it.
+func (b *mergeBucket) requeue(r *block.Request) {
+	b.cut(r)
+	b.add(r)
+}
+
+// backMerger returns the first request in scan order that r can be
+// appended to, or nil.
+func (b *mergeBucket) backMerger(r *block.Request, maxSectors int64) *block.Request {
+	if b.first == nil {
+		return nil
+	}
+	if b.first.CanBackMerge(r, maxSectors) {
+		return b.first
+	}
+	for _, q := range b.rest {
+		if q.CanBackMerge(r, maxSectors) {
+			return q
+		}
+	}
+	return nil
+}
+
+// frontMerger returns the first request in scan order that r can be
+// prepended to, or nil.
+func (b *mergeBucket) frontMerger(r *block.Request, maxSectors int64) *block.Request {
+	if b.first == nil {
+		return nil
+	}
+	if b.first.CanFrontMerge(r, maxSectors) {
+		return b.first
+	}
+	for _, q := range b.rest {
+		if q.CanFrontMerge(r, maxSectors) {
+			return q
+		}
+	}
+	return nil
+}
+
+// mergeEntry holds everything indexed under one sector key: the queued
+// requests that start there and those that end there.
+type mergeEntry struct {
+	starts mergeBucket
+	ends   mergeBucket
+}
+
+func (e *mergeEntry) empty() bool { return e.starts.first == nil && e.ends.first == nil }
+
+// mergeTable maps a sector key to its entry. It is open-addressed: linear
 // probing over a power-of-two slot array from a multiplicative (Fibonacci)
 // hash of the key, backward-shift deletion so the table never holds
 // tombstones, and doubling at 3/4 load. Key -1 marks an empty slot, which
@@ -329,7 +379,7 @@ func (b *mergeBucket) cut(r *block.Request) {
 // the merger's time hashing (DESIGN.md §13).
 //
 // A slot is a key and one pointer, 16 bytes. Keep it that small: a tuning
-// search builds about a thousand mergers, and storing the bucket inline
+// search builds about a thousand mergers, and storing the entry inline
 // in the slot raised the search's peak heap without running faster.
 type mergeTable struct {
 	slots []mergeSlot
@@ -339,7 +389,7 @@ type mergeTable struct {
 
 type mergeSlot struct {
 	key int64
-	b   *mergeBucket
+	e   *mergeEntry
 }
 
 const (
@@ -360,41 +410,43 @@ func (t *mergeTable) home(key int64) int {
 	return int(uint64(key) * 0x9e3779b97f4a7c15 >> t.shift)
 }
 
-// find returns key's slot index, or -1 if key is absent.
-func (t *mergeTable) find(key int64) int {
+// lookup runs key's probe. It returns key's slot and true, or the empty
+// slot the probe stopped on — where key would be inserted — and false.
+func (t *mergeTable) lookup(key int64) (int, bool) {
 	mask := len(t.slots) - 1
 	for i := t.home(key); ; i = (i + 1) & mask {
 		switch t.slots[i].key {
 		case key:
-			return i
+			return i, true
 		case emptyKey:
-			return -1
+			return i, false
 		}
 	}
 }
 
-// get returns the bucket under key, or nil.
-func (t *mergeTable) get(key int64) *mergeBucket {
-	if i := t.find(key); i >= 0 {
-		return t.slots[i].b
+// makeRoom grows the table if one more key would pass 3/4 load. It
+// reports whether it grew, which moves every slot.
+func (t *mergeTable) makeRoom() bool {
+	if (t.live+1)*4 <= len(t.slots)*3 {
+		return false
 	}
-	return nil
+	old := t.slots
+	*t = newMergeTable(64 - t.shift + 1)
+	for _, s := range old {
+		if s.key != emptyKey {
+			i, _ := t.lookup(s.key)
+			t.insertAt(i, s.key, s.e)
+		}
+	}
+	return true
 }
 
-// put inserts key, which must be absent.
-func (t *mergeTable) put(key int64, b *mergeBucket) {
+// insertAt stores key in slot i, the empty slot its lookup stopped on.
+func (t *mergeTable) insertAt(i int, key int64, e *mergeEntry) {
 	if key < 0 {
 		panic("iosched: negative sector key")
 	}
-	if (t.live+1)*4 > len(t.slots)*3 {
-		t.grow()
-	}
-	mask := len(t.slots) - 1
-	i := t.home(key)
-	for t.slots[i].key != emptyKey {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = mergeSlot{key, b}
+	t.slots[i] = mergeSlot{key, e}
 	t.live++
 }
 
@@ -414,118 +466,126 @@ func (t *mergeTable) deleteAt(i int) {
 	t.live--
 }
 
-func (t *mergeTable) grow() {
-	old := t.slots
-	*t = newMergeTable(64 - t.shift + 1)
-	for _, s := range old {
-		if s.key != emptyKey {
-			t.put(s.key, s.b)
-		}
-	}
-}
-
-// Buckets are stored by pointer so the hot path mutates them in place: an
-// add probes the table once (plus one insert when the key is new), never
-// re-assigning the bucket value. Emptied buckets go to a freelist keeping
-// their overflow capacity.
+// merger owns one table keyed by sector. Entries are stored by pointer so
+// the hot path mutates them in place, and an entry leaves the table once
+// both its buckets empty — a missing key and an empty bucket offer
+// identical candidates, and dropping dead keys keeps the table sized to
+// the queued population instead of every sector the run ever touched.
+// Emptied entries go to a freelist keeping their overflow capacity.
 type merger struct {
-	byStart    mergeTable
-	byEnd      mergeTable
-	free       []*mergeBucket
+	index      mergeTable
+	free       []*mergeEntry
 	maxSectors int64
 }
 
 func newMerger(maxSectors int64) *merger {
-	return &merger{
-		byStart:    newMergeTable(mergeTableMinBits),
-		byEnd:      newMergeTable(mergeTableMinBits),
-		maxSectors: maxSectors,
-	}
+	return &merger{index: newMergeTable(mergeTableMinBits), maxSectors: maxSectors}
 }
 
-// bucket resolves (creating if needed) the bucket under key in idx.
-func (m *merger) bucket(idx *mergeTable, key int64) *mergeBucket {
-	b := idx.get(key)
-	if b == nil {
-		if n := len(m.free); n > 0 {
-			b = m.free[n-1]
-			m.free[n-1] = nil
-			m.free = m.free[:n-1]
-		} else {
-			b = &mergeBucket{}
-		}
-		idx.put(key, b)
-	}
-	return b
-}
-
-func (m *merger) add(r *block.Request) {
-	m.bucket(&m.byStart, r.Sector).add(r)
-	m.bucket(&m.byEnd, r.End()).add(r)
-}
-
-// remove deletes r's index entries. Emptied buckets leave the table — a
-// missing key and an empty bucket offer identical candidates, and dropping
-// dead keys keeps the tables sized to the queued population instead of
-// every sector the run ever touched.
-func (m *merger) remove(r *block.Request) {
-	m.unindex(&m.byStart, r.Sector, r)
-	m.unindex(&m.byEnd, r.End(), r)
-}
-
-// unindex drops r from the bucket under key, releasing the bucket once it
-// empties.
-func (m *merger) unindex(idx *mergeTable, key int64, r *block.Request) {
-	i := idx.find(key)
-	if i < 0 {
-		return
-	}
-	b := idx.slots[i].b
-	b.cut(r)
-	if b.first == nil {
-		idx.deleteAt(i)
-		m.free = append(m.free, b)
-	}
-}
-
-// tryMerge attempts to coalesce r into a queued request. On success it
-// returns the grown request (whose index entries have been refreshed);
-// cascading merges of the third adjacent request are not attempted, like
-// most 2.6 elevators.
-func (m *merger) tryMerge(r *block.Request) *block.Request {
-	if b := m.byEnd.get(r.Sector); b != nil {
-		if b.first.CanBackMerge(r, m.maxSectors) {
-			q := b.first
-			m.remove(q)
+// mergeOrAdd coalesces r into a queued request and returns the grown
+// request, or indexes r and returns nil when no queued request can take
+// it. Back merges are tried before front merges, each bucket in scan
+// order; cascading merges of the third adjacent request are not
+// attempted, like most 2.6 elevators.
+//
+// The lookup at r's start yields the back-merge candidates and r's own
+// start entry; the lookup at r's end yields the front-merge candidates
+// and r's own end entry. A merge moves only the grown request's key that
+// changed, and re-orders its other bucket as removing and re-adding the
+// request would (cut, then append).
+func (m *merger) mergeOrAdd(r *block.Request) *block.Request {
+	t := &m.index
+	start, end := r.Sector, r.End()
+	si, sok := t.lookup(start)
+	ei, eok := t.lookup(end)
+	if sok {
+		old := t.slots[si].e
+		if q := old.ends.backMerger(r, m.maxSectors); q != nil {
+			i, _ := t.lookup(q.Sector)
+			t.slots[i].e.starts.requeue(q)
+			old.ends.cut(q)
 			q.BackMerge(r)
-			m.add(q)
+			e, grew := m.entryAt(end, ei, eok)
+			e.ends.add(q)
+			if grew {
+				si, _ = t.lookup(start)
+			}
+			m.dropIfEmpty(si, old)
 			return q
 		}
-		for _, q := range b.rest {
-			if q.CanBackMerge(r, m.maxSectors) {
-				m.remove(q)
-				q.BackMerge(r)
-				m.add(q)
-				return q
-			}
-		}
 	}
-	if b := m.byStart.get(r.End()); b != nil {
-		if b.first.CanFrontMerge(r, m.maxSectors) {
-			q := b.first
-			m.remove(q)
+	if eok {
+		old := t.slots[ei].e
+		if q := old.starts.frontMerger(r, m.maxSectors); q != nil {
+			i, _ := t.lookup(q.End())
+			t.slots[i].e.ends.requeue(q)
+			old.starts.cut(q)
 			q.FrontMerge(r)
-			m.add(q)
+			e, grew := m.entryAt(start, si, sok)
+			e.starts.add(q)
+			if grew {
+				ei, _ = t.lookup(end)
+			}
+			m.dropIfEmpty(ei, old)
 			return q
 		}
-		for _, q := range b.rest {
-			if q.CanFrontMerge(r, m.maxSectors) {
-				m.remove(q)
-				q.FrontMerge(r)
-				m.add(q)
-				return q
-			}
-		}
 	}
+	e, grew := m.entryAt(start, si, sok)
+	e.starts.add(r)
+	if grew || ei == si {
+		// Inserting start moved every slot, or took the empty slot
+		// end's probe stopped on.
+		ei, _ = t.lookup(end)
+	}
+	e, _ = m.entryAt(end, ei, eok)
+	e.ends.add(r)
 	return nil
+}
+
+// entryAt returns the entry under key, creating it when absent; i and
+// found are key's lookup. It reports whether creating the entry grew the
+// table, which moves every slot.
+func (m *merger) entryAt(key int64, i int, found bool) (*mergeEntry, bool) {
+	t := &m.index
+	if found {
+		return t.slots[i].e, false
+	}
+	grew := t.makeRoom()
+	if grew {
+		i, _ = t.lookup(key)
+	}
+	var e *mergeEntry
+	if n := len(m.free); n > 0 {
+		e = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+	} else {
+		e = &mergeEntry{}
+	}
+	t.insertAt(i, key, e)
+	return e, grew
+}
+
+// dropIfEmpty releases e, stored in slot i, once both its buckets are
+// empty.
+func (m *merger) dropIfEmpty(i int, e *mergeEntry) {
+	if e.empty() {
+		m.index.deleteAt(i)
+		m.free = append(m.free, e)
+	}
+}
+
+// remove deletes r's index entries at dispatch.
+func (m *merger) remove(r *block.Request) {
+	t := &m.index
+	if i, ok := t.lookup(r.Sector); ok {
+		e := t.slots[i].e
+		e.starts.cut(r)
+		m.dropIfEmpty(i, e)
+	}
+	if i, ok := t.lookup(r.End()); ok {
+		e := t.slots[i].e
+		e.ends.cut(r)
+		m.dropIfEmpty(i, e)
+	}
 }

@@ -106,10 +106,12 @@ func TestFIFO(t *testing.T) {
 func TestMergerBackAndFront(t *testing.T) {
 	m := newMerger(1024)
 	a := block.NewRequest(block.Write, 100, 8, false, 1)
-	m.add(a)
+	if m.mergeOrAdd(a) != nil {
+		t.Fatal("merged into an empty index")
+	}
 	// Back merge.
 	b := block.NewRequest(block.Write, 108, 8, false, 1)
-	if got := m.tryMerge(b); got != a {
+	if got := m.mergeOrAdd(b); got != a {
 		t.Fatalf("back merge returned %v", got)
 	}
 	if a.Count != 16 {
@@ -117,7 +119,7 @@ func TestMergerBackAndFront(t *testing.T) {
 	}
 	// Front merge.
 	c := block.NewRequest(block.Write, 92, 8, false, 1)
-	if got := m.tryMerge(c); got != a {
+	if got := m.mergeOrAdd(c); got != a {
 		t.Fatalf("front merge returned %v", got)
 	}
 	if a.Sector != 92 || a.Count != 24 {
@@ -125,13 +127,13 @@ func TestMergerBackAndFront(t *testing.T) {
 	}
 	// Non-adjacent request does not merge.
 	d := block.NewRequest(block.Write, 200, 8, false, 1)
-	if m.tryMerge(d) != nil {
+	if m.mergeOrAdd(d) != nil {
 		t.Fatal("gap merged")
 	}
 	// After remove, no merging with it.
 	m.remove(a)
 	e := block.NewRequest(block.Write, 116, 8, false, 1)
-	if m.tryMerge(e) != nil {
+	if m.mergeOrAdd(e) != nil {
 		t.Fatal("merged with removed request")
 	}
 }
@@ -139,9 +141,9 @@ func TestMergerBackAndFront(t *testing.T) {
 func TestMergerRespectsCap(t *testing.T) {
 	m := newMerger(16)
 	a := block.NewRequest(block.Write, 0, 12, false, 1)
-	m.add(a)
+	m.mergeOrAdd(a)
 	b := block.NewRequest(block.Write, 12, 8, false, 1)
-	if m.tryMerge(b) != nil {
+	if m.mergeOrAdd(b) != nil {
 		t.Fatal("merge exceeded MaxSectors")
 	}
 }

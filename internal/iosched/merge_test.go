@@ -10,9 +10,10 @@ import (
 	"adaptmr/internal/block"
 )
 
-// refMerger is the map-based merge index the open-addressed tables
-// replaced, kept as the differential reference: same buckets, same
-// freelist, with the two indexes held in Go maps.
+// refMerger is the map-based merge index the open-addressed table
+// replaced, kept as the differential reference: the same buckets in two
+// Go maps, one by start and one by end sector, with a merge removing and
+// re-adding both keys of the grown request.
 type refMerger struct {
 	byStart    map[int64]*mergeBucket
 	byEnd      map[int64]*mergeBucket
@@ -114,9 +115,11 @@ type mergerTwins struct {
 	seen   *mergeCoverage
 }
 
-// mergeCoverage counts the cases the differential test must reach.
+// mergeCoverage counts the cases the differential test must reach:
+// sameSlot is a miss whose two lookups stopped on the same empty slot,
+// grown a miss that grew the table.
 type mergeCoverage struct {
-	back, front, capped, shared int
+	back, front, capped, shared, sameSlot, grown int
 }
 
 func (w *mergerTwins) newPair(rng *rand.Rand) [2]*block.Request {
@@ -125,6 +128,11 @@ func (w *mergerTwins) newPair(rng *rand.Rand) [2]*block.Request {
 	count := 4 * int64(1+rng.Intn(3))
 	sync := rng.Intn(2) == 0
 	stream := block.StreamID(1 + rng.Intn(2))
+	return w.pair(op, sector, count, sync, stream)
+}
+
+// pair returns one logical request as a copy for each side.
+func (w *mergerTwins) pair(op block.Op, sector, count int64, sync bool, stream block.StreamID) [2]*block.Request {
 	p := [2]*block.Request{
 		block.NewRequest(op, sector, count, sync, stream),
 		block.NewRequest(op, sector, count, sync, stream),
@@ -136,7 +144,7 @@ func (w *mergerTwins) newPair(rng *rand.Rand) [2]*block.Request {
 
 // bucketIDs lists b's entries in scan order as logical ids.
 func (w *mergerTwins) bucketIDs(b *mergeBucket) []int {
-	if b == nil {
+	if b == nil || b.first == nil {
 		return nil
 	}
 	out := []int{w.ids[b.first]}
@@ -146,19 +154,44 @@ func (w *mergerTwins) bucketIDs(b *mergeBucket) []int {
 	return out
 }
 
-// sameIndex checks that the table holds exactly the reference map's keys,
-// each with the same bucket contents in the same order.
-func (w *mergerTwins) sameIndex(name string, tab *mergeTable, ref map[int64]*mergeBucket) error {
-	if tab.live != len(ref) {
-		return fmt.Errorf("%s: table holds %d keys, reference %d", name, tab.live, len(ref))
+// sameIndex checks that the table holds exactly the union of the
+// reference maps' keys, and that each key's starts and ends buckets hold
+// the reference byStart and byEnd buckets' contents in the same order.
+func (w *mergerTwins) sameIndex() error {
+	keys := map[int64]bool{}
+	for k := range w.ref.byStart {
+		keys[k] = true
 	}
-	for key, rb := range ref {
-		got, want := w.bucketIDs(tab.get(key)), w.bucketIDs(rb)
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("%s[%d]: bucket %v, reference %v", name, key, got, want)
+	for k := range w.ref.byEnd {
+		keys[k] = true
+	}
+	tab := &w.m.index
+	used := 0
+	for _, s := range tab.slots {
+		if s.key != emptyKey {
+			used++
 		}
-		if len(want) > 1 {
-			w.seen.shared++
+	}
+	if used != len(keys) || tab.live != len(keys) {
+		return fmt.Errorf("table holds %d keys (live %d), reference %d", used, tab.live, len(keys))
+	}
+	for key := range keys {
+		i, ok := tab.lookup(key)
+		if !ok {
+			return fmt.Errorf("key %d missing from the table", key)
+		}
+		e := tab.slots[i].e
+		for _, c := range []struct {
+			name     string
+			got, ref *mergeBucket
+		}{{"starts", &e.starts, w.ref.byStart[key]}, {"ends", &e.ends, w.ref.byEnd[key]}} {
+			got, want := w.bucketIDs(c.got), w.bucketIDs(c.ref)
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("%s[%d]: bucket %v, reference %v", c.name, key, got, want)
+			}
+			if len(want) > 1 {
+				w.seen.shared++
+			}
 		}
 	}
 	return nil
@@ -177,53 +210,68 @@ func (w *mergerTwins) capped(r *block.Request) bool {
 	return false
 }
 
-// step applies one random operation to both mergers and compares them.
-func (w *mergerTwins) step(rng *rand.Rand) error {
-	switch k := rng.Intn(10); {
-	case k < 4:
-		p := w.newPair(rng)
-		w.m.add(p[0])
+// offer gives p to both mergers, mergeOrAdd on the merger against
+// tryMerge then add on a miss on the reference, and returns the request
+// p merged into, or nil.
+func (w *mergerTwins) offer(p [2]*block.Request) (*block.Request, error) {
+	got, want := w.m.mergeOrAdd(p[0]), w.ref.tryMerge(p[1])
+	if want == nil {
 		w.ref.add(p[1])
 		w.queued = append(w.queued, p)
-	case k < 6 && len(w.queued) > 0:
+	}
+	if (got == nil) != (want == nil) || (got != nil && w.ids[got] != w.ids[want]) {
+		return nil, fmt.Errorf("mergeOrAdd(%v) = %v, reference %v", p[0], got, want)
+	}
+	return got, nil
+}
+
+// step applies one random operation to both mergers and compares them:
+// mergeOrAdd on the merger against tryMerge, then add on a miss, on the
+// reference, or the removal of a queued request from both.
+func (w *mergerTwins) step(rng *rand.Rand) error {
+	if len(w.queued) > 0 && rng.Intn(10) < 3 {
 		i := rng.Intn(len(w.queued))
 		p := w.queued[i]
 		w.queued = append(w.queued[:i], w.queued[i+1:]...)
 		w.m.remove(p[0])
 		w.ref.remove(p[1])
-	default:
-		p := w.newPair(rng)
-		capped := w.capped(p[0])
-		got, want := w.m.tryMerge(p[0]), w.ref.tryMerge(p[1])
-		if (got == nil) != (want == nil) || (got != nil && w.ids[got] != w.ids[want]) {
-			return fmt.Errorf("tryMerge(%v) = %v, reference %v", p[0], got, want)
-		}
-		switch {
-		case got == nil && capped:
-			w.seen.capped++
-		case got != nil && got.Sector == p[0].Sector:
-			w.seen.front++
-		case got != nil:
-			w.seen.back++
-		}
-		if got == nil && rng.Intn(2) == 0 {
-			w.m.add(p[0])
-			w.ref.add(p[1])
-			w.queued = append(w.queued, p)
-		}
+		return w.sameIndex()
 	}
-	if err := w.sameIndex("byStart", &w.m.byStart, w.ref.byStart); err != nil {
+	p := w.newPair(rng)
+	capped := w.capped(p[0])
+	si, sok := w.m.index.lookup(p[0].Sector)
+	ei, eok := w.m.index.lookup(p[0].End())
+	slots := len(w.m.index.slots)
+	got, err := w.offer(p)
+	if err != nil {
 		return err
 	}
-	return w.sameIndex("byEnd", &w.m.byEnd, w.ref.byEnd)
+	switch {
+	case got == nil:
+		if capped {
+			w.seen.capped++
+		}
+		if !sok && !eok && si == ei {
+			w.seen.sameSlot++
+		}
+		if len(w.m.index.slots) > slots {
+			w.seen.grown++
+		}
+	case got.Sector == p[0].Sector:
+		w.seen.front++
+	default:
+		w.seen.back++
+	}
+	return w.sameIndex()
 }
 
-// TestQuickMergerMatchesReference drives random add, remove and tryMerge
-// sequences through the open-addressed merger and the map-based reference
-// over a small sector space — so keys are shared, buckets hold several
-// entries, the MaxSectors cap rejects merges, and both back and front
-// merges happen — and requires the same merge winner and the same bucket
-// contents, in order, under every key after every operation.
+// TestQuickMergerMatchesReference drives random mergeOrAdd and remove
+// sequences through the one-table merger and the map-based reference over
+// a small sector space — so keys are shared, buckets hold several
+// entries, the MaxSectors cap rejects merges, both back and front merges
+// happen, a miss's two lookups stop on the same empty slot and misses
+// grow the table — and requires the same merge winner and the same
+// bucket contents, in order, under every key after every operation.
 func TestQuickMergerMatchesReference(t *testing.T) {
 	var seen mergeCoverage
 	f := func(seed int64) bool {
@@ -240,14 +288,57 @@ func TestQuickMergerMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if seen.back == 0 || seen.front == 0 || seen.capped == 0 || seen.shared == 0 {
+	t.Logf("coverage: %+v", seen)
+	if seen.back == 0 || seen.front == 0 || seen.capped == 0 || seen.shared == 0 || seen.sameSlot == 0 || seen.grown == 0 {
 		t.Fatalf("sequences missed a case: %+v", seen)
 	}
 }
 
+// TestMergeGrowsTableMidMerge pins back and front merges whose moved key
+// is new while the table sits at its load limit: inserting the key grows
+// the table, which moves every slot, and the emptied old key must still be
+// found and deleted. Several layouts keep a stale slot from landing on the
+// right one by chance.
+func TestMergeGrowsTableMidMerge(t *testing.T) {
+	for _, front := range []bool{false, true} {
+		for base := int64(1000); base < 1010; base++ {
+			w := &mergerTwins{m: newMerger(1024), ref: newRefMerger(1024), ids: map[*block.Request]int{}, seen: &mergeCoverage{}}
+			// Six disjoint requests index twelve keys, the most 16 slots
+			// hold under 3/4 load.
+			for i := int64(0); i < 6; i++ {
+				if _, err := w.offer(w.pair(block.Write, base+100*i, 8, false, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := w.pair(block.Write, base+8, 8, false, 1) // appends to the first
+			if front {
+				r = w.pair(block.Write, base-8, 8, false, 1) // prepends to it
+			}
+			slots := len(w.m.index.slots)
+			got, err := w.offer(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == nil || len(w.m.index.slots) == slots {
+				t.Fatalf("front %v, base %d: merged into %v, table %d -> %d slots; want a merge that grows it", front, base, got, slots, len(w.m.index.slots))
+			}
+			if err := w.sameIndex(); err != nil {
+				t.Fatalf("front %v, base %d: %v", front, base, err)
+			}
+		}
+	}
+}
+
+// put inserts key, which must be absent, growing the table as needed.
+func put(tab *mergeTable, key int64, e *mergeEntry) {
+	tab.makeRoom()
+	i, _ := tab.lookup(key)
+	tab.insertAt(i, key, e)
+}
+
 // checkTable requires tab to hold exactly want, every key reachable from
 // its home slot, and no key stored twice.
-func checkTable(t *testing.T, tab *mergeTable, want map[int64]*mergeBucket) {
+func checkTable(t *testing.T, tab *mergeTable, want map[int64]*mergeEntry) {
 	t.Helper()
 	if tab.live != len(want) {
 		t.Fatalf("table holds %d keys, want %d", tab.live, len(want))
@@ -264,8 +355,8 @@ func checkTable(t *testing.T, tab *mergeTable, want map[int64]*mergeBucket) {
 	if used != len(want) {
 		t.Fatalf("%d slots in use for %d keys", used, len(want))
 	}
-	for k, b := range want {
-		if got := tab.get(k); got != b {
+	for k, e := range want {
+		if i, ok := tab.lookup(k); !ok || tab.slots[i].e != e {
 			t.Fatalf("key %d not found after deletions", k)
 		}
 	}
@@ -287,14 +378,18 @@ func keysHomedAt(tab *mergeTable, slot, n int, from int64) []int64 {
 // wraps past the end of the slot array, before and after the table grows.
 func TestMergeTableDeleteWraps(t *testing.T) {
 	tab := newMergeTable(mergeTableMinBits)
-	want := map[int64]*mergeBucket{}
-	put := func(k int64) {
-		b := &mergeBucket{}
-		want[k] = b
-		tab.put(k, b)
+	want := map[int64]*mergeEntry{}
+	add := func(k int64) {
+		e := &mergeEntry{}
+		want[k] = e
+		put(&tab, k, e)
 	}
 	del := func(k int64) {
-		tab.deleteAt(tab.find(k))
+		i, ok := tab.lookup(k)
+		if !ok {
+			t.Fatalf("key %d missing before deletion", k)
+		}
+		tab.deleteAt(i)
 		delete(want, k)
 		checkTable(t, &tab, want)
 	}
@@ -307,7 +402,7 @@ func TestMergeTableDeleteWraps(t *testing.T) {
 	b := keysHomedAt(&tab, 0, 1, 0)[0]
 	d := keysHomedAt(&tab, 1, 1, 0)[0]
 	for _, k := range []int64{a, b, c, d} {
-		put(k)
+		add(k)
 	}
 	checkTable(t, &tab, want)
 	if tab.slots[last].key != a || tab.slots[0].key != b || tab.slots[1].key != c || tab.slots[2].key != d {
@@ -324,7 +419,7 @@ func TestMergeTableDeleteWraps(t *testing.T) {
 	// Grow the table twice, deleting as keys go in, then wrap a run at the
 	// new last slot and delete its head.
 	for k := int64(1000); len(tab.slots) < 4<<mergeTableMinBits; k++ {
-		put(k)
+		add(k)
 		if k%3 == 0 {
 			del(k - 1)
 		}
@@ -333,7 +428,7 @@ func TestMergeTableDeleteWraps(t *testing.T) {
 	last = len(tab.slots) - 1
 	wrapped := keysHomedAt(&tab, last, 3, 5000)
 	for _, k := range wrapped {
-		put(k)
+		add(k)
 	}
 	checkTable(t, &tab, want)
 	del(wrapped[0])
@@ -346,9 +441,10 @@ func TestMergeTableDeleteWraps(t *testing.T) {
 }
 
 // TestMergerSteadyStateZeroAlloc pins the merge index's churn at zero
-// allocations once warm: a cycle that indexes 64 requests, probes 64
-// adjacent requests that may not merge (another stream), and removes the
-// 64 reuses the tables' slots and the bucket freelist.
+// allocations once warm: a cycle that indexes 64 requests, offers 64
+// adjacent requests that may not merge (another stream) and so are
+// indexed too, and removes all 128 reuses the table's slots and the entry
+// freelist.
 func TestMergerSteadyStateZeroAlloc(t *testing.T) {
 	m := newMerger(DefaultParams().MaxSectors)
 	queued := make([]*block.Request, 64)
@@ -365,22 +461,28 @@ func TestMergerSteadyStateZeroAlloc(t *testing.T) {
 	merged := 0
 	cycle := func() {
 		for _, r := range queued {
-			m.add(r)
+			m.mergeOrAdd(r)
 		}
 		for _, r := range probes {
-			if m.tryMerge(r) != nil {
+			if m.mergeOrAdd(r) != nil {
 				merged++
 			}
 		}
 		for _, r := range queued {
 			m.remove(r)
 		}
+		for _, r := range probes {
+			m.remove(r)
+		}
 	}
-	cycle() // grow the tables and stock the bucket freelist
+	cycle() // grow the table and stock the entry freelist
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Fatalf("warm merger cycle allocates %v objects, want 0", a)
 	}
 	if merged != 0 {
 		t.Fatalf("%d cross-stream probes merged", merged)
+	}
+	if m.index.live != 0 {
+		t.Fatalf("table holds %d keys after removing every request", m.index.live)
 	}
 }

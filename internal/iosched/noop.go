@@ -25,11 +25,10 @@ func (s *NoopSched) Name() string { return Noop }
 
 // Add implements block.Elevator.
 func (s *NoopSched) Add(r *block.Request, _ sim.Time) {
-	if s.merges.tryMerge(r) != nil {
+	if s.merges.mergeOrAdd(r) != nil {
 		return
 	}
 	s.q.push(r, 0) // noop never expires a request
-	s.merges.add(r)
 }
 
 // Dispatch implements block.Elevator.

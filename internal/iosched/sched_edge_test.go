@@ -111,15 +111,15 @@ func TestCFQSliceExpiryRotates(t *testing.T) {
 func TestMergerKeepsStreamsSeparate(t *testing.T) {
 	m := newMerger(1024)
 	a := block.NewRequest(block.Write, 100, 8, false, 1)
-	m.add(a)
+	m.mergeOrAdd(a)
 	// Adjacent extent from a different stream must not merge.
 	b := block.NewRequest(block.Write, 108, 8, false, 2)
-	if m.tryMerge(b) != nil {
+	if m.mergeOrAdd(b) != nil {
 		t.Fatal("cross-stream merge")
 	}
 	// Adjacent extent with different sync class must not merge.
 	c := block.NewRequest(block.Write, 108, 8, true, 1)
-	if m.tryMerge(c) != nil {
+	if m.mergeOrAdd(c) != nil {
 		t.Fatal("sync/async merge")
 	}
 }

@@ -178,6 +178,62 @@ func (h *eventCalendar) siftDown(i int, ev *Event) {
 	ev.index = i
 }
 
+// Lane is a FIFO of events scheduled at one fixed delay. The clock never
+// runs backwards and the insertion sequence only grows, so events
+// scheduled at a fixed delay arrive already in (time, sequence) order: a
+// ring buffer holds them without the calendar's sift costs, and the
+// engine fires its head only when it is the least pending event, so
+// firing order is exactly what the calendar alone would give. Lane events
+// carry no handle and cannot be cancelled; sites that cancel stay on
+// Schedule and At.
+type Lane struct {
+	eng  *Engine
+	d    Duration
+	buf  []laneEntry // power-of-two ring; head is the next entry to fire
+	head int
+	n    int
+}
+
+type laneEntry struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+// Schedule runs fn after the lane's delay. It allocates nothing once the
+// ring has grown to the lane's peak occupancy.
+func (l *Lane) Schedule(fn func()) {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	e := l.eng
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: e.now.Add(l.d), seq: e.seq, fn: fn}
+	l.n++
+	e.seq++
+}
+
+// grow doubles the ring, unwrapping its entries to start at slot 0.
+func (l *Lane) grow() {
+	buf := make([]laneEntry, max(2*len(l.buf), 16))
+	k := copy(buf, l.buf[l.head:])
+	copy(buf[k:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
+}
+
+// pop advances the head past its entry and returns the entry's callback,
+// clearing the slot first: the callback may schedule on this lane again.
+func (l *Lane) pop() func() {
+	h := &l.buf[l.head]
+	fn := h.fn
+	h.fn = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return fn
+}
+
 // Observer receives a callback for every event the engine fires — the
 // hook the observability layer's simulator metrics ride on. A nil
 // observer costs one predictable branch per event.
@@ -195,6 +251,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventCalendar
+	lanes   []*Lane
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
@@ -223,8 +280,31 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // benchmarking the simulator itself).
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending returns the number of runnable events currently scheduled.
-func (e *Engine) Pending() int { return e.events.len() }
+// Pending returns the number of runnable events currently scheduled,
+// lane events included.
+func (e *Engine) Pending() int {
+	n := e.events.len()
+	for _, l := range e.lanes {
+		n += l.n
+	}
+	return n
+}
+
+// Lane returns the engine's lane for delay d, creating it on first use. A
+// negative delay is treated as zero.
+func (e *Engine) Lane(d Duration) *Lane {
+	if d < 0 {
+		d = 0
+	}
+	for _, l := range e.lanes {
+		if l.d == d {
+			return l
+		}
+	}
+	l := &Lane{eng: e, d: d}
+	e.lanes = append(e.lanes, l)
+	return l
+}
 
 // SetObserver installs (or, with nil, removes) the engine's execution
 // observer.
@@ -274,21 +354,47 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	return ev
 }
 
-// Stop makes Run return after the current event completes.
+// Stop makes Run or RunUntil return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
+
+// peek finds the next event: the least (time, sequence) among the
+// calendar's top and the lane heads. l is nil when the calendar's top is
+// next; ok is false when nothing is pending.
+func (e *Engine) peek() (l *Lane, at Time, ok bool) {
+	var seq uint64
+	if len(e.events.a) > 0 {
+		top := e.events.a[0]
+		at, seq, ok = top.at, top.seq, true
+	}
+	for _, ln := range e.lanes {
+		if ln.n == 0 {
+			continue
+		}
+		h := &ln.buf[ln.head]
+		if !ok || h.at < at || h.at == at && h.seq < seq {
+			l, at, seq, ok = ln, h.at, h.seq, true
+		}
+	}
+	return l, at, ok
+}
 
 // Step executes the single next event. It reports false when no runnable
 // event remains.
 func (e *Engine) Step() bool {
-	if e.events.len() == 0 {
+	l, at, ok := e.peek()
+	if !ok {
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.at
+	e.now = at
 	e.fired++
 	if e.obs != nil {
-		e.obs.EventFired(ev.at)
+		e.obs.EventFired(at)
 	}
+	if l != nil {
+		l.pop()()
+		return true
+	}
+	ev := e.events.pop()
 	// Recycle before firing is unsafe (the callback may reschedule into
 	// this slot while a holder still points here); recycle after is safe
 	// because holders drop their handles inside the callback.
@@ -297,7 +403,7 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the calendar is empty or Stop is called.
+// Run executes events until none is pending or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
@@ -305,13 +411,21 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
-// t. Events scheduled beyond t remain pending.
+// t. Events scheduled beyond t remain pending. If Stop ends the loop while
+// an event at or before t is still pending, the clock stays at the last
+// fired event, so it never runs backwards.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
-	for !e.stopped && e.events.len() > 0 && e.events.a[0].at <= t {
+	for {
+		if _, at, ok := e.peek(); !ok || at > t {
+			if e.now < t {
+				e.now = t
+			}
+			return
+		}
+		if e.stopped {
+			return
+		}
 		e.Step()
-	}
-	if e.now < t {
-		e.now = t
 	}
 }

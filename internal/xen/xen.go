@@ -86,6 +86,11 @@ type Host struct {
 	domains []*Domain
 	pair    iosched.Pair
 
+	// ringLane carries both ring hops of every domain on the host: the
+	// hop latency is fixed and never cancelled, so the hops fire from the
+	// engine's FIFO lane for that delay instead of its calendar.
+	ringLane *sim.Lane
+
 	// journeys, when non-nil, threads request-journey tracing through
 	// both queue levels (see journey.go).
 	journeys *journeyTracker
@@ -105,7 +110,7 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	if numVMs <= 0 {
 		panic("xen: host needs at least one VM")
 	}
-	h := &Host{Eng: eng, ID: id, cfg: cfg, pair: iosched.DefaultPair}
+	h := &Host{Eng: eng, ID: id, cfg: cfg, pair: iosched.DefaultPair, ringLane: eng.Lane(cfg.RingLatency)}
 	h.dom0Sched = cfg.Sched
 	h.dom0Sched.Counters = obs.NewSchedCounters(cfg.Obs.Metrics, "sched.dom0")
 	h.dom0Sched.Decisions = obs.NewDecisionRecorder(cfg.Obs, cfg.Obs.HostPID(id), obs.TIDDom0, "dom0")
@@ -299,8 +304,7 @@ func (o *ringOp) forward() {
 // hostDone fires when Dom0 completes the host-side request; the completion
 // crosses the ring back to the guest.
 func (o *ringOp) hostDone(*block.Request) {
-	d := o.rg.d
-	d.host.Eng.Schedule(d.host.cfg.RingLatency, o.backFn)
+	o.rg.d.host.ringLane.Schedule(o.backFn)
 }
 
 // back completes the guest request. The op is recycled before the callback
@@ -380,6 +384,5 @@ func (h *Host) RequestPool() *block.Pool { return h.pool }
 // Service implements block.Device for the guest queue: the request crosses
 // the ring (see ringOp for the forward/complete hops).
 func (rg *ring) Service(r *block.Request, done func(*block.Request)) {
-	o := rg.getOp(r, done)
-	rg.d.host.Eng.Schedule(rg.d.host.cfg.RingLatency, o.fireFn)
+	rg.d.host.ringLane.Schedule(rg.getOp(r, done).fireFn)
 }
