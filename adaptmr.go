@@ -197,8 +197,8 @@ func WithJourney() Option {
 // continuation, anticipation outcomes, CFQ slice lifecycle) plus
 // queue-level merges and switch drains — tallied per queue level onto
 // JobResult.Decisions (and RunResult.Decisions for tuner entry points).
-// The hook is nil when this option is absent, so the disabled path stays
-// allocation-free.
+// Without this option, a tracer or a metrics registry the hook is nil, so
+// the disabled path stays allocation-free.
 func WithDecisionLog() Option {
 	return func(o *options) { o.decisions = obs.NewDecisionLog() }
 }

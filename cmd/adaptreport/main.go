@@ -15,11 +15,11 @@
 //
 //	adaptreport explain [sim flags] [-format md|html|json] [-o report.md]
 //	    Run one fully instrumented job with journey and decision
-//	    provenance enabled and render the explain report: per-phase
-//	    verdicts ("why this pair won this phase"), the ns-exact request
-//	    latency decomposition per stage and per VM, and the scheduler
-//	    decision tallies at both queue levels — followed by the full
-//	    analysis report.
+//	    provenance enabled and render the run report with its explain
+//	    sections after the full report: per-phase verdicts ("why this
+//	    pair won this phase"), the ns-exact request latency decomposition
+//	    per stage and per VM, and the scheduler decision tallies at both
+//	    queue levels.
 //
 //	adaptreport gate [sim flags] [-baseline BENCH_baseline.json] [-tol 0.05]
 //	                 [-candidate BENCH_candidate.json] [-html report.html] [-update]
@@ -64,6 +64,7 @@ import (
 
 	"adaptmr"
 	"adaptmr/internal/cliutil"
+	"adaptmr/internal/workloads"
 )
 
 // logger is the process-wide diagnostic logger; each subcommand rebinds it
@@ -151,16 +152,9 @@ func (sf *simFlags) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pa
 		cfg.HostDiskSlowdown = map[int]float64{0: *sf.slowdown}
 	}
 
-	var wl adaptmr.Workload
-	switch *sf.bench {
-	case "sort":
-		wl = adaptmr.SortBenchmark(*sf.inputMB << 20)
-	case "wordcount":
-		wl = adaptmr.WordCountBenchmark(*sf.inputMB << 20)
-	case "wordcount-nc", "wordcount-no-combiner":
-		wl = adaptmr.WordCountNoCombinerBenchmark(*sf.inputMB << 20)
-	default:
-		return cfg, wl, adaptmr.Pair{}, fmt.Errorf("unknown benchmark %q", *sf.bench)
+	wl, err := workloads.ByName(*sf.bench, *sf.inputMB<<20)
+	if err != nil {
+		return cfg, wl, adaptmr.Pair{}, err
 	}
 	pair, err := adaptmr.ParsePair(*sf.pairArg)
 	if err != nil {
@@ -231,7 +225,7 @@ func cmdRun(args []string) {
 }
 
 // cmdExplain runs one instrumented job with journey and decision
-// provenance enabled and renders the explain report.
+// provenance enabled and renders the report with its explain sections.
 func cmdExplain(args []string) {
 	fs := flag.NewFlagSet("adaptreport explain", flag.ExitOnError)
 	sf := bindSimFlags(fs)
@@ -262,10 +256,7 @@ func cmdExplain(args []string) {
 
 // writeReport renders rep as md, html or json to path, or to stdout
 // when path is empty.
-func writeReport(rep interface {
-	WriteMarkdown(io.Writer) error
-	WriteHTML(io.Writer) error
-}, format, path string) error {
+func writeReport(rep *adaptmr.Report, format, path string) error {
 	var render func(io.Writer) error
 	switch format {
 	case "md", "markdown":

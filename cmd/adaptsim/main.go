@@ -42,6 +42,7 @@ import (
 	"adaptmr"
 	"adaptmr/internal/cliutil"
 	"adaptmr/internal/sim"
+	"adaptmr/internal/workloads"
 )
 
 // logger carries diagnostics to stderr (configured by -log); results
@@ -116,16 +117,9 @@ func main() {
 		opts = append(opts, adaptmr.WithInvariantChecks())
 	}
 
-	var wl adaptmr.Workload
-	switch *bench {
-	case "sort":
-		wl = adaptmr.SortBenchmark(*inputMB << 20)
-	case "wordcount":
-		wl = adaptmr.WordCountBenchmark(*inputMB << 20)
-	case "wordcount-nc", "wordcount-no-combiner":
-		wl = adaptmr.WordCountNoCombinerBenchmark(*inputMB << 20)
-	default:
-		fail(fmt.Errorf("unknown benchmark %q", *bench))
+	wl, err := workloads.ByName(*bench, *inputMB<<20)
+	if err != nil {
+		fail(err)
 	}
 
 	scheme := adaptmr.TwoPhases

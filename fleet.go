@@ -63,9 +63,9 @@ func ParseFleetScenario(data []byte) (FleetScenario, error) { return fleet.Parse
 func SmokeFleetScenario() FleetScenario { return fleet.SmokeScenario() }
 
 // RunFleet executes a fleet scenario: per-cell JobTracker admission and
-// slot scheduling over concurrent jobs, with cells simulated in parallel
-// (WithParallelism; <= 1 runs serially) under a conservative time-window
-// barrier. Output — results, traces, metrics, journeys, decisions — is
+// slot scheduling over concurrent jobs, with each cell run to completion
+// on its own and cells simulated in parallel (WithParallelism; <= 1 runs
+// serially). Output — results, traces, metrics, journeys, decisions — is
 // byte-identical at every parallelism setting. WithInvariantChecks
 // attaches the runtime correctness harness to every block queue of every
 // cell; WithPerfStats fills FleetResult.WallS/EventsPerSec.

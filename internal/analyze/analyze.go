@@ -62,11 +62,18 @@ type Options struct {
 	// bench summary (schema v2 perf dimensions). Leave nil for
 	// byte-deterministic reports: wall-clock values differ across runs.
 	Perf *perfstat.Stat
+
+	// Journeys and Decisions, when non-nil, are the run's journey and
+	// decision logs; each adds its explain section to the report.
+	Journeys  *obs.JourneyLog
+	Decisions *obs.DecisionLog
 }
 
-// Report is the full analysis artefact. It marshals to deterministic JSON
-// (encoding/json sorts map keys) and renders to Markdown or self-contained
-// HTML.
+// Report is the full analysis artefact of one run. An explain run adds
+// the request-journey and scheduler-decision sections, which answer "why
+// did this pair win this phase". It marshals to deterministic JSON
+// (encoding/json sorts map keys) and renders to Markdown or one
+// self-contained HTML page.
 type Report struct {
 	Schema string  `json:"schema"`
 	Bench  Bench   `json:"bench"`
@@ -81,6 +88,9 @@ type Report struct {
 	Latency map[string]LatencyQuantiles `json:"latency"`
 
 	Timeseries *Timeseries `json:"timeseries,omitempty"`
+
+	Journeys  *JourneyAnalysis  `json:"journeys,omitempty"`
+	Decisions *DecisionAnalysis `json:"decisions,omitempty"`
 }
 
 // JobInfo summarises the analyzed job.
@@ -120,7 +130,8 @@ type Totals struct {
 
 // Build analyzes one traced run. tr must contain exactly one job; snap may
 // be nil (totals and latency tables are then empty); smp may be nil (no
-// timeseries section).
+// timeseries section). The trace is parsed once, and the explain sections
+// are filled only for the logs opts carries.
 func Build(tr *obs.Tracer, snap *obs.Snapshot, smp *Sampler, opts Options) (*Report, error) {
 	m, err := parseModel(tr, opts.PIDBase)
 	if err != nil {
@@ -162,25 +173,35 @@ func Build(tr *obs.Tracer, snap *obs.Snapshot, smp *Sampler, opts Options) (*Rep
 		ts := smp.Finalize(m.start, m.end, points)
 		rep.Timeseries = &ts
 	}
+	if opts.Journeys != nil {
+		rep.Journeys = journeyAnalysis(m, opts.Journeys)
+	}
+	if opts.Decisions != nil {
+		rep.Decisions = decisionAnalysis(m, tr, opts.Decisions)
+	}
 	rep.Bench = benchFrom(rep, opts)
 	return rep, nil
 }
 
 const reportSchema = "adaptmr-report/v1"
 
+// totalsFrom reads the whole-run totals out of a metrics snapshot. Merges
+// and switches come from the decision recorders' sched.<level>.<kind>
+// counters, the only place they are counted.
 func totalsFrom(s *obs.Snapshot) Totals {
 	const mb = 1 << 20
+	sched := func(level, kind string) int64 { return s.Counters["sched."+level+"."+kind] }
 	return Totals{
 		SimEvents:     s.Counters["sim.events"],
 		VMRequests:    s.Counters["io.vm.requests"],
 		VMMB:          float64(s.Counters["io.vm.bytes"]) / mb,
 		Dom0Requests:  s.Counters["io.dom0.requests"],
 		Dom0MB:        float64(s.Counters["io.dom0.bytes"]) / mb,
-		MergedVM:      s.Counters["io.vm.merged"],
-		MergedDom0:    s.Counters["io.dom0.merged"],
+		MergedVM:      sched("vm", "merge.front") + sched("vm", "merge.back"),
+		MergedDom0:    sched("dom0", "merge.front") + sched("dom0", "merge.back"),
 		NetFlows:      s.Counters["net.flows"],
 		NetMB:         float64(s.Counters["net.bytes"]) / mb,
-		Switches:      s.Counters["switch.count"],
+		Switches:      sched("vm", "switch.end") + sched("dom0", "switch.end"),
 		SwitchStallS:  s.Gauges["switch.stall_ms"] / 1000,
 		SwitchBacklog: s.Counters["switch.backlog"],
 		PeakDepthVM:   s.Gauges["io.vm.peak_depth"],

@@ -6,21 +6,6 @@ import (
 	"adaptmr/internal/obs"
 )
 
-// ExplainReport is the "why" artefact of one instrumented run: the full
-// analysis Report plus the request-journey latency decompositions and the
-// scheduler decision provenance, bucketed per phase — everything needed to
-// answer "why did this pair win this phase". It marshals to deterministic
-// JSON and renders via WriteMarkdown / WriteHTML.
-type ExplainReport struct {
-	Schema string  `json:"schema"`
-	Report *Report `json:"report"`
-
-	Journeys  *JourneyAnalysis  `json:"journeys,omitempty"`
-	Decisions *DecisionAnalysis `json:"decisions,omitempty"`
-}
-
-const explainSchema = "adaptmr-explain/v1"
-
 // JourneyAnalysis aggregates the run's per-request latency decompositions.
 // Stage nanoseconds are exact integers: within every scope (run, phase,
 // VM) the stage values sum exactly to the scope's TotalNS.
@@ -85,31 +70,6 @@ type PhaseDecisions struct {
 	Dom0 map[string]int64 `json:"dom0,omitempty"`
 }
 
-// BuildExplain analyzes one instrumented run into an ExplainReport. It
-// runs the full Build analysis, then buckets the journey log and the
-// trace's decision instants into the job's phase windows. journeys and
-// decisions may be nil (the corresponding section is omitted); tr must
-// contain exactly one job, as for Build.
-func BuildExplain(tr *obs.Tracer, snap *obs.Snapshot, smp *Sampler,
-	journeys *obs.JourneyLog, decisions *obs.DecisionLog, opts Options) (*ExplainReport, error) {
-	rep, err := Build(tr, snap, smp, opts)
-	if err != nil {
-		return nil, err
-	}
-	m, err := parseModel(tr, opts.PIDBase)
-	if err != nil {
-		return nil, err
-	}
-	out := &ExplainReport{Schema: explainSchema, Report: rep}
-	if journeys != nil {
-		out.Journeys = journeyAnalysis(m, journeys)
-	}
-	if decisions != nil || tr != nil {
-		out.Decisions = decisionAnalysis(m, tr, opts.PIDBase, decisions)
-	}
-	return out, nil
-}
-
 func journeyAnalysis(m *model, log *obs.JourneyLog) *JourneyAnalysis {
 	ja := &JourneyAnalysis{Summary: log.Summary(), AllExact: true}
 	type vmKey struct{ host, vm int }
@@ -121,25 +81,17 @@ func journeyAnalysis(m *model, log *obs.JourneyLog) *JourneyAnalysis {
 	// A transient registry holds the per-phase latency histograms used for
 	// quantile interpolation (same bucket layout as the live io.* metrics).
 	reg := obs.NewRegistry()
-	accs := make([]*phaseAcc, 0, 3)
-	for pi, w := range m.phases {
-		if w.dur() <= 0 {
-			continue
-		}
-		accs = append(accs, &phaseAcc{
+	phases, windows := activePhases(m)
+	accs := make([]*phaseAcc, len(phases))
+	for i, name := range phases {
+		accs[i] = &phaseAcc{
 			pj: PhaseJourneys{
-				Name:     phaseNames[pi],
+				Name:     name,
 				StageNS:  zeroStageMap(),
 				StagePct: make(map[string]float64, obs.NumStages),
 			},
-			hist: reg.Histogram("explain."+phaseNames[pi], obs.LatencyEdgesMs()),
+			hist: reg.Histogram("explain."+name, obs.LatencyEdgesMs()),
 			vms:  make(map[vmKey]*VMJourneys),
-		})
-	}
-	windows := make([]window, 0, 3)
-	for _, w := range m.phases {
-		if w.dur() > 0 {
-			windows = append(windows, w)
 		}
 	}
 	names := obs.StageNames()
@@ -224,22 +176,15 @@ func zeroStageMap() map[string]int64 {
 	return m
 }
 
-func decisionAnalysis(m *model, tr *obs.Tracer, pidBase int64, log *obs.DecisionLog) *DecisionAnalysis {
+func decisionAnalysis(m *model, tr *obs.Tracer, log *obs.DecisionLog) *DecisionAnalysis {
 	da := &DecisionAnalysis{Summary: log.Summary()}
 	if tr == nil {
 		return da
 	}
-	type phaseAcc struct {
-		pd PhaseDecisions
-	}
-	var accs []*phaseAcc
-	var windows []window
-	for pi, w := range m.phases {
-		if w.dur() <= 0 {
-			continue
-		}
-		accs = append(accs, &phaseAcc{pd: PhaseDecisions{Name: phaseNames[pi]}})
-		windows = append(windows, w)
+	phases, windows := activePhases(m)
+	da.Phases = make([]PhaseDecisions, len(phases))
+	for i, name := range phases {
+		da.Phases[i].Name = name
 	}
 	tr.VisitEvents(func(ev obs.Event) {
 		if ev.Kind != obs.KindInstant || ev.Cat != "decision" {
@@ -249,23 +194,30 @@ func decisionAnalysis(m *model, tr *obs.Tracer, pidBase int64, log *obs.Decision
 			if !inWindow(ev.Start, w) {
 				continue
 			}
-			pd := &accs[i].pd
+			tally := &da.Phases[i].VM
 			if ev.TID == obs.TIDDom0 {
-				if pd.Dom0 == nil {
-					pd.Dom0 = make(map[string]int64)
-				}
-				pd.Dom0[ev.Name]++
-			} else {
-				if pd.VM == nil {
-					pd.VM = make(map[string]int64)
-				}
-				pd.VM[ev.Name]++
+				tally = &da.Phases[i].Dom0
 			}
+			if *tally == nil {
+				*tally = make(map[string]int64)
+			}
+			(*tally)[ev.Name]++
 			break
 		}
 	})
-	for _, acc := range accs {
-		da.Phases = append(da.Phases, acc.pd)
-	}
 	return da
+}
+
+// activePhases returns the names and windows of the job's phases that
+// have a duration.
+func activePhases(m *model) ([]string, []window) {
+	var names []string
+	var windows []window
+	for pi, w := range m.phases {
+		if w.dur() > 0 {
+			names = append(names, phaseNames[pi])
+			windows = append(windows, w)
+		}
+	}
+	return names, windows
 }

@@ -3,7 +3,7 @@ package analyze
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 
 	"adaptmr/internal/fleet"
 )
@@ -41,60 +41,51 @@ func BenchFromFleet(res *fleet.Result) Bench {
 // scenario header, aggregate table, per-class mix, and the per-job
 // outcome table in (cell, admission) order.
 func WriteFleetMarkdown(w io.Writer, res *fleet.Result) error {
-	ew := &errWriter{w: w}
-
-	ew.printf("# Fleet report: %s\n\n", res.Scenario)
-	ew.printf("%d cells × %d hosts (%d VMs total), pair `%s`, policy `%s`, seed %d, input %d MB\n\n",
+	d := &document{title: "Fleet report: " + res.Scenario}
+	d.para("%d cells × %d hosts (%d VMs total), pair `%s`, policy `%s`, seed %d, input %d MB",
 		res.Cells, res.Hosts, res.VMs, res.Pair, res.Policy, res.Seed, res.InputMB)
 
 	a := res.Agg
-	ew.printf("## Aggregate\n\n")
-	ew.printf("| metric | value |\n|---|---|\n")
-	ew.printf("| jobs completed | %d |\n", a.Jobs)
-	ew.printf("| makespan | %.1f s |\n", a.MakespanS)
-	ew.printf("| throughput | %.1f jobs/hour |\n", a.ThroughputJobsPerHour)
-	ew.printf("| job duration mean / p50 / p95 | %.1f / %.1f / %.1f s |\n",
-		a.MeanDurationS, a.P50DurationS, a.P95DurationS)
-	ew.printf("| admission wait mean / max | %.1f / %.1f s |\n", a.MeanWaitS, a.MaxWaitS)
-	ew.printf("| peak concurrency (per cell) | %d |\n", a.PeakConcurrency)
-	ew.printf("| mean phase overlap | %.1f %% |\n", a.MeanOverlapPct)
-	ew.printf("| sim events | %d |\n", res.SimEvents)
+	d.h2("Aggregate")
+	t := d.table("%s %s", "metric", "value")
+	t.row("jobs completed", strconv.Itoa(a.Jobs))
+	t.row("makespan", fmt.Sprintf("%.1f s", a.MakespanS))
+	t.row("throughput", fmt.Sprintf("%.1f jobs/hour", a.ThroughputJobsPerHour))
+	t.row("job duration mean / p50 / p95", fmt.Sprintf("%.1f / %.1f / %.1f s",
+		a.MeanDurationS, a.P50DurationS, a.P95DurationS))
+	t.row("admission wait mean / max", fmt.Sprintf("%.1f / %.1f s", a.MeanWaitS, a.MaxWaitS))
+	t.row("peak concurrency (per cell)", strconv.Itoa(a.PeakConcurrency))
+	t.row("mean phase overlap", fmt.Sprintf("%.1f %%", a.MeanOverlapPct))
+	t.row("sim events", strconv.FormatInt(res.SimEvents, 10))
 	if res.WallS > 0 {
-		ew.printf("| wall clock | %.2f s (%.0f events/s) |\n", res.WallS, res.EventsPerSec)
+		t.row("wall clock", fmt.Sprintf("%.2f s (%.0f events/s)", res.WallS, res.EventsPerSec))
 	}
-	ew.printf("\n")
 
 	if len(a.ByClass) > 0 {
-		ew.printf("## Disk-operation class mix\n\n")
-		ew.printf("| class | jobs |\n|---|---|\n")
-		classes := make([]string, 0, len(a.ByClass))
-		for c := range a.ByClass {
-			classes = append(classes, c)
+		d.h2("Disk-operation class mix")
+		t = d.table("%s %d", "class", "jobs")
+		for _, c := range sortedKeys(a.ByClass) {
+			t.row(c, a.ByClass[c])
 		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			ew.printf("| %s | %d |\n", c, a.ByClass[c])
-		}
-		ew.printf("\ntotal phase time: map %.1f s, shuffle %.1f s, reduce %.1f s\n\n",
+		d.para("total phase time: map %.1f s, shuffle %.1f s, reduce %.1f s",
 			a.PhaseS["map"], a.PhaseS["shuffle"], a.PhaseS["reduce"])
 	}
 
-	ew.printf("## Jobs\n\n")
-	ew.printf("| job | bench | class | cell | queue | arrive | wait | duration | map/shuffle/reduce (s) | overlap |\n")
-	ew.printf("|---|---|---|---|---|---|---|---|---|---|\n")
+	d.h2("Jobs")
+	t = d.table("%s %s %s %d %s %.1fs %.1fs %.1fs %s %.0f%%",
+		"job", "bench", "class", "cell", "queue", "arrive", "wait", "duration",
+		"map/shuffle/reduce (s)", "overlap")
 	for _, j := range res.Jobs {
 		queue := j.Queue
 		if queue == "" {
 			queue = "-"
 		}
-		ew.printf("| %s | %s | %s | %d | %s | %.1fs | %.1fs | %.1fs | %.1f/%.1f/%.1f | %.0f%% |\n",
-			j.ID, j.Benchmark, j.Class, j.Cell, queue,
+		t.row(j.ID, j.Benchmark, j.Class, j.Cell, queue,
 			float64(j.ArriveMS)/1000, float64(j.WaitMS)/1000, float64(j.DurationMS)/1000,
-			j.MapS, j.ShuffleS, j.ReduceS, j.OverlapPct)
+			fmt.Sprintf("%.1f/%.1f/%.1f", j.MapS, j.ShuffleS, j.ReduceS), j.OverlapPct)
 	}
-	ew.printf("\n")
-	if ew.err != nil {
-		return fmt.Errorf("analyze: fleet report: %w", ew.err)
+	if err := writeMarkdown(w, d); err != nil {
+		return fmt.Errorf("analyze: fleet report: %w", err)
 	}
 	return nil
 }

@@ -3,89 +3,9 @@ package analyze
 import (
 	"fmt"
 	"html"
-	"io"
 	"sort"
 	"strings"
 )
-
-// WriteHTML renders the report as a single self-contained HTML page with
-// inline SVG charts (no external assets, no scripts), deterministic byte
-// for byte for a fixed seed: phase timeline, per-segment blame stacked
-// bars, and queue-depth / throughput / disk-busy timeseries.
-func (r *Report) WriteHTML(w io.Writer) error {
-	hw := &errWriter{w: w}
-	hw.printf("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n")
-	hw.printf("<title>adaptmr report — %s</title>\n", html.EscapeString(r.Job.Name))
-	hw.printf("<style>%s</style>\n</head>\n<body>\n", reportCSS)
-
-	hw.printf("<h1>adaptmr run report</h1>\n")
-	hw.printf("<p>Job <b>%s</b> — makespan <b>%.3f&thinsp;s</b> (%d maps, %d reduces)<br>\n",
-		html.EscapeString(r.Job.Name), r.Job.MakespanS, r.Job.Maps, r.Job.Reduces)
-	hw.printf("Config: workload=%s hosts=%d vms=%d input=%d&thinsp;MB seed=%d pair=%s</p>\n",
-		html.EscapeString(r.Bench.Workload), r.Bench.Hosts, r.Bench.VMs,
-		r.Bench.InputMB, r.Bench.Seed, html.EscapeString(r.Bench.Pair))
-
-	// --- Phase timeline -------------------------------------------------
-	hw.printf("<h2>Phase timeline</h2>\n")
-	writePhaseTimeline(hw, r)
-
-	// --- Critical path --------------------------------------------------
-	hw.printf("<h2>Critical path</h2>\n")
-	hw.printf("<p>Coverage: %.1f%% of makespan</p>\n", r.Critical.CoverageFrac*100)
-	writeBlameBars(hw, r)
-	hw.printf("<table>\n<tr><th>phase</th><th>critical task</th><th>host</th><th>vm</th><th>dur (s)</th>")
-	for _, layer := range Layers() {
-		hw.printf("<th>%s (s)</th>", layer)
-	}
-	hw.printf("</tr>\n")
-	for _, seg := range r.Critical.Segments {
-		hw.printf("<tr><td>%s</td><td>%s</td><td>%d</td><td>%d</td><td>%.3f</td>",
-			seg.Phase, html.EscapeString(seg.Task), seg.Host, seg.VM, seg.DurationS)
-		for _, layer := range Layers() {
-			hw.printf("<td>%.3f</td>", seg.BlameS[layer])
-		}
-		hw.printf("</tr>\n")
-	}
-	hw.printf("</table>\n")
-
-	// --- Phase breakdown ------------------------------------------------
-	hw.printf("<h2>Phase breakdown</h2>\n")
-	hw.printf("<table>\n<tr><th>phase</th><th>level</th><th>reqs</th><th>read MB</th><th>written MB</th><th>avg wait ms</th><th>p50 ms</th><th>p95 ms</th><th>p99 ms</th></tr>\n")
-	for _, p := range r.Phases {
-		for _, level := range sortedLevelKeys(p.IO) {
-			lio := p.IO[level]
-			hw.printf("<tr><td>%s</td><td>%s</td><td>%d</td><td>%.2f</td><td>%.2f</td><td>%.3f</td><td>%.3f</td><td>%.3f</td><td>%.3f</td></tr>\n",
-				p.Name, level, lio.Requests, lio.ReadMB, lio.WrittenMB,
-				lio.AvgWaitMs, lio.P50Ms, lio.P95Ms, lio.P99Ms)
-		}
-	}
-	hw.printf("</table>\n")
-	hw.printf("<table>\n<tr><th>phase</th><th>disk reqs</th><th>busy %%</th><th>avg seek</th><th>switches</th><th>stall s</th><th>backlog</th><th>net MB</th></tr>\n")
-	for _, p := range r.Phases {
-		hw.printf("<tr><td>%s</td><td>%d</td><td>%.1f</td><td>%.0f</td><td>%d</td><td>%.4f</td><td>%d</td><td>%.2f</td></tr>\n",
-			p.Name, p.Disk.Requests, p.Disk.BusyFrac*100, p.Disk.SeekAvgSectors,
-			p.Switches.Count, p.Switches.StallS, p.Switches.Backlog, p.NetMB)
-	}
-	hw.printf("</table>\n")
-
-	// --- Timeseries -----------------------------------------------------
-	if ts := r.Timeseries; ts != nil && ts.Samples > 1 {
-		hw.printf("<h2>Timeseries</h2>\n")
-		writeDepthChart(hw, ts, "Queue depth (waiting)", ts.Depth)
-		writeDepthChart(hw, ts, "Outstanding requests", ts.Outstanding)
-		writeLineChart(hw, ts, "Throughput (MB/s)", ts.ThroughputMBps)
-		writeLineChart(hw, ts, "Disk busy fraction", map[string][]float64{"disk": ts.DiskBusyFrac})
-	}
-
-	hw.printf("</body>\n</html>\n")
-	return hw.err
-}
-
-const reportCSS = `body{font-family:sans-serif;margin:2em auto;max-width:64em;color:#222}` +
-	`table{border-collapse:collapse;margin:1em 0}` +
-	`th,td{border:1px solid #bbb;padding:0.25em 0.6em;text-align:right}` +
-	`th{background:#eee}td:first-child,th:first-child{text-align:left}` +
-	`svg{display:block;margin:0.5em 0}.legend{font-size:0.85em;color:#555}`
 
 // layerColors maps blame layers / series names to fixed SVG colours.
 var layerColors = map[string]string{

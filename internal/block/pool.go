@@ -50,9 +50,6 @@ func NewPool(checked bool, report func(format string, args ...any)) *Pool {
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() PoolStats { return p.stats }
 
-// Checked reports whether the pool runs in detect-only mode.
-func (p *Pool) Checked() bool { return p.checked }
-
 // Get returns a fresh request covering count sectors starting at sector,
 // reusing freed memory when possible. Like NewRequest, it panics on a
 // non-positive count or a negative sector. The request is owned by the

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"adaptmr/internal/check"
@@ -99,6 +101,20 @@ func TestSerialShardedByteIdentity(t *testing.T) {
 		if got := fingerprint(t, s, par); !bytes.Equal(serial, got) {
 			t.Fatalf("parallelism %d output differs from serial fallback (%d vs %d bytes)",
 				par, len(got), len(serial))
+		}
+	}
+}
+
+// TestRunFleetHonoursCancel pins the context path: a cancelled context
+// fails the run with an error wrapping context.Canceled, serially and on
+// parallel workers.
+func TestRunFleetHonoursCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, par := range []int{1, 4} {
+		_, err := Run(tinyScenario(), Options{Parallelism: par, Context: ctx})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("parallelism %d: err = %v, want one wrapping context.Canceled", par, err)
 		}
 	}
 }
@@ -280,6 +296,10 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","jobs":[],"max_cnocurrent":3}`)); err == nil {
 		t.Fatal("Parse accepted a misspelled field")
 	}
+	// window_ms is not a scenario field.
+	if _, err := Parse([]byte(`{"name":"x","jobs":[],"window_ms":1000}`)); err == nil {
+		t.Fatal("Parse accepted the removed window_ms field")
+	}
 }
 
 func TestCapacityPolicyEndToEnd(t *testing.T) {
@@ -314,7 +334,7 @@ func TestCapacityPolicyEndToEnd(t *testing.T) {
 // burst (every job arriving at t=0) forces the cell through repeated
 // finish→admit→dispatch cycles, so any bug in grant-budget
 // replenishment on job release would strand a queued job and trip the
-// runWindows stall detector. The assertions pin the queueing actually
+// cell's stall detector. The assertions pin the queueing actually
 // happened (admissions serialised behind the cap) and that every job
 // still completed with a consistent lifecycle, under the invariant
 // harness.

@@ -9,6 +9,7 @@ import (
 
 	"adaptmr/internal/check"
 	"adaptmr/internal/cluster"
+	"adaptmr/internal/core"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/obs"
 	"adaptmr/internal/sim"
@@ -36,12 +37,12 @@ type Options struct {
 	// byte-identity comparisons.
 	Perf bool
 
-	// Context, when non-nil, is polled at every barrier round so a long
-	// fleet run can be abandoned.
+	// Context, when non-nil, is checked every few thousand events of
+	// every cell so a long fleet run can be abandoned.
 	Context context.Context
 
 	// OnCell, when non-nil, is called once per cell after its cluster and
-	// job tracker are built but before any window runs. Cells are
+	// job tracker are built but before any cell runs. Cells are
 	// constructed serially, so the hook needs no locking; anything it
 	// attaches (samplers, online controllers) runs inside that cell's
 	// engine thereafter and must not be shared across cells.
@@ -60,18 +61,19 @@ type cellState struct {
 	metrics   *obs.Registry
 	journeys  *obs.JourneyLog
 	decisions *obs.DecisionLog
-
-	done bool
 }
 
-// advance runs the cell's engine to the barrier deadline, then drains it
-// once every job has finished.
-func (st *cellState) advance(deadline sim.Time) {
-	st.cl.Eng.RunUntil(deadline)
-	if st.jt.allDone() {
-		st.cl.Eng.Run()
-		st.done = true
+// run drives the cell's engine until its calendar drains. A cell that
+// drains with jobs unfinished has deadlocked.
+func (st *cellState) run(ctx context.Context) error {
+	if err := core.RunEngine(ctx, st.cl.Eng); err != nil {
+		return fmt.Errorf("fleet: run abandoned: %w", err)
 	}
+	if !st.jt.allDone() {
+		return fmt.Errorf("fleet: cell %d stalled with %d/%d jobs finished (model deadlock)",
+			st.idx, len(st.jt.finished), st.jt.total)
+	}
+	return nil
 }
 
 // Run executes the scenario to completion and returns the fleet result.
@@ -140,8 +142,7 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	if opt.Perf {
 		wallStart = time.Now()
 	}
-	window := sim.Duration(s.WindowMS) * sim.Millisecond
-	if err := runWindows(cells, window, opt); err != nil {
+	if err := runCells(cells, opt); err != nil {
 		return nil, err
 	}
 	var wallS float64
@@ -171,67 +172,46 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// runWindows drives every cell to completion in conservative time-window
-// rounds: all cells reach barrier k·window before any proceeds to round
-// k+1. Cells are event-independent, so the window size changes only
-// synchronisation granularity, never simulated output.
-func runWindows(cells []*cellState, window sim.Duration, opt Options) error {
+// runCells runs every cell to completion on up to Parallelism workers.
+// Cells exchange no events, so each runs start to finish on its own, and
+// the first error in cell order is reported.
+func runCells(cells []*cellState, opt Options) error {
 	par := opt.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	deadline := cells[0].epoch // identical across cells (same boot sequence)
-	for {
-		remaining := 0
+	if par > len(cells) {
+		par = len(cells)
+	}
+	if par <= 1 {
 		for _, st := range cells {
-			if !st.done {
-				remaining++
+			if err := st.run(opt.Context); err != nil {
+				return err
 			}
 		}
-		if remaining == 0 {
-			return nil
-		}
-		if ctx := opt.Context; ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("fleet: run abandoned: %w", err)
+		return nil
+	}
+	errs := make([]error, len(cells))
+	work := make(chan int, len(cells))
+	for i := range cells {
+		work <- i
+	}
+	close(work)
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				errs[i] = cells[i].run(opt.Context)
 			}
-		}
-		deadline = deadline.Add(window)
-		if par <= 1 || remaining == 1 {
-			for _, st := range cells {
-				if !st.done {
-					st.advance(deadline)
-				}
-			}
-		} else {
-			work := make(chan *cellState, remaining)
-			workers := par
-			if workers > remaining {
-				workers = remaining
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for st := range work {
-						st.advance(deadline)
-					}
-				}()
-			}
-			for _, st := range cells {
-				if !st.done {
-					work <- st
-				}
-			}
-			close(work)
-			wg.Wait()
-		}
-		for _, st := range cells {
-			if !st.done && st.cl.Eng.Pending() == 0 {
-				return fmt.Errorf("fleet: cell %d stalled with %d/%d jobs finished (model deadlock)",
-					st.idx, len(st.jt.finished), st.jt.total)
-			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
+	return nil
 }

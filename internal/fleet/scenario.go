@@ -8,10 +8,10 @@
 //
 // The fleet is partitioned into independent cells (shards): each cell is
 // a full cluster.Cluster with its own event engine, network and HDFS,
-// so cells carry no cross-shard events and can be simulated on parallel
-// goroutines under a conservative time-window barrier. A serial fallback
-// runs the identical windowed loop on one goroutine; traces, metrics and
-// results are byte-identical between the two at every parallelism.
+// so cells carry no cross-shard events: each cell runs to completion on
+// its own, on up to Parallelism goroutines. Observation folds in cell
+// order, so traces, metrics and results are byte-identical at every
+// parallelism.
 package fleet
 
 import (
@@ -115,11 +115,6 @@ type Scenario struct {
 	MapSlotsPerVM    int `json:"map_slots_per_vm,omitempty"`
 	ReduceSlotsPerVM int `json:"reduce_slots_per_vm,omitempty"`
 
-	// WindowMS is the conservative barrier window of the sharded run
-	// (default 1000 ms of simulated time). Cells exchange no events, so
-	// the window affects only synchronisation granularity, never results.
-	WindowMS int64 `json:"window_ms,omitempty"`
-
 	Arrivals ArrivalSpec `json:"arrivals"`
 	Queues   []QueueSpec `json:"queues,omitempty"`
 	Jobs     []JobSpec   `json:"jobs"`
@@ -167,9 +162,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.ReduceSlotsPerVM == 0 {
 		s.ReduceSlotsPerVM = 2
 	}
-	if s.WindowMS == 0 {
-		s.WindowMS = 1000
-	}
 	if s.Arrivals.Kind == "" {
 		s.Arrivals.Kind = "immediate"
 	}
@@ -203,8 +195,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("fleet: per-VM slot capacities must be >= 1, got map=%d reduce=%d", s.MapSlotsPerVM, s.ReduceSlotsPerVM)
 	case s.MaxConcurrentPerCell < 0:
 		return fmt.Errorf("fleet: MaxConcurrentPerCell must be >= 0, got %d", s.MaxConcurrentPerCell)
-	case s.WindowMS < 1:
-		return fmt.Errorf("fleet: WindowMS must be >= 1, got %d", s.WindowMS)
 	case len(s.Jobs) == 0:
 		return fmt.Errorf("fleet: scenario has no jobs")
 	}

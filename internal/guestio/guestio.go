@@ -184,13 +184,6 @@ func (fs *FS) NewStream() block.StreamID {
 // DirtyBytes returns the current amount of unwritten page-cache data.
 func (fs *FS) DirtyBytes() int64 { return fs.cache.dirty }
 
-// WritebackInFlight returns the number of outstanding writeback requests
-// (diagnostics).
-func (fs *FS) WritebackInFlight() int { return fs.cache.inFlight }
-
-// DirtyFileCount returns how many files have unflushed data (diagnostics).
-func (fs *FS) DirtyFileCount() int { return len(fs.cache.dirtyFiles) }
-
 // extent maps a contiguous file range to disk sectors.
 type extent struct {
 	fileOff int64 // sectors
@@ -242,9 +235,6 @@ func (f *File) Preallocate(bytes int64) {
 
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size * block.SectorSize }
-
-// SizeSectors returns the file length in sectors.
-func (f *File) SizeSectors() int64 { return f.size }
 
 func (f *File) String() string { return fmt.Sprintf("file(%s, %d KiB)", f.label, f.Size()/1024) }
 

@@ -121,7 +121,6 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 			s.anticipating = false
 			s.misses[s.anticStream]++
 			s.stats.Timeouts++
-			s.p.Counters.AnticTimeout()
 			s.p.Decisions.RecordStream(now, obs.DecAnticTimeout, int64(s.anticStream))
 		}
 		return nil, 0
@@ -133,7 +132,6 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 			s.anticipating = false
 			s.misses[s.anticStream]++
 			s.stats.Timeouts++
-			s.p.Counters.AnticTimeout()
 			s.p.Decisions.RecordStream(now, obs.DecAnticTimeout, int64(s.anticStream))
 		} else {
 			// Serve the anticipated stream's reads ahead of everything —
@@ -144,7 +142,6 @@ func (s *AnticipatorySched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 				s.anticipating = false
 				s.misses[s.anticStream] = 0
 				s.stats.Hits++
-				s.p.Counters.AnticHit()
 				s.p.Decisions.RecordStream(now, obs.DecAnticHit, int64(s.anticStream))
 				if !s.inBatch || s.batchOp != block.Read {
 					s.inBatch = true
@@ -246,7 +243,6 @@ func (s *AnticipatorySched) Completed(r *block.Request, now sim.Time) {
 		return
 	}
 	s.stats.Armed++
-	s.p.Counters.AnticArmed()
 	s.p.Decisions.RecordStream(now, obs.DecAnticArm, int64(r.Stream))
 	s.anticipating = true
 	s.anticStream = r.Stream

@@ -147,7 +147,6 @@ func (s *CFQSched) Dispatch(now sim.Time) (*block.Request, sim.Time) {
 	}
 	s.active = q
 	s.idling = false
-	s.p.Counters.CFQSlice()
 	s.p.Decisions.RecordStream(now, obs.DecCFQSlice, int64(q.stream))
 	slice := s.p.SliceSync
 	if !q.sync {
@@ -293,7 +292,6 @@ func (s *CFQSched) Completed(r *block.Request, now sim.Time) {
 	}
 	if s.active.list.len() == 0 && s.p.SliceIdle > 0 && now < s.sliceEnd {
 		s.idling = true
-		s.p.Counters.CFQIdle()
 		s.p.Decisions.RecordStream(now, obs.DecCFQIdle, int64(s.active.stream))
 		s.idleUntil = now.Add(s.p.SliceIdle)
 		if s.idleUntil > s.sliceEnd {

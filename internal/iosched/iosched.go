@@ -98,17 +98,12 @@ type Params struct {
 	FifoExpireSync  sim.Duration
 	FifoExpireAsync sim.Duration
 
-	// Counters, when non-nil, receives scheduler-internal decision counts
-	// (anticipation windows, CFQ slices/idles). Shared across elevator
-	// switches so a level's counts accumulate over the whole run; a nil
-	// value discards updates.
-	Counters *obs.SchedCounters
-
 	// Decisions, when non-nil, receives structured decision provenance
 	// (why a dispatch happened: batch continuation vs deadline expiry,
 	// anticipation outcomes, CFQ slice lifecycle). Shared across elevator
-	// switches like Counters; a nil recorder discards updates with no
-	// allocation (the disabled hot path is pinned at 0 allocs/op).
+	// switches so a level's tallies accumulate over the whole run; a nil
+	// recorder discards updates with no allocation (the disabled hot path
+	// is pinned at 0 allocs/op).
 	Decisions *obs.DecisionRecorder
 }
 

@@ -226,12 +226,6 @@ func (j *Job) MapBacklog(vm int) int { return len(j.tts[vm].mapQueue) }
 // ReduceBacklog returns the number of reduce tasks queued on VM vm.
 func (j *Job) ReduceBacklog(vm int) int { return len(j.tts[vm].reduceQueue) }
 
-// Started reports whether Start has been called.
-func (j *Job) Started() bool { return j.started }
-
-// StartedAt returns the simulation time Start was called (zero before).
-func (j *Job) StartedAt() sim.Time { return j.start }
-
 // NumMaps returns the number of map tasks.
 func (j *Job) NumMaps() int { return len(j.maps) }
 

@@ -58,9 +58,6 @@ var decisionNames = [numDecisionKinds]string{
 // instant's event name under cat "decision").
 func (k DecisionKind) String() string { return decisionNames[k] }
 
-// DecisionKinds returns every decision name in canonical order.
-func DecisionKinds() []string { return decisionNames[:] }
-
 // Queue levels a decision is attributed to.
 const (
 	levelVM   = 0
@@ -135,32 +132,42 @@ func (l *DecisionLog) Summary() *DecisionSummary {
 
 // DecisionRecorder is the decision-provenance hook handed to elevators
 // (via iosched.Params.Decisions) and queue-level instrumentation. It
-// tallies into a DecisionLog and, when a tracer is attached, emits an
-// instant event (cat "decision") on the recording thread.
+// tallies into a DecisionLog, increments the registry counter
+// sched.<level>.<kind> and, when a tracer is attached, emits an instant
+// event (cat "decision") on the recording thread. Every decision is
+// counted here and nowhere else.
 //
 // A nil *DecisionRecorder discards everything; all methods take scalar
 // arguments only, so the disabled hot path performs a nil check and
 // allocates nothing (pinned at 0 allocs/op in CI).
 type DecisionRecorder struct {
-	log   *DecisionLog
-	tr    *Tracer
-	pid   int64
-	tid   int64
-	level uint8
+	log      *DecisionLog
+	tr       *Tracer
+	counters [numDecisionKinds]*Counter // nil without a registry
+	pid      int64
+	tid      int64
+	level    uint8
 }
 
 // NewDecisionRecorder binds a recorder for one queue level ("vm" or
-// "dom0") at the given trace coordinates. Returns nil — the disabled
-// path — when the sink has neither a decision log nor a tracer.
+// "dom0") at the given trace coordinates. With a registry attached it
+// registers sched.<level>.<kind> for every kind, so recorders of one level
+// share counters. Returns nil — the disabled path — when the sink has no
+// decision log, tracer or registry.
 func NewDecisionRecorder(s Sink, pid, tid int64, level string) *DecisionRecorder {
-	if s.Decisions == nil && s.Trace == nil {
+	if s.Decisions == nil && s.Trace == nil && s.Metrics == nil {
 		return nil
 	}
-	lvl := uint8(levelVM)
+	d := &DecisionRecorder{log: s.Decisions, tr: s.Trace, pid: pid, tid: tid, level: levelVM}
 	if level == "dom0" {
-		lvl = levelDom0
+		d.level = levelDom0
 	}
-	return &DecisionRecorder{log: s.Decisions, tr: s.Trace, pid: pid, tid: tid, level: lvl}
+	if s.Metrics != nil {
+		for k, name := range decisionNames {
+			d.counters[k] = s.Metrics.Counter("sched." + level + "." + name)
+		}
+	}
+	return d
 }
 
 // Record tallies one decision and emits its trace instant.
@@ -168,9 +175,7 @@ func (d *DecisionRecorder) Record(at sim.Time, k DecisionKind) {
 	if d == nil {
 		return
 	}
-	if d.log != nil {
-		d.log.counts[d.level][k]++
-	}
+	d.count(k)
 	if d.tr != nil {
 		d.tr.Instant(d.pid, d.tid, "decision", decisionNames[k], at)
 	}
@@ -183,10 +188,15 @@ func (d *DecisionRecorder) RecordStream(at sim.Time, k DecisionKind, stream int6
 	if d == nil {
 		return
 	}
-	if d.log != nil {
-		d.log.counts[d.level][k]++
-	}
+	d.count(k)
 	if d.tr != nil {
 		d.tr.Instant(d.pid, d.tid, "decision", decisionNames[k], at, I("stream", stream))
 	}
+}
+
+func (d *DecisionRecorder) count(k DecisionKind) {
+	if d.log != nil {
+		d.log.counts[d.level][k]++
+	}
+	d.counters[k].Inc()
 }

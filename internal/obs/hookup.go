@@ -26,11 +26,9 @@ func (s Sink) InstrumentQueue(q *block.Queue, pid, tid int64, level string) {
 	tr := s.Trace
 	m := s.Metrics
 	var (
-		reqs    = m.Counter("io." + level + ".requests")
-		bytes   = m.Counter("io." + level + ".bytes")
-		mergedC = m.Counter("io." + level + ".merged")
-		lat     *Histogram
-		swCount = m.Counter("switch.count")
+		reqs  = m.Counter("io." + level + ".requests")
+		bytes = m.Counter("io." + level + ".bytes")
+		lat   *Histogram
 		// Stall accumulates across switches and runs, so it folds as a
 		// sum when per-evaluation snapshots are absorbed.
 		swStall   = m.GaugeWith("switch.stall_ms", MergeSum)
@@ -59,11 +57,10 @@ func (s Sink) InstrumentQueue(q *block.Queue, pid, tid int64, level string) {
 		q.OnMerge(func(parent, child *block.Request) { depth-- })
 	}
 	// Queue-level decision provenance: merges and switch drains. The
-	// recorder is nil when neither a decision log nor a tracer is
-	// attached, which keeps the disabled path allocation-free.
+	// recorder also holds the level's merge and switch counters
+	// (sched.<level>.merge.*, sched.<level>.switch.*).
 	rec := NewDecisionRecorder(s, pid, tid, level)
 	q.OnMerge(func(parent, child *block.Request) {
-		mergedC.Inc()
 		// FrontMerge moves the parent's first sector onto the child's, so
 		// equal sectors at hook time identify a front merge (a back merge
 		// can never leave them equal — it would need a zero-length child).
@@ -95,7 +92,6 @@ func (s Sink) InstrumentQueue(q *block.Queue, pid, tid int64, level string) {
 		}
 	})
 	q.OnSwitched(func(info block.SwitchInfo) {
-		swCount.Inc()
 		swStall.Add(info.Stall.Millis())
 		swBacklog.Add(int64(info.Backlog))
 		rec.Record(info.Start, DecSwitchBegin)

@@ -115,12 +115,6 @@ func TestNilInstruments(t *testing.T) {
 		t.Fatal("nil registry snapshot")
 	}
 	r.Absorb(&Snapshot{Counters: map[string]int64{"x": 1}}) // must not panic
-	var sc *SchedCounters
-	sc.AnticArmed()
-	sc.AnticHit()
-	sc.AnticTimeout()
-	sc.CFQSlice()
-	sc.CFQIdle()
 }
 
 // TestRegistryIdempotentLookup verifies lookup-or-create returns the same
@@ -241,30 +235,5 @@ func TestSnapshotExportDeterministic(t *testing.T) {
 	}
 	if strings.TrimSpace(nc.String()) != "kind,name,field,value" {
 		t.Fatalf("nil snapshot CSV: %q", nc.String())
-	}
-}
-
-func TestSchedCounters(t *testing.T) {
-	r := NewRegistry()
-	sc := NewSchedCounters(r, "sched.dom0")
-	sc.AnticArmed()
-	sc.AnticHit()
-	sc.AnticTimeout()
-	sc.CFQSlice()
-	sc.CFQSlice()
-	sc.CFQIdle()
-	for name, want := range map[string]int64{
-		"sched.dom0.antic_armed":    1,
-		"sched.dom0.antic_hits":     1,
-		"sched.dom0.antic_timeouts": 1,
-		"sched.dom0.cfq_slices":     2,
-		"sched.dom0.cfq_idles":      1,
-	} {
-		if got := r.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
-	}
-	if NewSchedCounters(nil, "x") != nil {
-		t.Fatal("SchedCounters over nil registry should be nil")
 	}
 }

@@ -82,68 +82,5 @@ func VMTID(vm int) int64 { return 10 + 2*int64(vm) }
 // VMTaskTID is the MapReduce task thread of host-local VM i.
 func VMTaskTID(vm int) int64 { return 11 + 2*int64(vm) }
 
-// SchedCounters aggregates elevator-internal decisions (anticipation
-// outcomes, CFQ slices and idles) across elevator instances — the counters
-// survive elevator switches because the same *SchedCounters is handed to
-// every elevator built for a level. A nil *SchedCounters discards all
-// updates, which is the disabled fast path inside the elevators.
-type SchedCounters struct {
-	anticArmed    *Counter
-	anticHits     *Counter
-	anticTimeouts *Counter
-	cfqSlices     *Counter
-	cfqIdles      *Counter
-}
-
-// NewSchedCounters registers the elevator decision counters under prefix
-// (e.g. "sched.dom0"). Returns nil when r is nil.
-func NewSchedCounters(r *Registry, prefix string) *SchedCounters {
-	if r == nil {
-		return nil
-	}
-	return &SchedCounters{
-		anticArmed:    r.Counter(prefix + ".antic_armed"),
-		anticHits:     r.Counter(prefix + ".antic_hits"),
-		anticTimeouts: r.Counter(prefix + ".antic_timeouts"),
-		cfqSlices:     r.Counter(prefix + ".cfq_slices"),
-		cfqIdles:      r.Counter(prefix + ".cfq_idles"),
-	}
-}
-
-// AnticArmed records an anticipation window being opened.
-func (s *SchedCounters) AnticArmed() {
-	if s != nil {
-		s.anticArmed.Inc()
-	}
-}
-
-// AnticHit records an anticipation window satisfied by a close request.
-func (s *SchedCounters) AnticHit() {
-	if s != nil {
-		s.anticHits.Inc()
-	}
-}
-
-// AnticTimeout records an anticipation window expiring unsatisfied.
-func (s *SchedCounters) AnticTimeout() {
-	if s != nil {
-		s.anticTimeouts.Inc()
-	}
-}
-
-// CFQSlice records a CFQ time slice being granted to a queue.
-func (s *SchedCounters) CFQSlice() {
-	if s != nil {
-		s.cfqSlices.Inc()
-	}
-}
-
-// CFQIdle records CFQ arming its end-of-slice idle timer.
-func (s *SchedCounters) CFQIdle() {
-	if s != nil {
-		s.cfqIdles.Inc()
-	}
-}
-
 // HostLabel is the canonical process name for host i.
 func HostLabel(i int) string { return fmt.Sprintf("host%d", i) }

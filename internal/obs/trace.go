@@ -196,8 +196,7 @@ func (t *Tracer) AsyncSpan(pid, tid int64, cat, name string, start, end sim.Time
 	t.asyncPair(id, pid, tid, cat, name, start, end, args)
 }
 
-// asyncPair writes the 'b'/'e' event pair shared by AsyncSpan and
-// AsyncSpanID.
+// asyncPair writes an async span's 'b'/'e' event pair.
 func (t *Tracer) asyncPair(id, pid, tid int64, cat, name string, start, end sim.Time, args []Arg) {
 	ev := t.slot()
 	ev.name, ev.cat, ev.ph = name, cat, phAsyncBegin
@@ -206,34 +205,6 @@ func (t *Tracer) asyncPair(id, pid, tid int64, cat, name string, start, end sim.
 	ev = t.slot()
 	ev.name, ev.cat, ev.ph = name, cat, phAsyncEnd
 	ev.ts, ev.pid, ev.tid, ev.id = end, pid, tid, id
-}
-
-// NewFlowID allocates an async-span id from the same deterministic
-// counter AsyncSpan draws from, for callers that need the id up front
-// (to cross-reference a span from args, or to emit begin and end at
-// different call sites via AsyncSpanID). Ids allocated here survive
-// Absorb folding exactly like implicit ones: Absorb offsets every async
-// id by the destination's high-water mark, so a parallel fold assigns
-// the same ids a serial run would. Returns 0 on a nil tracer.
-func (t *Tracer) NewFlowID() int64 {
-	if t == nil {
-		return 0
-	}
-	t.nextID++
-	return t.nextID
-}
-
-// AsyncSpanID records an id-matched async span under a caller-allocated
-// id (from NewFlowID). The id must not be shared with any other span:
-// Events joins begin/end pairs by id alone.
-func (t *Tracer) AsyncSpanID(id, pid, tid int64, cat, name string, start, end sim.Time, args ...Arg) {
-	if t == nil {
-		return
-	}
-	if end < start {
-		end = start
-	}
-	t.asyncPair(id, pid, tid, cat, name, start, end, args)
 }
 
 // Absorb appends every event recorded by src to t, renumbering src's

@@ -8,6 +8,7 @@ import (
 
 	"adaptmr"
 	"adaptmr/internal/core"
+	"adaptmr/internal/workloads"
 )
 
 // ---------------------------------------------------------------------------
@@ -216,17 +217,15 @@ func buildJob(spec JobSpec) (adaptmr.JobConfig, error) {
 	if inputMB < 1 || inputMB > maxInputMB {
 		return adaptmr.JobConfig{}, badf("job.input_mb must be in [1, %d], got %d", maxInputMB, inputMB)
 	}
-	input := inputMB << 20
-	switch spec.Bench {
-	case "", "sort":
-		return adaptmr.SortBenchmark(input).Job, nil
-	case "wordcount":
-		return adaptmr.WordCountBenchmark(input).Job, nil
-	case "wordcount-nc", "wordcount-no-combiner":
-		return adaptmr.WordCountNoCombinerBenchmark(input).Job, nil
-	default:
+	name := spec.Bench
+	if name == "" {
+		name = "sort"
+	}
+	wl, err := workloads.ByName(name, inputMB<<20)
+	if err != nil {
 		return adaptmr.JobConfig{}, badf("job.bench %q unknown (want sort, wordcount or wordcount-nc)", spec.Bench)
 	}
+	return wl.Job, nil
 }
 
 // buildScheme validates the phases field.

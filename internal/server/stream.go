@@ -385,7 +385,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	cfg.Obs.Journeys = journeys
 	cfg.Obs.Decisions = decisions
 	cfg.Obs.PIDBase = 0
-	// The sampler outlives the evaluation: BuildExplain finalises it into
+	// The sampler outlives the evaluation: analyze.Build finalises it into
 	// the explain document's timeseries. One plan, one evaluation, so the
 	// single assignment is safe.
 	var smp *analyze.Sampler
@@ -400,14 +400,16 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	// client that saw "result" can immediately GET /v1/explain. Perf is
 	// deliberately left out of the options: wall-clock values would make
 	// the document non-deterministic.
-	exp, xerr := analyze.BuildExplain(tracer, res.Metrics, smp, journeys, decisions, analyze.Options{
-		PIDBase:  0,
-		Workload: workload,
-		Hosts:    cfg.Hosts,
-		VMs:      cfg.VMsPerHost,
-		InputMB:  inputMB,
-		Seed:     cfg.Seed,
-		Pair:     res.Plan.String(),
+	exp, xerr := analyze.Build(tracer, res.Metrics, smp, analyze.Options{
+		PIDBase:   0,
+		Workload:  workload,
+		Hosts:     cfg.Hosts,
+		VMs:       cfg.VMsPerHost,
+		InputMB:   inputMB,
+		Seed:      cfg.Seed,
+		Pair:      res.Plan.String(),
+		Journeys:  journeys,
+		Decisions: decisions,
 	})
 	if xerr != nil {
 		s.logger.Warn("explain document build failed", "id", lr.id, "err", xerr)

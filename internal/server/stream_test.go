@@ -182,8 +182,10 @@ func TestExplainEndpointAndJourneyFrame(t *testing.T) {
 		t.Fatalf("/v1/explain = %d: %s", st, doc)
 	}
 	var exp struct {
-		Schema   string `json:"schema"`
-		Report   json.RawMessage
+		Schema string `json:"schema"`
+		Job    struct {
+			MakespanS float64 `json:"makespan_s"`
+		} `json:"job"`
 		Journeys struct {
 			AllExact bool `json:"all_exact"`
 			Summary  struct {
@@ -195,8 +197,11 @@ func TestExplainEndpointAndJourneyFrame(t *testing.T) {
 	if err := json.Unmarshal(doc, &exp); err != nil {
 		t.Fatalf("explain document is not JSON: %v", err)
 	}
-	if exp.Schema != "adaptmr-explain/v1" {
-		t.Errorf("explain schema = %q, want adaptmr-explain/v1", exp.Schema)
+	if exp.Schema != "adaptmr-report/v1" {
+		t.Errorf("explain schema = %q, want adaptmr-report/v1", exp.Schema)
+	}
+	if exp.Job.MakespanS <= 0 {
+		t.Errorf("explain document's job makespan = %v, want > 0", exp.Job.MakespanS)
 	}
 	if !exp.Journeys.AllExact {
 		t.Error("explain document reports a non-exact journey decomposition")

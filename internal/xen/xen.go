@@ -112,10 +112,8 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	}
 	h := &Host{Eng: eng, ID: id, cfg: cfg, pair: iosched.DefaultPair, ringLane: eng.Lane(cfg.RingLatency)}
 	h.dom0Sched = cfg.Sched
-	h.dom0Sched.Counters = obs.NewSchedCounters(cfg.Obs.Metrics, "sched.dom0")
 	h.dom0Sched.Decisions = obs.NewDecisionRecorder(cfg.Obs, cfg.Obs.HostPID(id), obs.TIDDom0, "dom0")
 	h.guestSched = cfg.Sched
-	h.guestSched.Counters = obs.NewSchedCounters(cfg.Obs.Metrics, "sched.vm")
 	h.disk = disk.New(eng, cfg.Disk)
 	h.dom0 = block.NewQueue(eng, iosched.MustNew(h.pair.VMM, h.dom0Sched), h.disk, cfg.Dom0Depth)
 	if cfg.Check != nil {
@@ -377,9 +375,6 @@ func (h *Host) newRequest(op block.Op, sector, count int64, sync bool, stream bl
 	}
 	return block.NewRequest(op, sector, count, sync, stream)
 }
-
-// RequestPool returns the host's request pool, or nil when pooling is off.
-func (h *Host) RequestPool() *block.Pool { return h.pool }
 
 // Service implements block.Device for the guest queue: the request crosses
 // the ring (see ringOp for the forward/complete hops).

@@ -12,7 +12,8 @@ import (
 
 // Report is the full analysis artefact of one traced run: critical path
 // with per-layer blame, per-phase breakdown tables, whole-run latency
-// quantiles, totals and fixed-interval timeseries. It marshals to
+// quantiles, totals and fixed-interval timeseries, plus — for RunExplain —
+// the request-journey and scheduler-decision sections. It marshals to
 // deterministic JSON and renders via WriteMarkdown / WriteHTML.
 type Report = analyze.Report
 
@@ -54,42 +55,27 @@ type ReportOptions struct {
 // is replaced; the run is deterministic for a fixed cfg/job/pair, so the
 // report is byte-identical across invocations.
 func RunReport(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*Report, error) {
-	return runInstrumented(cfg, job, pair, opts, nil, nil, analyze.Build)
+	return runInstrumented(cfg, job, pair, opts, nil, nil)
 }
 
-// ExplainReport is the "why" artefact of one instrumented run: the full
-// Report plus per-phase request-journey latency decompositions and
-// scheduler decision provenance (see RunExplain). Renders via
-// WriteMarkdown / WriteHTML and marshals to deterministic JSON.
-type ExplainReport = analyze.ExplainReport
-
-// RunExplain executes one job under a single scheduler pair on a fully
-// instrumented cluster — tracer, metrics, timeseries sampler, journey log
-// and decision log — and analyzes the run into an ExplainReport answering
-// "why this pair, this phase": every completed request's latency is
-// attributed 100% to named stages (ns-exact), and every elevator dispatch
-// decision is tallied per phase and queue level. Deterministic for a
-// fixed cfg/job/pair, byte-identical across invocations.
-func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*ExplainReport, error) {
-	journeys := obs.NewJourneyLog()
-	decisions := obs.NewDecisionLog()
-	return runInstrumented(cfg, job, pair, opts, journeys, decisions,
-		func(tr *obs.Tracer, snap *obs.Snapshot, smp *analyze.Sampler, o analyze.Options) (*ExplainReport, error) {
-			return analyze.BuildExplain(tr, snap, smp, journeys, decisions, o)
-		})
+// RunExplain is RunReport with the journey and decision logs attached too,
+// so the Report also answers "why this pair, this phase": every completed
+// request's latency is attributed 100% to named stages (ns-exact), and
+// every elevator decision is tallied per phase and queue level. Its
+// Markdown is RunReport's followed by the explain sections. Deterministic
+// for a fixed cfg/job/pair, byte-identical across invocations.
+func RunExplain(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions) (*Report, error) {
+	return runInstrumented(cfg, job, pair, opts, obs.NewJourneyLog(), obs.NewDecisionLog())
 }
 
 // runInstrumented is the run behind RunReport and RunExplain: one job on
 // a fresh cluster with a tracer, metrics and a live timeseries sampler
 // attached, plus the journey and decision logs when they are non-nil.
-// Hosts keep request pooling only while journeys are off. build analyzes
-// the run's observations.
-func runInstrumented[T any](cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions,
-	journeys *obs.JourneyLog, decisions *obs.DecisionLog,
-	build func(*obs.Tracer, *obs.Snapshot, *analyze.Sampler, analyze.Options) (T, error)) (T, error) {
-	var zero T
+// Hosts keep request pooling only while journeys are off.
+func runInstrumented(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOptions,
+	journeys *obs.JourneyLog, decisions *obs.DecisionLog) (*Report, error) {
 	if err := job.Validate(); err != nil {
-		return zero, fmt.Errorf("adaptmr: %w", err)
+		return nil, fmt.Errorf("adaptmr: %w", err)
 	}
 	tracer := NewTracer()
 	metrics := NewMetrics()
@@ -114,18 +100,18 @@ func runInstrumented[T any](cfg ClusterConfig, job JobConfig, pair Pair, opts Re
 	cl.Eng.Run()
 	perf := probe.Stop()
 	if !j.Done() {
-		return zero, fmt.Errorf("adaptmr: instrumented run drained before job completion")
+		return nil, fmt.Errorf("adaptmr: instrumented run drained before job completion")
 	}
 	perfstat.Publish(metrics, perf)
 	res := j.Result()
 	if checks != nil {
 		checks.Finalize()
 		if err := checks.Err(); err != nil {
-			return zero, fmt.Errorf("adaptmr: instrumented run failed invariant checks: %w", err)
+			return nil, fmt.Errorf("adaptmr: instrumented run failed invariant checks: %w", err)
 		}
 	}
 
-	return build(tracer, res.Metrics, smp, analyze.Options{
+	return analyze.Build(tracer, res.Metrics, smp, analyze.Options{
 		PIDBase:          0,
 		Workload:         opts.Workload,
 		Hosts:            cfg.Hosts,
@@ -135,6 +121,8 @@ func runInstrumented[T any](cfg ClusterConfig, job JobConfig, pair Pair, opts Re
 		Pair:             pair.Code(),
 		TimeseriesPoints: opts.TimeseriesPoints,
 		Perf:             perf,
+		Journeys:         journeys,
+		Decisions:        decisions,
 	})
 }
 

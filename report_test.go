@@ -75,12 +75,19 @@ func TestReportGolden(t *testing.T) {
 	if err := rep.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "report_sort_2x2_seed1.md")
+	checkGolden(t, "report_sort_2x2_seed1.md", buf.Bytes())
+}
+
+// checkGolden compares got against testdata/name, or rewrites the file
+// under -update-golden.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -89,14 +96,30 @@ func TestReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden file missing (run with -update-golden): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("report drifted from golden file %s;\nrun go test -run TestReportGolden -update-golden . and review the diff\n--- got ---\n%s", path, buf.String())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output drifted from golden file %s;\nrun go test -run %s -update-golden . and review the diff\n--- got ---\n%s",
+			path, t.Name(), got)
 	}
 }
 
+// TestFleetReportGolden pins the fleet Markdown of the built-in smoke
+// scenario (run without perf stats, so no wall-clock row) byte for byte.
+func TestFleetReportGolden(t *testing.T) {
+	res, err := adaptmr.RunFleet(adaptmr.SmokeFleetScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := adaptmr.WriteFleetReport(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fleet_smoke.md", buf.Bytes())
+}
+
 // TestExplainReportGolden pins that RunExplain analyzes the same run as
-// RunReport: with journeys and decisions recorded, its Report still
-// renders the committed golden file byte for byte.
+// RunReport: with journeys and decisions recorded, its Markdown starts
+// with the committed run golden byte for byte and then appends the
+// explain sections, whose full text is pinned in a golden of its own.
 func TestExplainReportGolden(t *testing.T) {
 	wl := adaptmr.SortBenchmark(32 << 20)
 	exp, err := adaptmr.RunExplain(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair, adaptmr.ReportOptions{
@@ -106,15 +129,45 @@ func TestExplainReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := exp.Report.WriteMarkdown(&buf); err != nil {
+	if err := exp.WriteMarkdown(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "report_sort_2x2_seed1.md"))
+	run, err := os.ReadFile(filepath.Join("testdata", "report_sort_2x2_seed1.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("explain run's report differs from the RunReport golden\n--- got ---\n%s", buf.String())
+	if !bytes.HasPrefix(buf.Bytes(), run) {
+		t.Fatalf("explain Markdown does not start with the RunReport golden\n--- got ---\n%s", buf.String())
+	}
+	checkGolden(t, "explain_sort_2x2_seed1.md", buf.Bytes())
+}
+
+// TestReportHTMLOnePage pins that the run and explain reports each render
+// as one HTML page holding exactly the tables of their Markdown.
+func TestReportHTMLOnePage(t *testing.T) {
+	wl := adaptmr.SortBenchmark(32 << 20)
+	opts := adaptmr.ReportOptions{Workload: "sort", InputMB: 32}
+	for name, run := range map[string]func(adaptmr.ClusterConfig, adaptmr.JobConfig, adaptmr.Pair, adaptmr.ReportOptions) (*adaptmr.Report, error){
+		"report": adaptmr.RunReport, "explain": adaptmr.RunExplain,
+	} {
+		rep, err := run(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var md, page strings.Builder
+		if err := rep.WriteMarkdown(&md); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.WriteHTML(&page); err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(page.String(), "<!DOCTYPE html>"); n != 1 {
+			t.Errorf("%s: HTML holds %d documents, want 1", name, n)
+		}
+		mdTables := strings.Count(md.String(), "\n|---|")
+		if n := strings.Count(page.String(), "<table>"); n != mdTables {
+			t.Errorf("%s: HTML has %d tables, Markdown %d", name, n, mdTables)
+		}
 	}
 }
 
