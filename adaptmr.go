@@ -117,10 +117,7 @@ func BenchmarkSuite(inputPerVM int64) []Workload { return workloads.Suite(inputP
 type Option func(*options)
 
 type options struct {
-	tracer       *obs.Tracer
-	metrics      *obs.Registry
-	journeys     *obs.JourneyLog
-	decisions    *obs.DecisionLog
+	sink         obs.Sink // the observation the options attach
 	parallelism  int
 	evalCacheDir string
 	evalCache    *core.EvalCache
@@ -142,17 +139,17 @@ func buildOptions(opts []Option) options {
 
 // apply copies the observation options onto a cluster config.
 func (o options) apply(cfg ClusterConfig) ClusterConfig {
-	if o.tracer != nil {
-		cfg.Obs.Trace = o.tracer
+	if o.sink.Trace != nil {
+		cfg.Obs.Trace = o.sink.Trace
 	}
-	if o.metrics != nil {
-		cfg.Obs.Metrics = o.metrics
+	if o.sink.Metrics != nil {
+		cfg.Obs.Metrics = o.sink.Metrics
 	}
-	if o.journeys != nil {
-		cfg.Obs.Journeys = o.journeys
+	if o.sink.Journeys != nil {
+		cfg.Obs.Journeys = o.sink.Journeys
 	}
-	if o.decisions != nil {
-		cfg.Obs.Decisions = o.decisions
+	if o.sink.Decisions != nil {
+		cfg.Obs.Decisions = o.sink.Decisions
 	}
 	if o.check != nil {
 		cfg.Check = o.check
@@ -176,10 +173,10 @@ func (o options) verify(err error) error {
 
 // WithTracer records every simulated layer's events into t (export with
 // t.WriteFile / t.WriteJSON; the format loads in Perfetto).
-func WithTracer(t *Tracer) Option { return func(o *options) { o.tracer = t } }
+func WithTracer(t *Tracer) Option { return func(o *options) { o.sink.Trace = t } }
 
 // WithMetrics aggregates counters/gauges/histograms into m.
-func WithMetrics(m *Metrics) Option { return func(o *options) { o.metrics = m } }
+func WithMetrics(m *Metrics) Option { return func(o *options) { o.sink.Metrics = m } }
 
 // WithJourney threads per-request journey tracing through the two-level
 // block stack: every guest submission gets a journey id that follows it
@@ -189,7 +186,7 @@ func WithMetrics(m *Metrics) Option { return func(o *options) { o.metrics = m } 
 // The aggregate lands on JobResult.Journeys (and on RunResult.Journeys
 // for tuner entry points).
 func WithJourney() Option {
-	return func(o *options) { o.journeys = obs.NewJourneyLog() }
+	return func(o *options) { o.sink.Journeys = obs.NewJourneyLog() }
 }
 
 // WithDecisionLog records scheduler decision provenance — why each
@@ -200,7 +197,7 @@ func WithJourney() Option {
 // Without this option, a tracer or a metrics registry the hook is nil, so
 // the disabled path stays allocation-free.
 func WithDecisionLog() Option {
-	return func(o *options) { o.decisions = obs.NewDecisionLog() }
+	return func(o *options) { o.sink.Decisions = obs.NewDecisionLog() }
 }
 
 // JourneySummary aggregates a run's request-journey latency
@@ -260,9 +257,8 @@ type PerfStat = perfstat.Stat
 // The entry point reports the context's error. A tuner whose context has
 // fired should be discarded (failed evaluations are memoised).
 //
-// Honoured by Run and every NewTuner entry point (Tune, RunPlan,
-// BruteForce, Profile) and by RunOnline; RunChain/TuneChain currently
-// ignore it.
+// Honoured by Run, every NewTuner entry point (Tune, RunPlan, BruteForce,
+// Profile), RunOnline, RunChain and TuneChain.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
 // CheckSet aggregates runtime invariant checkers and their violations
@@ -295,28 +291,14 @@ func Run(cfg ClusterConfig, job JobConfig, pair Pair, opts ...Option) (JobResult
 		return JobResult{}, fmt.Errorf("adaptmr: %w", err)
 	}
 	o := buildOptions(opts)
-	cfg = o.apply(cfg)
-	cl := cluster.New(cfg)
-	cl.InstallPair(pair)
-	j := mapred.NewJob(cl, job)
-	j.Start(nil)
-	probe := perfstat.Start(o.perf, cl.Eng)
-	if err := core.RunEngine(o.ctx, cl.Eng); err != nil {
-		return JobResult{}, fmt.Errorf("adaptmr: job %q abandoned: %w", job.Name, err)
-	}
-	perf := probe.Stop()
-	if !j.Done() {
-		return JobResult{}, fmt.Errorf("adaptmr: job %q did not complete (simulation drained early)", job.Name)
+	res, err := core.Execute(o.ctx, o.apply(cfg), job, core.Uniform(core.TwoPhases, pair), o.perf, nil)
+	if err != nil {
+		return JobResult{}, fmt.Errorf("adaptmr: %w", err)
 	}
 	if err := o.verify(nil); err != nil {
 		return JobResult{}, err
 	}
-	perfstat.Publish(cfg.Obs.Metrics, perf)
-	res := j.Result()
-	res.Perf = perf
-	res.Journeys = cfg.Obs.Journeys.Summary()
-	res.Decisions = cfg.Obs.Decisions.Summary()
-	return res, nil
+	return res.Job, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -510,7 +492,7 @@ func RunChain(cfg ClusterConfig, stages []JobConfig, plans []Plan, opts ...Optio
 		}
 	}
 	o := buildOptions(opts)
-	res, err := core.RunChain(o.apply(cfg), stages, plans)
+	res, err := core.RunChain(o.ctx, o.apply(cfg), stages, plans)
 	if err := o.verify(err); err != nil {
 		return ChainResult{}, err
 	}
@@ -527,7 +509,7 @@ func TuneChain(cfg ClusterConfig, stages []JobConfig, opts ...Option) (ChainTuni
 		}
 	}
 	o := buildOptions(opts)
-	res, err := core.TuneChain(o.apply(cfg), stages, o.parallelism)
+	res, err := core.TuneChain(o.ctx, o.apply(cfg), stages, o.parallelism)
 	if err := o.verify(err); err != nil {
 		return ChainTuning{}, err
 	}

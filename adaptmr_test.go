@@ -3,6 +3,7 @@ package adaptmr_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -52,6 +53,34 @@ func TestRunFacade(t *testing.T) {
 	}
 	if res2.Duration != res.Duration || res2.NumMaps != res.NumMaps {
 		t.Fatalf("Run is not deterministic: %+v vs %+v", res2, res)
+	}
+}
+
+// TestEntryPointsAgree pins that Run, a tuner's RunPlan of the uniform
+// two-phase plan and RunReport execute the same simulation, so the entry
+// points cannot drift apart: Run's result equals the tuner run's job
+// exactly, and the report's makespan is that run's duration.
+func TestEntryPointsAgree(t *testing.T) {
+	job := adaptmr.SortBenchmark(64 << 20).Job
+	for _, pair := range []adaptmr.Pair{adaptmr.DefaultPair, adaptmr.MustParsePair("ad")} {
+		direct, err := adaptmr.Run(quickCluster(), job, pair)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", pair, err)
+		}
+		tuned, err := adaptmr.NewTuner(quickCluster(), job).RunPlan(adaptmr.UniformPlan(adaptmr.TwoPhases, pair))
+		if err != nil {
+			t.Fatalf("%s: RunPlan: %v", pair, err)
+		}
+		if !reflect.DeepEqual(direct, tuned.Job) {
+			t.Errorf("%s: Run and RunPlan disagree:\n run     %+v\n runplan %+v", pair, direct, tuned.Job)
+		}
+		rep, err := adaptmr.RunReport(quickCluster(), job, pair, adaptmr.ReportOptions{Workload: "sort", InputMB: 64})
+		if err != nil {
+			t.Fatalf("%s: RunReport: %v", pair, err)
+		}
+		if got, want := rep.Job.MakespanS, tuned.Duration.Seconds(); got != want {
+			t.Errorf("%s: RunReport makespan %v s, RunPlan duration %v s", pair, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package adaptmr_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"adaptmr"
@@ -21,6 +23,28 @@ func TestChainFacade(t *testing.T) {
 	}
 	if len(res.Stages) != 2 || res.Duration <= 0 {
 		t.Fatalf("chain result %+v", res)
+	}
+}
+
+// TestChainHonoursContext pins that chains stop on WithContext: with an
+// already-cancelled context both RunChain and TuneChain report an error
+// wrapping context.Canceled instead of running to completion.
+func TestChainHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stages := []adaptmr.JobConfig{
+		adaptmr.SortBenchmark(64 << 20).Job,
+		adaptmr.SortBenchmark(64 << 20).Job,
+	}
+	plans := []adaptmr.Plan{
+		adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair),
+		adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair),
+	}
+	if _, err := adaptmr.RunChain(quickCluster(), stages, plans, adaptmr.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunChain with a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := adaptmr.TuneChain(quickCluster(), stages, adaptmr.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Errorf("TuneChain with a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

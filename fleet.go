@@ -8,7 +8,6 @@ import (
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/control"
 	"adaptmr/internal/fleet"
-	"adaptmr/internal/obs"
 )
 
 // ---------------------------------------------------------------------------
@@ -64,29 +63,16 @@ func SmokeFleetScenario() FleetScenario { return fleet.SmokeScenario() }
 
 // RunFleet executes a fleet scenario: per-cell JobTracker admission and
 // slot scheduling over concurrent jobs, with each cell run to completion
-// on its own and cells simulated in parallel (WithParallelism; <= 1 runs
+// on its own and cells simulated in parallel (WithParallelism; 1 runs
 // serially). Output — results, traces, metrics, journeys, decisions — is
 // byte-identical at every parallelism setting. WithInvariantChecks
 // attaches the runtime correctness harness to every block queue of every
 // cell; WithPerfStats fills FleetResult.WallS/EventsPerSec.
 func RunFleet(s FleetScenario, opts ...Option) (*FleetResult, error) {
 	o := buildOptions(opts)
-	var sink obs.Sink
-	if o.tracer != nil {
-		sink.Trace = o.tracer
-	}
-	if o.metrics != nil {
-		sink.Metrics = o.metrics
-	}
-	if o.journeys != nil {
-		sink.Journeys = o.journeys
-	}
-	if o.decisions != nil {
-		sink.Decisions = o.decisions
-	}
 	res, err := fleet.Run(s, fleet.Options{
 		Parallelism: o.parallelism,
-		Obs:         sink,
+		Obs:         o.sink,
 		Check:       o.check,
 		Perf:        o.perf,
 		Context:     o.ctx,
@@ -135,19 +121,6 @@ func RunFleetOnline(s FleetScenario, opts ...Option) (*FleetResult, *FleetOnline
 	if o.online != nil {
 		pol = *o.online
 	}
-	var sink obs.Sink
-	if o.tracer != nil {
-		sink.Trace = o.tracer
-	}
-	if o.metrics != nil {
-		sink.Metrics = o.metrics
-	}
-	if o.journeys != nil {
-		sink.Journeys = o.journeys
-	}
-	if o.decisions != nil {
-		sink.Decisions = o.decisions
-	}
 	type cellCtl struct {
 		ctrl  *control.Controller
 		start string
@@ -155,7 +128,7 @@ func RunFleetOnline(s FleetScenario, opts ...Option) (*FleetResult, *FleetOnline
 	var ctls []cellCtl // cells are constructed serially, in index order
 	res, err := fleet.Run(s, fleet.Options{
 		Parallelism: o.parallelism,
-		Obs:         sink,
+		Obs:         o.sink,
 		Check:       o.check,
 		Perf:        o.perf,
 		Context:     o.ctx,

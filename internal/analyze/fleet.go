@@ -42,8 +42,8 @@ func BenchFromFleet(res *fleet.Result) Bench {
 // outcome table in (cell, admission) order.
 func WriteFleetMarkdown(w io.Writer, res *fleet.Result) error {
 	d := &document{title: "Fleet report: " + res.Scenario}
-	d.para("%d cells × %d hosts (%d VMs total), pair `%s`, policy `%s`, seed %d, input %d MB",
-		res.Cells, res.Hosts, res.VMs, res.Pair, res.Policy, res.Seed, res.InputMB)
+	d.para("%d cells × %d hosts (%d hosts, %d VMs total), pair `%s`, policy `%s`, seed %d, input %d MB",
+		res.Cells, res.Hosts/max(res.Cells, 1), res.Hosts, res.VMs, res.Pair, res.Policy, res.Seed, res.InputMB)
 
 	a := res.Agg
 	d.h2("Aggregate")

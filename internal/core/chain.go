@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"adaptmr/internal/cluster"
@@ -46,8 +47,9 @@ func deriveChainInputs(cc cluster.Config, stages []mapred.Config) []mapred.Confi
 
 // RunChain executes the stages sequentially on one cluster, applying each
 // stage's plan (switch commands at stage entry and at each stage's
-// maps-done boundary, suppressed when the pair does not change).
-func RunChain(cc cluster.Config, stages []mapred.Config, plans []Plan) (ChainResult, error) {
+// maps-done boundary, suppressed when the pair does not change). ctx
+// bounds the run as in RunEngine.
+func RunChain(ctx context.Context, cc cluster.Config, stages []mapred.Config, plans []Plan) (ChainResult, error) {
 	if len(stages) == 0 {
 		return ChainResult{}, fmt.Errorf("core: empty chain")
 	}
@@ -89,7 +91,9 @@ func RunChain(cc cluster.Config, stages []mapred.Config, plans []Plan) (ChainRes
 		begin()
 	}
 	runStage(0)
-	cl.Eng.Run()
+	if err := RunEngine(ctx, cl.Eng); err != nil {
+		return ChainResult{}, fmt.Errorf("core: chain abandoned: %w", err)
+	}
 	if len(res.Stages) != len(stages) {
 		return ChainResult{}, fmt.Errorf("core: chain completed %d of %d stages (simulation drained early)",
 			len(res.Stages), len(stages))
@@ -120,14 +124,16 @@ func (c ChainTuning) ImprovementOverDefault() float64 {
 // TuneChain tunes every stage independently with the two-phase heuristic
 // (each stage profiled at its derived input volume on a fresh cluster),
 // then executes the whole chain under the composed plans and under the
-// default pair for comparison. parallelism sets each stage runner's
-// evaluation worker count (<= 0 means GOMAXPROCS).
-func TuneChain(cc cluster.Config, stages []mapred.Config, parallelism int) (ChainTuning, error) {
+// default pair for comparison. ctx bounds every evaluation and both chain
+// runs; parallelism sets each stage runner's evaluation worker count (<= 0
+// means GOMAXPROCS).
+func TuneChain(ctx context.Context, cc cluster.Config, stages []mapred.Config, parallelism int) (ChainTuning, error) {
 	derived := deriveChainInputs(cc, stages)
 	var out ChainTuning
 	for _, st := range derived {
 		r := NewRunner(cc, st)
 		r.Parallelism = parallelism
+		r.Context = ctx
 		h, err := Heuristic(r, TwoPhases, nil)
 		if err != nil {
 			return ChainTuning{}, err
@@ -136,14 +142,14 @@ func TuneChain(cc cluster.Config, stages []mapred.Config, parallelism int) (Chai
 		out.Evaluations += h.Evaluations
 	}
 	var err error
-	if out.Tuned, err = RunChain(cc, stages, out.Plans); err != nil {
+	if out.Tuned, err = RunChain(ctx, cc, stages, out.Plans); err != nil {
 		return ChainTuning{}, err
 	}
 	defPlans := make([]Plan, len(stages))
 	for i := range defPlans {
 		defPlans[i] = Uniform(TwoPhases, iosched.DefaultPair)
 	}
-	if out.Default, err = RunChain(cc, stages, defPlans); err != nil {
+	if out.Default, err = RunChain(ctx, cc, stages, defPlans); err != nil {
 		return ChainTuning{}, err
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"adaptmr/internal/cluster"
@@ -35,7 +36,7 @@ func TestRunChainSequential(t *testing.T) {
 		Uniform(TwoPhases, iosched.DefaultPair),
 		Uniform(TwoPhases, iosched.DefaultPair),
 	}
-	res, err := RunChain(smallCC(), stages, plans)
+	res, err := RunChain(context.Background(), smallCC(), stages, plans)
 	if err != nil {
 		t.Fatalf("RunChain: %v", err)
 	}
@@ -66,14 +67,14 @@ func TestChainDerivesInputs(t *testing.T) {
 }
 
 func TestChainPlanArityChecked(t *testing.T) {
-	_, err := RunChain(smallCC(), chainStages(), []Plan{Uniform(TwoPhases, iosched.DefaultPair)})
+	_, err := RunChain(context.Background(), smallCC(), chainStages(), []Plan{Uniform(TwoPhases, iosched.DefaultPair)})
 	if err == nil {
 		t.Fatal("no error for plan/stage mismatch")
 	}
 }
 
 func TestChainEmptyRejected(t *testing.T) {
-	if _, err := RunChain(smallCC(), nil, nil); err == nil {
+	if _, err := RunChain(context.Background(), smallCC(), nil, nil); err == nil {
 		t.Fatal("no error for empty chain")
 	}
 }
@@ -85,7 +86,7 @@ func TestChainSwitchesBetweenStages(t *testing.T) {
 		Uniform(TwoPhases, iosched.DefaultPair),
 		Uniform(TwoPhases, ad),
 	}
-	res, err := RunChain(smallCC(), stages, plans)
+	res, err := RunChain(context.Background(), smallCC(), stages, plans)
 	if err != nil {
 		t.Fatalf("RunChain: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestTuneChain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chain tuning runs many jobs")
 	}
-	out, err := TuneChain(smallCC(), chainStages(), 0)
+	out, err := TuneChain(context.Background(), smallCC(), chainStages(), 0)
 	if err != nil {
 		t.Fatalf("TuneChain: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"adaptmr/internal/cluster"
@@ -176,4 +177,32 @@ func TestTracerAbsorbMatchesSerialRecording(t *testing.T) {
 	if !bytes.Equal(sw.Bytes(), fw.Bytes()) {
 		t.Fatalf("folded trace differs from serial:\nserial: %s\nfolded: %s", sw.String(), fw.String())
 	}
+}
+
+// TestFanRunsEveryIndexOnce pins the shared fan-out: at every worker
+// count (GOMAXPROCS for <= 0, more workers than work included) each index
+// runs exactly once, and one worker runs them in ascending order.
+func TestFanRunsEveryIndexOnce(t *testing.T) {
+	const n = 100
+	for _, par := range []int{-1, 0, 1, 4, 2 * n} {
+		var hits [n]atomic.Int32
+		var order []int
+		Fan(par, n, func(i int) {
+			hits[i].Add(1)
+			if par == 1 {
+				order = append(order, i)
+			}
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("par %d: index %d ran %d times", par, i, got)
+			}
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("par 1: step %d ran index %d", i, got)
+			}
+		}
+	}
+	Fan(4, 0, func(int) { t.Fatal("Fan ran an index of an empty batch") })
 }

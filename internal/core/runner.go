@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
@@ -29,10 +30,10 @@ import (
 //   - evaluation indices (which drive Evaluations, trace PID bases and
 //     run labels) are allocated in submission order, which equals serial
 //     execution order;
-//   - each evaluation records into a private tracer/metrics registry, and
-//     the pool folds them into the caller's shared sinks strictly in
-//     index order (obs.Tracer.Absorb renumbers async ids), so the merged
-//     trace, metrics and report bytes match a 1-worker run.
+//   - each evaluation records into its own obs.Sink.Private sinks, and the
+//     pool folds them into the caller's shared sinks strictly in index
+//     order (obs.Tracer.Absorb renumbers async ids), so the merged trace,
+//     metrics and report bytes match a 1-worker run.
 type Runner struct {
 	// ClusterConfig builds each evaluation's testbed.
 	ClusterConfig cluster.Config
@@ -96,15 +97,7 @@ type evalEntry struct {
 	done chan struct{}
 	res  RunResult
 	err  error
-	obs  evalObs // private sinks awaiting their ordered fold
-}
-
-// evalObs bundles one evaluation's private observation sinks for the
-// ordered fold into the caller's shared sinks.
-type evalObs struct {
-	trace     *obs.Tracer
-	journeys  *obs.JourneyLog
-	decisions *obs.DecisionLog
+	obs  obs.Sink // private sinks awaiting their ordered fold
 }
 
 // NewRunner creates a runner for the job on the given testbed.
@@ -115,22 +108,6 @@ func NewRunner(cc cluster.Config, job mapred.Config) *Runner {
 		memo:          make(map[string]*evalEntry),
 		pending:       make(map[int]*evalEntry),
 	}
-}
-
-// workers returns the effective worker count for a batch of n runnable
-// evaluations.
-func (r *Runner) workers(n int) int {
-	p := r.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // Run executes the job under the plan (memoised). It is RunAll of a
@@ -165,9 +142,6 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 		diskCache = nil // cached results cannot replay traces or metrics
 	}
 	ctx := r.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for i, plan := range plans {
 		key := plan.Key()
 		if e, ok := r.memo[key]; ok {
@@ -197,28 +171,7 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 	}
 	r.mu.Unlock()
 
-	if n := r.workers(len(toRun)); n <= 1 {
-		for _, e := range toRun {
-			r.execute(ctx, e, diskCache)
-		}
-	} else {
-		work := make(chan *evalEntry)
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for w := 0; w < n; w++ {
-			go func() {
-				defer wg.Done()
-				for e := range work {
-					r.execute(ctx, e, diskCache)
-				}
-			}()
-		}
-		for _, e := range toRun {
-			work <- e
-		}
-		close(work)
-		wg.Wait()
-	}
+	Fan(r.Parallelism, len(toRun), func(i int) { r.execute(ctx, toRun[i], diskCache) })
 
 	out := make([]RunResult, len(plans))
 	var firstErr error
@@ -232,16 +185,26 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 	return out, firstErr
 }
 
-// execute runs one evaluation and hands it to the ordered fold. Folding
-// drains pending entries strictly in evaluation-index order, so shared
-// tracer/metrics sinks absorb observations exactly as a serial run would
-// have produced them. A cancelled evaluation still folds (with its error
-// set), so later indices are never stranded behind it.
+// execute runs one evaluation in its private sinks (trace PID block and
+// run label chosen by its submission-order index) and hands it to the
+// ordered fold. Folding drains pending entries strictly in
+// evaluation-index order, so shared tracer/metrics sinks absorb
+// observations exactly as a serial run would have produced them. A
+// cancelled evaluation still folds (with its error set), so later indices
+// are never stranded behind it.
 func (r *Runner) execute(ctx context.Context, e *evalEntry, diskCache *EvalCache) {
-	res, sinks, err := r.runOnce(ctx, e.plan, e.idx)
+	cc := r.ClusterConfig
+	if cc.Obs.Enabled() { // only an observed run needs the label, which allocates
+		cc.Obs = cc.Obs.Private(e.idx, e.plan.String())
+	}
+	var wire func(*cluster.Cluster)
+	if r.OnEvaluation != nil {
+		wire = func(cl *cluster.Cluster) { r.OnEvaluation(e.plan, cl) }
+	}
+	res, err := Execute(ctx, cc, r.Job, e.plan, r.CollectPerf, wire)
 
 	r.mu.Lock()
-	e.res, e.obs, e.err = res, sinks, err
+	e.res, e.obs, e.err = res, cc.Obs, err
 	r.pending[e.idx] = e
 	for {
 		f, ok := r.pending[r.foldNext]
@@ -260,21 +223,13 @@ func (r *Runner) execute(ctx context.Context, e *evalEntry, diskCache *EvalCache
 // r.mu held.
 func (r *Runner) fold(f *evalEntry, diskCache *EvalCache) {
 	if f.err == nil {
-		base := r.ClusterConfig.Obs
-		if base.Trace != nil {
-			base.Trace.Absorb(f.obs.trace)
-		}
-		if base.Metrics != nil {
-			base.Metrics.Absorb(f.res.Metrics)
-		}
-		base.Journeys.Absorb(f.obs.journeys)
-		base.Decisions.Absorb(f.obs.decisions)
+		r.ClusterConfig.Obs.Absorb(f.obs, f.res.Metrics)
 		if diskCache != nil {
 			// Best effort: a failed write only costs a future re-simulation.
 			_ = diskCache.Put(r.ClusterConfig, r.Job, f.plan, f.res)
 		}
 	}
-	f.obs = evalObs{}
+	f.obs = obs.Sink{}
 	close(f.done)
 }
 
@@ -308,82 +263,94 @@ func RunEngine(ctx context.Context, eng *sim.Engine) error {
 // wall time, large enough that the check never shows up in profiles.
 const ctxCheckEvents = 4096
 
-// runOnce executes the job under the plan on a fresh cluster. idx is the
-// evaluation's submission-order index; when observation is enabled it
-// selects the trace PID block exactly as the serial runner did, and the
-// evaluation records into a private tracer/registry for the ordered fold.
-func (r *Runner) runOnce(ctx context.Context, plan Plan, idx int) (RunResult, evalObs, error) {
-	cc := r.ClusterConfig
-	base := cc.Obs
-	var priv evalObs
-	if base.Enabled() {
-		// Each evaluation gets its own slice of trace-process ids and
-		// private sinks; the fold merges them back into the caller's
-		// tracer/registry/logs in evaluation order, so per-candidate and
-		// aggregate views both exist and the bytes match a serial run.
-		cc.Obs.PIDBase = base.PIDBase + int64(idx)*1000
-		cc.Obs.RunLabel = plan.String()
-		if base.Trace != nil {
-			priv.trace = obs.NewTracer()
-			cc.Obs.Trace = priv.trace
-		}
-		if base.Metrics != nil {
-			cc.Obs.Metrics = obs.NewRegistry()
-		}
-		if base.Journeys != nil {
-			priv.journeys = obs.NewJourneyLog()
-			cc.Obs.Journeys = priv.journeys
-		}
-		if base.Decisions != nil {
-			priv.decisions = obs.NewDecisionLog()
-			cc.Obs.Decisions = priv.decisions
-		}
-	}
+// Execute runs one job under the plan on a fresh cluster built from cc:
+// it installs the plan's first pair, wires the switch commands to the
+// job's phase boundaries, calls wire (when non-nil) with the cluster
+// before the job starts, and drives the engine under ctx (see RunEngine).
+// perf wraps the event loop in a perfstat probe. The run records into
+// cc.Obs as it goes; it is the one single-job executor every entry point
+// shares.
+func Execute(ctx context.Context, cc cluster.Config, job mapred.Config, plan Plan,
+	perf bool, wire func(*cluster.Cluster)) (RunResult, error) {
 	cl := cluster.New(cc)
 	// Phase 1's pair is installed before the job starts (clean boot
 	// install, no cost).
 	cl.InstallPair(plan.Pairs[0])
 	baseStall := totalStall(cl)
 
-	job := mapred.NewJob(cl, r.Job)
+	j := mapred.NewJob(cl, job)
 
 	// Wire the switch commands to the runtime's phase boundary events; a
 	// repeated pair means "no switch command" (the paper's 0 entry).
 	rt := plan.RuntimePairs()
 	if rt[1] != rt[0] {
-		job.OnMapsDone(func() { cl.SetPairAll(rt[1], nil) })
+		j.OnMapsDone(func() { cl.SetPairAll(rt[1], nil) })
 	}
 	if rt[2] != rt[1] {
-		job.OnShuffleDone(func() { cl.SetPairAll(rt[2], nil) })
+		j.OnShuffleDone(func() { cl.SetPairAll(rt[2], nil) })
 	}
 
-	if r.OnEvaluation != nil {
-		r.OnEvaluation(plan, cl)
+	if wire != nil {
+		wire(cl)
 	}
 
-	job.Start(nil)
-	probe := perfstat.Start(r.CollectPerf, cl.Eng)
+	j.Start(nil)
+	probe := perfstat.Start(perf, cl.Eng)
 	if err := RunEngine(ctx, cl.Eng); err != nil {
-		return RunResult{Plan: plan}, priv, fmt.Errorf("evaluation abandoned: %w", err)
+		return RunResult{Plan: plan}, fmt.Errorf("job %q abandoned: %w", job.Name, err)
 	}
-	perf := probe.Stop()
-	if !job.Done() {
-		return RunResult{Plan: plan}, priv,
-			fmt.Errorf("job %q did not complete (simulation drained early)", r.Job.Name)
+	stat := probe.Stop()
+	if !j.Done() {
+		return RunResult{Plan: plan}, fmt.Errorf("job %q did not complete (simulation drained early)", job.Name)
 	}
-	// Publish before Result() memoises its metrics snapshot, so the
-	// evaluation's perf gauges travel with the snapshot through the fold.
-	perfstat.Publish(cc.Obs.Metrics, perf)
-	res := job.Result()
-	res.Perf = perf
-	res.Journeys = priv.journeys.Summary()
-	res.Decisions = priv.decisions.Summary()
-	stall := totalStall(cl) - baseStall
+	// Publish before Result() memoises its metrics snapshot, so the run's
+	// perf gauges travel with the snapshot.
+	perfstat.Publish(cc.Obs.Metrics, stat)
+	res := j.Result()
+	res.Perf = stat
+	res.Journeys = cc.Obs.Journeys.Summary()
+	res.Decisions = cc.Obs.Decisions.Summary()
 	return RunResult{
-		Plan: plan, Duration: res.Duration, Job: res, SwitchStall: stall,
-		Metrics: res.Metrics, Perf: perf,
+		Plan: plan, Duration: res.Duration, Job: res, SwitchStall: totalStall(cl) - baseStall,
+		Metrics: res.Metrics, Perf: stat,
 		Journeys: res.Journeys, Decisions: res.Decisions,
-	}, priv, nil
+	}, nil
+}
+
+// Fan runs f(i) for every i in [0, n) on up to par goroutines (par <= 0
+// means GOMAXPROCS), handing the indices out in ascending order; with one
+// worker it loops on the caller's goroutine. It is the fan-out every
+// batch of independent simulations shares: each f(i) must touch only
+// index i's state, or guard what it shares.
+func Fan(par, n int, f func(i int)) {
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	if par > n {
+		par = n
+	}
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(par)
+	for w := 0; w < par; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // totalStall sums switch stall time across every queue in the cluster.

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"strings"
 	"testing"
 
 	"adaptmr/internal/iosched"
+	"adaptmr/internal/obs"
 )
 
 // The experiment tests run the Quick configuration: a 2×2 cluster with
@@ -324,6 +326,43 @@ func TestRenderIdenticalUnderParallelism(t *testing.T) {
 		if got := render(par); got != serial {
 			t.Fatalf("parallelism %d rendered different artefacts", par)
 		}
+	}
+}
+
+// TestObservedSweepIdenticalUnderParallelism pins parDo's serial rule:
+// with a tracer and a registry attached, Fig 2 and Fig 3 record into the
+// shared sinks as they run, so their trace and metrics bytes must not
+// depend on the worker count. Under -race a sweep that ran these cells
+// concurrently also trips the detector on the shared sinks. Two pairs at
+// 64 MB per VM keep the traces small; Fig 2 still has six cells.
+func TestObservedSweepIdenticalUnderParallelism(t *testing.T) {
+	observe := func(par int) (trace, metrics [sha256.Size]byte) {
+		cfg := Quick()
+		cfg.Parallelism = par
+		cfg.Pairs = cfg.Pairs[:2]
+		cfg.InputPerVM = 64 << 20
+		tr, reg := obs.NewTracer(), obs.NewRegistry()
+		cfg.Cluster.Obs.Trace, cfg.Cluster.Obs.Metrics = tr, reg
+		Fig2(cfg)
+		Fig3(cfg)
+		th, mh := sha256.New(), sha256.New()
+		if err := tr.WriteJSON(th); err != nil {
+			t.Fatalf("trace: %v", err)
+		}
+		if err := reg.Snapshot().WriteJSON(mh); err != nil {
+			t.Fatalf("metrics: %v", err)
+		}
+		copy(trace[:], th.Sum(nil))
+		copy(metrics[:], mh.Sum(nil))
+		return trace, metrics
+	}
+	trace1, metrics1 := observe(1)
+	trace4, metrics4 := observe(4)
+	if trace4 != trace1 {
+		t.Error("parallelism 4 wrote a different trace than parallelism 1")
+	}
+	if metrics4 != metrics1 {
+		t.Error("parallelism 4 wrote a different metrics snapshot than parallelism 1")
 	}
 }
 

@@ -1,19 +1,26 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"adaptmr/internal/cluster"
+	"adaptmr/internal/core"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/mapred"
 	"adaptmr/internal/workloads"
 )
 
-// runPair executes one benchmark under one pair on a fresh cluster.
-func runPair(cfg Config, bm workloads.Benchmark, p iosched.Pair) mapred.Result {
-	cl := cluster.New(cfg.Cluster)
-	cl.InstallPair(p)
-	return mapred.Run(cl, bm.Job)
+// runPair executes one benchmark under one pair on a fresh cluster; wire,
+// when non-nil, attaches instruments to the cluster before the job starts.
+// A run that drains before the job completes is a model deadlock and
+// panics, as mapred.Run does.
+func runPair(cfg Config, bm workloads.Benchmark, p iosched.Pair, wire func(*cluster.Cluster)) mapred.Result {
+	res, err := core.Execute(context.TODO(), cfg.Cluster, bm.Job, core.Uniform(core.TwoPhases, p), false, wire)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return res.Job
 }
 
 // Fig2Result reproduces Fig 2: Hadoop execution time for the three
@@ -39,7 +46,7 @@ func Fig2(cfg Config) Fig2Result {
 	}
 	parDo(cfg, len(suite)*np, func(k int) {
 		i, j := k/np, k%np
-		res.Seconds[i][j] = runPair(cfg, suite[i], cfg.Pairs[j]).Duration.Seconds()
+		res.Seconds[i][j] = runPair(cfg, suite[i], cfg.Pairs[j], nil).Duration.Seconds()
 	})
 	return res
 }
@@ -149,7 +156,7 @@ func Table1(cfg Config) Table1Result {
 	}
 	parDo(cfg, n*n, func(k int) {
 		i, j := k/n, k%n
-		r := runPair(cfg, bm, iosched.Pair{VMM: iosched.Names[j], VM: iosched.Names[i]})
+		r := runPair(cfg, bm, iosched.Pair{VMM: iosched.Names[j], VM: iosched.Names[i]}, nil)
 		res.Seconds[i][j] = r.Duration.Seconds()
 	})
 	return res

@@ -1,67 +1,26 @@
 package experiments
 
-import (
-	"runtime"
-	"sync"
-)
+import "adaptmr/internal/core"
 
-// parWorkers returns the effective worker count for a sweep of n
-// independent cells. Config.Parallelism <= 0 means GOMAXPROCS.
+// parDo runs f(i) for every i in [0, n) on core.Fan with
+// Config.Parallelism workers. Every cell must be independent (its own
+// cluster / host / engine) and write only to its own index in pre-sized
+// result slices, which keeps the assembled output identical to a serial
+// loop regardless of worker interleaving.
 //
-// When the base cluster config carries observation sinks the sweep
-// degrades to one worker: direct (non-Runner) experiment runs record into
-// the shared tracer/metrics registry as they execute, and only a serial
-// loop reproduces the exact event order a pre-pool run produced. The
-// Runner-based experiments (Fig 6/7/8) are exempt from this rule — the
-// evaluation pool folds observations in submission order by itself — so
-// they pass parallelism straight to core.Runner instead of using parDo's
-// worker gate for their inner evaluations.
-func parWorkers(cfg Config, n int) int {
-	if cfg.Cluster.Obs.Enabled() || cfg.Cluster.Host.Obs.Enabled() {
-		return 1
-	}
-	p := cfg.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// parDo runs f(i) for every i in [0, n) across the configured worker
-// count. Every cell must be independent (its own cluster / host / engine)
-// and write only to its own index in pre-sized result slices, which keeps
-// the assembled output identical to a serial loop regardless of worker
-// interleaving.
+// When the base cluster config carries observation sinks the sweep runs
+// serially: direct (non-Runner) experiment runs record into the shared
+// tracer/metrics registry as they execute, and only a serial loop keeps
+// that record independent of the worker count. The Runner-based
+// experiments (Fig 6/7/8) are exempt from this rule — the evaluation pool
+// folds observations in submission order by itself — so they pass
+// parallelism straight to core.Runner instead.
 func parDo(cfg Config, n int, f func(i int)) {
-	w := parWorkers(cfg, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
+	par := cfg.Parallelism
+	if cfg.Cluster.Obs.Enabled() || cfg.Cluster.Host.Obs.Enabled() {
+		par = 1
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	core.Fan(par, n, f)
 }
 
 // firstErr returns the first non-nil error of a per-cell error slice.

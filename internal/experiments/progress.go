@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
-	"adaptmr/internal/mapred"
 	"adaptmr/internal/workloads"
 )
 
@@ -34,8 +32,7 @@ func Fig4(cfg Config) Fig4Result {
 	res.TimeAt = make([][]float64, len(cfg.Pairs))
 	// One progress-instrumented run per pair, each on its own cluster.
 	parDo(cfg, len(cfg.Pairs), func(i int) {
-		_, row := runPairProgress(cfg, bm, cfg.Pairs[i], res.Fractions)
-		res.TimeAt[i] = row
+		res.TimeAt[i] = runPairProgress(cfg, bm, cfg.Pairs[i], res.Fractions)
 	})
 	// Composed optimum: for each segment between checkpoints take the best
 	// pair's segment time.
@@ -58,35 +55,23 @@ func Fig4(cfg Config) Fig4Result {
 	return res
 }
 
-// runPairProgress executes the benchmark under one pair on a fresh cluster,
-// sampling elapsed time at each requested progress fraction live via the
-// job's OnProgress hook (rather than scanning the progress trace after the
-// fact). Fractions never reached resolve to the total duration.
-func runPairProgress(cfg Config, bm workloads.Benchmark, p iosched.Pair, fractions []float64) (mapred.Result, []float64) {
-	cl := cluster.New(cfg.Cluster)
-	cl.InstallPair(p)
-	j := mapred.NewJob(cl, bm.Job)
-	start := cl.Eng.Now()
+// runPairProgress executes the benchmark under one pair on a fresh cluster
+// and reads the elapsed time at each requested progress fraction off the
+// job's progress trace. Fractions never reached resolve to the total
+// duration.
+func runPairProgress(cfg Config, bm workloads.Benchmark, p iosched.Pair, fractions []float64) []float64 {
+	res := runPair(cfg, bm, p, nil)
 	times := make([]float64, len(fractions))
-	for i := range times {
-		times[i] = -1
-	}
-	j.OnProgress(func(pt mapred.ProgressPoint) {
-		for i, f := range fractions {
-			if times[i] < 0 && pt.Fraction >= f {
-				times[i] = pt.At.Sub(start).Seconds()
+	for i, f := range fractions {
+		times[i] = res.Duration.Seconds()
+		for _, pt := range res.Progress {
+			if pt.Fraction >= f {
+				times[i] = pt.At.Sub(res.Start).Seconds()
+				break
 			}
 		}
-	})
-	j.Start(nil)
-	cl.Eng.Run()
-	res := j.Result()
-	for i := range times {
-		if times[i] < 0 {
-			times[i] = res.Duration.Seconds()
-		}
 	}
-	return res, times
+	return times
 }
 
 // OptimalImprovementOverDefault returns the gain of the composed optimum

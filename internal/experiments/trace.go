@@ -6,7 +6,6 @@ import (
 
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
-	"adaptmr/internal/mapred"
 	"adaptmr/internal/sim"
 	"adaptmr/internal/stats"
 	"adaptmr/internal/workloads"
@@ -50,21 +49,19 @@ func Fig3(cfg Config) Fig3Result {
 	// The two instrumented runs are independent clusters, so they execute
 	// on the worker pool.
 	parDo(cfg, len(pairs), func(i int) {
-		p := pairs[i]
-		cl := cluster.New(cfg.Cluster)
-		cl.InstallPair(p)
-		host := cl.Hosts[0]
-		window := 1 * sim.Second
-		vmmSampler := stats.NewThroughputSampler(cl.Eng, window)
-		vmmSampler.Attach(host.Dom0Queue())
+		var vmmSampler *stats.ThroughputSampler
 		var vmSamplers []*stats.ThroughputSampler
-		for _, d := range host.Domains() {
-			s := stats.NewThroughputSampler(cl.Eng, window)
-			s.Attach(d.Queue())
-			vmSamplers = append(vmSamplers, s)
-		}
-
-		mapred.Run(cl, bm.Job)
+		runPair(cfg, bm, pairs[i], func(cl *cluster.Cluster) {
+			host := cl.Hosts[0]
+			window := 1 * sim.Second
+			vmmSampler = stats.NewThroughputSampler(cl.Eng, window)
+			vmmSampler.Attach(host.Dom0Queue())
+			for _, d := range host.Domains() {
+				s := stats.NewThroughputSampler(cl.Eng, window)
+				s.Attach(d.Queue())
+				vmSamplers = append(vmSamplers, s)
+			}
+		})
 
 		vmm := vmmSampler.Series()
 		res.VMMCDF[i] = stats.CDF(vmm)

@@ -3,8 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"adaptmr/internal/check"
@@ -17,9 +15,10 @@ import (
 
 // Options configures one fleet run.
 type Options struct {
-	// Parallelism is how many cells simulate concurrently. <= 1 runs the
-	// serial fallback; output is byte-identical at every setting because
-	// cells exchange no events and observation folds in cell order.
+	// Parallelism is how many cells simulate concurrently (<= 0 means
+	// GOMAXPROCS, 1 runs serially); output is byte-identical at every
+	// setting because cells exchange no events and observation folds in
+	// cell order.
 	Parallelism int
 
 	// Obs is the base observation sink. Each cell records into private
@@ -49,18 +48,13 @@ type Options struct {
 	OnCell func(cell int, cl *cluster.Cluster)
 }
 
-// cellState is one shard: a full cluster with its own engine, the cell's
-// jobTracker, and the private observation sinks the fold absorbs.
+// cellState is one shard: a full cluster with its own engine (recording
+// into the private sinks the fold absorbs) and the cell's jobTracker.
 type cellState struct {
 	idx   int
 	cl    *cluster.Cluster
 	jt    *jobTracker
 	epoch sim.Time // engine time when the scenario clock started
-
-	trace     *obs.Tracer
-	metrics   *obs.Registry
-	journeys  *obs.JourneyLog
-	decisions *obs.DecisionLog
 }
 
 // run drives the cell's engine until its calendar drains. A cell that
@@ -103,30 +97,8 @@ func Run(s Scenario, opt Options) (*Result, error) {
 		cc.VMsPerHost = s.VMsPerHost
 		cc.Seed = cellSeed(s.Seed, c)
 		cc.Check = opt.Check
-		st := &cellState{idx: c}
-		if base.Enabled() {
-			sink := base
-			sink.PIDBase = base.PIDBase + int64(c)*1000
-			sink.RunLabel = fmt.Sprintf("cell%d", c)
-			if base.Trace != nil {
-				st.trace = obs.NewTracer()
-				sink.Trace = st.trace
-			}
-			if base.Metrics != nil {
-				st.metrics = obs.NewRegistry()
-				sink.Metrics = st.metrics
-			}
-			if base.Journeys != nil {
-				st.journeys = obs.NewJourneyLog()
-				sink.Journeys = st.journeys
-			}
-			if base.Decisions != nil {
-				st.decisions = obs.NewDecisionLog()
-				sink.Decisions = st.decisions
-			}
-			cc.Obs = sink
-		}
-		st.cl = cluster.New(cc)
+		cc.Obs = base.Private(c, fmt.Sprintf("cell%d", c))
+		st := &cellState{idx: c, cl: cluster.New(cc)}
 		st.cl.InstallPair(pair)
 		// Arrivals are scheduled relative to the post-install engine time;
 		// reported times subtract this epoch.
@@ -142,8 +114,14 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	if opt.Perf {
 		wallStart = time.Now()
 	}
-	if err := runCells(cells, opt); err != nil {
-		return nil, err
+	// Cells exchange no events, so each runs start to finish on its own;
+	// the first error in cell order is reported.
+	errs := make([]error, len(cells))
+	core.Fan(opt.Parallelism, len(cells), func(i int) { errs[i] = cells[i].run(opt.Context) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	var wallS float64
 	if opt.Perf {
@@ -154,14 +132,8 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	// order — the same ordered-fold contract the parallel tuner uses, so
 	// serial and sharded runs produce identical bytes.
 	for _, st := range cells {
-		if base.Trace != nil {
-			base.Trace.Absorb(st.trace)
-		}
-		if base.Metrics != nil {
-			base.Metrics.Absorb(st.metrics.Snapshot())
-		}
-		base.Journeys.Absorb(st.journeys)
-		base.Decisions.Absorb(st.decisions)
+		priv := st.cl.Obs()
+		base.Absorb(priv, priv.Metrics.Snapshot())
 	}
 
 	res := buildResult(s, cells)
@@ -170,48 +142,4 @@ func Run(s Scenario, opt Options) (*Result, error) {
 		res.EventsPerSec = float64(res.SimEvents) / wallS
 	}
 	return res, nil
-}
-
-// runCells runs every cell to completion on up to Parallelism workers.
-// Cells exchange no events, so each runs start to finish on its own, and
-// the first error in cell order is reported.
-func runCells(cells []*cellState, opt Options) error {
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(cells) {
-		par = len(cells)
-	}
-	if par <= 1 {
-		for _, st := range cells {
-			if err := st.run(opt.Context); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(cells))
-	work := make(chan int, len(cells))
-	for i := range cells {
-		work <- i
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				errs[i] = cells[i].run(opt.Context)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

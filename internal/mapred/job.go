@@ -151,7 +151,6 @@ type Job struct {
 	onDone        func(*Job)
 	onMapsDone    []func()
 	onShuffleDone []func()
-	onProgress    []func(ProgressPoint)
 
 	credits      int
 	totalCredits int
@@ -240,11 +239,6 @@ func (j *Job) OnMapsDone(fn func()) { j.onMapsDone = append(j.onMapsDone, fn) }
 // fetching (the paper's Ph2→Ph3 switch point).
 func (j *Job) OnShuffleDone(fn func()) { j.onShuffleDone = append(j.onShuffleDone, fn) }
 
-// OnProgress registers a callback fired on every task completion with the
-// new overall completion fraction — the hook live progress reporting and
-// experiment checkpointing subscribe to.
-func (j *Job) OnProgress(fn func(ProgressPoint)) { j.onProgress = append(j.onProgress, fn) }
-
 // Start launches the job; onDone fires at completion.
 func (j *Job) Start(onDone func(*Job)) {
 	if j.started {
@@ -328,14 +322,10 @@ func (j *Job) Result() Result {
 // credit advances the progress meter by one completed task.
 func (j *Job) credit() {
 	j.credits++
-	pt := ProgressPoint{
+	j.progress = append(j.progress, ProgressPoint{
 		Fraction: float64(j.credits) / float64(j.totalCredits),
 		At:       j.eng.Now(),
-	}
-	j.progress = append(j.progress, pt)
-	for _, fn := range j.onProgress {
-		fn(pt)
-	}
+	})
 }
 
 // mapFinished is called by a map task on completion.

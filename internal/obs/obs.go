@@ -49,6 +49,43 @@ func (s Sink) Enabled() bool {
 	return s.Trace != nil || s.Metrics != nil || s.Journeys != nil || s.Decisions != nil
 }
 
+// Private returns the sink one run of a batch records into on its own:
+// fresh instruments of every kind s has, with its trace processes at
+// PIDBase + idx×1000 and labelled label. Absorb folds it back into s; a
+// batch that folds its runs in index order produces the bytes of a serial
+// run. With observation off, s comes back unchanged.
+func (s Sink) Private(idx int, label string) Sink {
+	if !s.Enabled() {
+		return s
+	}
+	p := s
+	p.PIDBase += int64(idx) * 1000
+	p.RunLabel = label
+	if s.Trace != nil {
+		p.Trace = NewTracer()
+	}
+	if s.Metrics != nil {
+		p.Metrics = NewRegistry()
+	}
+	if s.Journeys != nil {
+		p.Journeys = NewJourneyLog()
+	}
+	if s.Decisions != nil {
+		p.Decisions = NewDecisionLog()
+	}
+	return p
+}
+
+// Absorb folds a Private sink back into s: its trace, journeys and
+// decisions, and m, the snapshot of its registry the caller reports (so
+// Registry.Absorb's same-snapshot guard covers a second fold of it).
+func (s Sink) Absorb(p Sink, m *Snapshot) {
+	s.Trace.Absorb(p.Trace)
+	s.Metrics.Absorb(m)
+	s.Journeys.Absorb(p.Journeys)
+	s.Decisions.Absorb(p.Decisions)
+}
+
 // ClusterPID is the trace process holding cluster-wide spans (job phases,
 // progress marks).
 func (s Sink) ClusterPID() int64 { return s.PIDBase + 1 }

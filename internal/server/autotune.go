@@ -220,7 +220,7 @@ func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterCo
 	job adaptmr.JobConfig, pol control.Policy, lr *liveRun) ([]byte, error) {
 
 	var ctrl *control.Controller
-	res, evaluations, err := s.execStreamed(ctx, cfg, job, core.Uniform(core.TwoPhases, pol.StartPair), lr,
+	res, err := s.execStreamed(ctx, cfg, job, core.Uniform(core.TwoPhases, pol.StartPair), lr,
 		func(cl *cluster.Cluster, smp *analyze.Sampler) int {
 			ctrl = control.New(pol)
 			seq := 0
@@ -250,7 +250,7 @@ func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterCo
 		Windows:       ctrl.Windows(),
 		Decisions:     ctrl.Decisions(),
 		SwitchStall:   res.SwitchStall,
-	}, evaluations))
+	}, 1))
 }
 
 // autotuneResponse shapes an online run into the /v1/autotune payload;

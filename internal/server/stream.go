@@ -283,11 +283,11 @@ type streamJourney struct {
 }
 
 // execStreamed executes one plan with live streaming: the wiring /v1/run
-// and /v1/autotune share. It drives a fresh core.Runner directly
-// (instead of the facade) so it can attach a sampler and a
-// self-rescheduling pump event to the evaluating cluster; the disk cache
-// is deliberately not consulted, because a cache hit has no simulation
-// to stream.
+// and /v1/autotune share. It runs the plan through core.Execute (instead
+// of the facade) so it can attach a sampler and a self-rescheduling pump
+// event to the cluster; the disk cache is deliberately not consulted,
+// because a cache hit has no simulation to stream. The run is one
+// evaluation.
 //
 // wire extends the evaluating cluster after the sampler attached and
 // before the pump starts, and returns how many
@@ -301,19 +301,15 @@ type streamJourney struct {
 // carries journey or decision summaries and a "perf" frame with the
 // engine self-telemetry; the caller builds the terminal payload.
 func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
-	plan core.Plan, lr *liveRun, wire func(*cluster.Cluster, *analyze.Sampler) int) (core.RunResult, int, error) {
+	plan core.Plan, lr *liveRun, wire func(*cluster.Cluster, *analyze.Sampler) int) (core.RunResult, error) {
 
 	var checks *adaptmr.CheckSet
 	if s.cfg.CheckInvariants {
 		checks = adaptmr.NewCheckSet()
 		cfg.Check = checks
 	}
-	run := core.NewRunner(cfg, job)
-	run.Parallelism = 1 // one plan, one evaluation
-	run.Context = ctx
-	run.CollectPerf = true
 	started := time.Now()
-	run.OnEvaluation = func(_ core.Plan, cl *cluster.Cluster) {
+	res, err := core.Execute(ctx, cfg, job, plan, true, func(cl *cluster.Cluster) {
 		smp := analyze.NewSampler()
 		smp.AttachCluster(cl)
 		watchers := wire(cl, smp)
@@ -337,20 +333,16 @@ func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, jo
 			}
 		}
 		eng.Schedule(0, pump)
-	}
-
-	res, err := run.Run(plan)
+	})
 	if err == nil && checks != nil {
 		checks.Finalize()
 		if cerr := checks.Err(); cerr != nil {
 			err = fmt.Errorf("server: invariant check failed: %w", cerr)
 		}
 	}
-	if run.Evaluations > 0 {
-		s.met.addCounter(mEvaluations, int64(run.Evaluations))
-	}
+	s.met.addCounter(mEvaluations, 1)
 	if err != nil {
-		return core.RunResult{}, 0, err
+		return core.RunResult{}, err
 	}
 	if res.Journeys != nil || res.Decisions != nil {
 		jf := streamJourney{RunID: lr.id, Journeys: res.Journeys, Decisions: res.Decisions}
@@ -364,7 +356,7 @@ func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, jo
 			lr.publish("perf", data)
 		}
 	}
-	return res, run.Evaluations, nil
+	return res, nil
 }
 
 // execStreamedRun is the streamed /v1/run. It executes fully
@@ -389,7 +381,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	// the explain document's timeseries. One plan, one evaluation, so the
 	// single assignment is safe.
 	var smp *analyze.Sampler
-	res, evaluations, err := s.execStreamed(ctx, cfg, job, plan, lr, func(_ *cluster.Cluster, sm *analyze.Sampler) int {
+	res, err := s.execStreamed(ctx, cfg, job, plan, lr, func(_ *cluster.Cluster, sm *analyze.Sampler) int {
 		smp = sm
 		return 0
 	})
@@ -416,7 +408,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	} else if data, merr := json.Marshal(exp); merr == nil {
 		lr.setExplain(data)
 	}
-	return encodePayload(runResponse(res, evaluations))
+	return encodePayload(runResponse(res, 1))
 }
 
 // handleStream serves GET /v1/stream?id=...: the SSE feed of one

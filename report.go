@@ -1,13 +1,12 @@
 package adaptmr
 
 import (
+	"context"
 	"fmt"
 
 	"adaptmr/internal/analyze"
-	"adaptmr/internal/cluster"
-	"adaptmr/internal/mapred"
+	"adaptmr/internal/core"
 	"adaptmr/internal/obs"
-	"adaptmr/internal/obs/perfstat"
 )
 
 // Report is the full analysis artefact of one traced run: critical path
@@ -78,32 +77,19 @@ func runInstrumented(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOpt
 		return nil, fmt.Errorf("adaptmr: %w", err)
 	}
 	tracer := NewTracer()
-	metrics := NewMetrics()
-	cfg.Obs.Trace = tracer
-	cfg.Obs.Metrics = metrics
-	cfg.Obs.Journeys = journeys
-	cfg.Obs.Decisions = decisions
-	cfg.Obs.PIDBase = 0
+	cfg.Obs = obs.Sink{Trace: tracer, Metrics: NewMetrics(), Journeys: journeys, Decisions: decisions}
 	var checks *CheckSet
 	if opts.CheckInvariants {
 		checks = NewCheckSet()
 		cfg.Check = checks
 	}
 
-	cl := cluster.New(cfg)
 	smp := analyze.NewSampler()
-	smp.AttachCluster(cl)
-	cl.InstallPair(pair)
-	j := mapred.NewJob(cl, job)
-	j.Start(nil)
-	probe := perfstat.Start(opts.CollectPerf, cl.Eng)
-	cl.Eng.Run()
-	perf := probe.Stop()
-	if !j.Done() {
-		return nil, fmt.Errorf("adaptmr: instrumented run drained before job completion")
+	run, err := core.Execute(context.TODO(), cfg, job, core.Uniform(core.TwoPhases, pair),
+		opts.CollectPerf, smp.AttachCluster)
+	if err != nil {
+		return nil, fmt.Errorf("adaptmr: instrumented run: %w", err)
 	}
-	perfstat.Publish(metrics, perf)
-	res := j.Result()
 	if checks != nil {
 		checks.Finalize()
 		if err := checks.Err(); err != nil {
@@ -111,7 +97,7 @@ func runInstrumented(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOpt
 		}
 	}
 
-	return analyze.Build(tracer, res.Metrics, smp, analyze.Options{
+	return analyze.Build(tracer, run.Metrics, smp, analyze.Options{
 		PIDBase:          0,
 		Workload:         opts.Workload,
 		Hosts:            cfg.Hosts,
@@ -120,7 +106,7 @@ func runInstrumented(cfg ClusterConfig, job JobConfig, pair Pair, opts ReportOpt
 		Seed:             cfg.Seed,
 		Pair:             pair.Code(),
 		TimeseriesPoints: opts.TimeseriesPoints,
-		Perf:             perf,
+		Perf:             run.Perf,
 		Journeys:         journeys,
 		Decisions:        decisions,
 	})
