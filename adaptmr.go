@@ -8,7 +8,7 @@
 //
 // The package exposes a small facade over the internal engine. Entry
 // points take functional options (WithTracer, WithMetrics,
-// WithParallelism, WithEvalCache) and return errors instead of panicking:
+// WithParallelism, WithContext) and return errors instead of panicking:
 //
 //	cfg := adaptmr.DefaultClusterConfig()
 //	job := adaptmr.SortBenchmark(512 << 20).Job
@@ -112,19 +112,17 @@ func BenchmarkSuite(inputPerVM int64) []Workload { return workloads.Suite(inputP
 // ---------------------------------------------------------------------------
 
 // Option configures an entry point (Run, NewTuner, TuneChain, ...). The
-// zero set of options reproduces the default behaviour: no observation,
-// GOMAXPROCS evaluation workers, no on-disk cache.
+// zero set of options reproduces the default behaviour: no observation
+// and GOMAXPROCS evaluation workers.
 type Option func(*options)
 
 type options struct {
-	sink         obs.Sink // the observation the options attach
-	parallelism  int
-	evalCacheDir string
-	evalCache    *core.EvalCache
-	ctx          context.Context
-	check        *check.Set
-	perf         bool
-	online       *control.Policy
+	sink        obs.Sink // the observation the options attach
+	parallelism int
+	ctx         context.Context
+	check       *check.Set
+	perf        bool
+	online      *control.Policy
 }
 
 func buildOptions(opts []Option) options {
@@ -225,27 +223,13 @@ func WithInvariantChecks() Option {
 // at every setting.
 func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
 
-// WithEvalCache enables the on-disk content-addressed evaluation cache
-// rooted at dir: repeated evaluations of the same (cluster, job, plan)
-// triple are answered from disk instead of re-simulated. The cache is
-// bypassed while a tracer or metrics registry is attached, because cached
-// results cannot replay their observations.
-func WithEvalCache(dir string) Option { return func(o *options) { o.evalCacheDir = dir } }
-
-// WithEvalCacheHandle is WithEvalCache for an already-open cache. A
-// long-lived holder (the adaptd service) shares one handle across many
-// tuners so hit/miss/bypass tallies aggregate in one place
-// (EvalCache.Stats). Takes precedence over WithEvalCache when both are
-// supplied.
-func WithEvalCacheHandle(c *EvalCache) Option { return func(o *options) { o.evalCache = c } }
-
 // WithPerfStats collects engine self-telemetry around each executed
 // simulation: wall clock, events processed, events/sec, allocation and GC
 // deltas. Run places the measurement on JobResult.Perf; tuner entry points
 // place per-evaluation stats on each RunResult.Perf and publish perf.*
 // gauges into the attached metrics registry. Off by default: the probe's
 // runtime.ReadMemStats calls briefly stop the world, and the values are
-// machine-dependent (never cached, never byte-deterministic).
+// machine-dependent (never byte-deterministic).
 func WithPerfStats() Option { return func(o *options) { o.perf = true } }
 
 // PerfStat is one run's engine self-telemetry (see WithPerfStats).
@@ -271,21 +255,10 @@ type CheckSet = check.Set
 // NewCheckSet returns an empty invariant-checker set.
 func NewCheckSet() *CheckSet { return check.NewSet() }
 
-// EvalCache is the on-disk content-addressed evaluation cache (see
-// WithEvalCache / WithEvalCacheHandle). Safe for concurrent use.
-type EvalCache = core.EvalCache
-
-// EvalCacheStats are an EvalCache's lifetime hit/miss/bypass tallies.
-type EvalCacheStats = core.EvalCacheStats
-
-// OpenEvalCache opens (creating if needed) an evaluation cache rooted at
-// dir; attach it with WithEvalCacheHandle.
-func OpenEvalCache(dir string) (*EvalCache, error) { return core.OpenEvalCache(dir) }
-
 // Run executes one job under a single scheduler pair on a fresh
 // deterministic cluster and returns its result. WithTracer/WithMetrics
-// attach observation; WithParallelism and WithEvalCache are accepted but
-// have no effect on a single direct run.
+// attach observation; WithParallelism is accepted but has no effect on a
+// single direct run.
 func Run(cfg ClusterConfig, job JobConfig, pair Pair, opts ...Option) (JobResult, error) {
 	if err := job.Validate(); err != nil {
 		return JobResult{}, fmt.Errorf("adaptmr: %w", err)
@@ -353,9 +326,8 @@ type Profile = core.Profile
 
 // Tuner runs the paper's adaptive meta-scheduler for one job on one
 // testbed configuration. Its evaluations execute on a worker pool
-// (WithParallelism) with single-flight memoisation, and may be served
-// from an on-disk cache (WithEvalCache); results are identical to a
-// serial, uncached run.
+// (WithParallelism) with single-flight memoisation; results are
+// identical to a serial run.
 type Tuner struct {
 	runner  *core.Runner
 	scheme  Scheme
@@ -365,7 +337,7 @@ type Tuner struct {
 }
 
 // NewTuner creates a tuner over all 16 pairs with the two-phase scheme.
-// Options: WithTracer, WithMetrics, WithParallelism, WithEvalCache.
+// Options: WithTracer, WithMetrics, WithParallelism, WithContext.
 func NewTuner(cfg ClusterConfig, job JobConfig, opts ...Option) *Tuner {
 	o := buildOptions(opts)
 	cfg = o.apply(cfg)
@@ -376,18 +348,6 @@ func NewTuner(cfg ClusterConfig, job JobConfig, opts ...Option) *Tuner {
 	t := &Tuner{runner: r, scheme: core.TwoPhases, opts: o}
 	if err := job.Validate(); err != nil {
 		t.initErr = fmt.Errorf("adaptmr: %w", err)
-		return t
-	}
-	switch {
-	case o.evalCache != nil:
-		r.DiskCache = o.evalCache
-	case o.evalCacheDir != "":
-		cache, err := core.OpenEvalCache(o.evalCacheDir)
-		if err != nil {
-			t.initErr = err
-		} else {
-			r.DiskCache = cache
-		}
 	}
 	return t
 }
@@ -457,20 +417,8 @@ func (t *Tuner) Profile() ([]Profile, error) {
 	return res, nil
 }
 
-// Evaluations reports how many distinct job executions the tuner has run
-// (disk-cache hits excluded).
+// Evaluations reports how many distinct job executions the tuner has run.
 func (t *Tuner) Evaluations() int { return t.runner.Evaluations }
-
-// CacheStats reports the attached evaluation cache's hit/miss/bypass
-// tallies; ok is false when the tuner runs without an on-disk cache.
-// With a shared handle (WithEvalCacheHandle) the tallies span every
-// tuner using that handle.
-func (t *Tuner) CacheStats() (EvalCacheStats, bool) {
-	if t.runner.DiskCache == nil {
-		return EvalCacheStats{}, false
-	}
-	return t.runner.DiskCache.Stats(), true
-}
 
 // ---------------------------------------------------------------------------
 // Extensions from the paper's future-work agenda

@@ -26,7 +26,7 @@
 //
 //	adaptd
 //	adaptd -addr :8080 -workers 4 -parallel 2 -log json:debug
-//	adaptd -evalcache /var/cache/adaptmr -request-timeout 5m -pprof
+//	adaptd -request-timeout 5m -pprof
 //
 //	curl -s localhost:7070/v1/tune -d '{"job":{"bench":"sort","input_mb":512}}'
 //	curl -s localhost:7070/v1/run -d '{"plan":["cc"],"run_id":"r1"}' &
@@ -51,7 +51,6 @@ func main() {
 	sf := cliutil.BindServerFlags(flag.CommandLine)
 	workers := flag.Int("workers", 2, "concurrently executing requests")
 	parallel := cliutil.BindParallelFlag(flag.CommandLine)
-	evalCache := cliutil.BindEvalCacheFlag(flag.CommandLine)
 	checkInv := cliutil.BindCheckFlag(flag.CommandLine)
 	logFlag := cliutil.BindLogFlag(flag.CommandLine)
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -81,7 +80,6 @@ func main() {
 		QueueDepth:      sf.QueueDepth,
 		RequestTimeout:  sf.RequestTimeout,
 		Parallelism:     *parallel,
-		EvalCacheDir:    *evalCache,
 		CheckInvariants: *checkInv,
 		Logger:          logger,
 		EnablePprof:     *pprofFlag,

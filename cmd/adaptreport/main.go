@@ -5,13 +5,9 @@
 // Subcommands:
 //
 //	adaptreport run  [sim flags] [-format md|html|json] [-o report.md] [-bench-out BENCH.json]
-//	                 [-evalcache DIR]
 //	    Run one fully instrumented job and render the analysis report
 //	    (critical path with per-layer blame, phase breakdown, latency
-//	    quantiles, timeseries). -evalcache additionally runs the same
-//	    (cluster, job, plan) evaluation uninstrumented against the
-//	    on-disk cache — warming it for the other tools (adaptd,
-//	    adaptsim) — and prints the cache's hit/miss/bypass tallies.
+//	    quantiles, timeseries).
 //
 //	adaptreport explain [sim flags] [-format md|html|json] [-o report.md]
 //	    Run one fully instrumented job with journey and decision
@@ -189,22 +185,11 @@ func cmdRun(args []string) {
 	format := fs.String("format", "md", "output format: md, html or json")
 	out := fs.String("o", "", "output path (default stdout)")
 	benchOut := fs.String("bench-out", "", "also write the run's bench summary here, as a one-entry suite")
-	evalCache := cliutil.BindEvalCacheFlag(fs)
 	prof := cliutil.BindProfileFlags(fs)
 	fs.Parse(args)
 	initLogger(sf.log)
 	if err := prof.Start(); err != nil {
 		fail(err)
-	}
-
-	// The instrumented report run cannot be served from the eval cache
-	// (cached results cannot replay their observations), so -evalcache
-	// instead primes the cache with the equivalent uninstrumented
-	// evaluation and reports the tallies.
-	if *evalCache != "" {
-		if err := primeEvalCache(sf, *evalCache); err != nil {
-			fail(err)
-		}
 	}
 
 	rep, err := sf.run()
@@ -272,29 +257,6 @@ func writeReport(rep *adaptmr.Report, format, path string) error {
 		return render(os.Stdout)
 	}
 	return writeFile(path, render)
-}
-
-// primeEvalCache runs the report's (cluster, job, pair) evaluation
-// uninstrumented against the on-disk cache at dir — a hit answers from
-// disk, a miss simulates once and stores — and prints the cache's
-// lifetime tallies.
-func primeEvalCache(sf *simFlags, dir string) error {
-	cfg, wl, pair, err := sf.setup()
-	if err != nil {
-		return err
-	}
-	cache, err := adaptmr.OpenEvalCache(dir)
-	if err != nil {
-		return err
-	}
-	tuner := adaptmr.NewTuner(cfg, wl.Job, adaptmr.WithEvalCacheHandle(cache))
-	if _, err := tuner.RunPlan(adaptmr.UniformPlan(adaptmr.TwoPhases, pair)); err != nil {
-		return err
-	}
-	st := cache.Stats()
-	logger.Info("evalcache primed", "dir", dir,
-		"hits", st.Hits, "misses", st.Misses, "bypasses", st.Bypasses)
-	return nil
 }
 
 func cmdGate(args []string) {

@@ -27,8 +27,7 @@
 // and -memprofile write pprof self-profiles of the simulator.
 //
 // -parallel N fans the tuner's independent evaluations across N workers
-// (0 = GOMAXPROCS) with byte-identical output; -evalcache DIR answers
-// repeated evaluations from an on-disk content-addressed cache.
+// (0 = GOMAXPROCS) with byte-identical output.
 package main
 
 import (
@@ -76,7 +75,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
 	metricsOut := cliutil.BindMetricsFlags(flag.CommandLine)
 	parallel := cliutil.BindParallelFlag(flag.CommandLine)
-	evalCache := cliutil.BindEvalCacheFlag(flag.CommandLine)
 	checkInv := cliutil.BindCheckFlag(flag.CommandLine)
 	prof := cliutil.BindProfileFlags(flag.CommandLine)
 	logFlag := cliutil.BindLogFlag(flag.CommandLine)
@@ -110,9 +108,6 @@ func main() {
 		opts = append(opts, adaptmr.WithMetrics(metrics))
 	}
 	opts = append(opts, adaptmr.WithParallelism(*parallel))
-	if *evalCache != "" {
-		opts = append(opts, adaptmr.WithEvalCache(*evalCache))
-	}
 	if *checkInv {
 		opts = append(opts, adaptmr.WithInvariantChecks())
 	}

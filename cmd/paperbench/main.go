@@ -8,7 +8,8 @@
 //
 // With -quick a scaled-down testbed is used (2×2 cluster, smaller inputs,
 // 6 candidate pairs); without it the full paper configuration runs (4×4
-// cluster, 512 MB per datanode, all 16 pairs), which takes tens of minutes.
+// cluster, 512 MB per datanode, all 16 pairs), which takes about a minute
+// on 2 cores.
 // -parallel N fans the independent sweep cells and tuner evaluations
 // across N workers (0 = GOMAXPROCS) with byte-identical artefacts; when
 // -trace or -metrics is set the direct sweeps fall back to serial so the

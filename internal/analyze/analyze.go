@@ -170,7 +170,7 @@ func Build(tr *obs.Tracer, snap *obs.Snapshot, smp *Sampler, opts Options) (*Rep
 		if points <= 0 {
 			points = 160
 		}
-		ts := smp.Finalize(m.start, m.end, points)
+		ts := smp.Finalize(m.start, m.end, seriesInterval(m.end.Sub(m.start), points))
 		rep.Timeseries = &ts
 	}
 	if opts.Journeys != nil {

@@ -451,7 +451,7 @@ func TestSamplerFinalizeBuckets(t *testing.T) {
 	// One disk fully busy for the second 100ms bucket.
 	s.busy = [][]ival{{{int64(ms(100)), int64(ms(200))}}}
 
-	ts := s.Finalize(0, ms(400), 10)
+	ts := s.Finalize(0, ms(400), 100*sim.Millisecond)
 	if ts.IntervalS != 0.1 || ts.Samples != 5 {
 		t.Fatalf("interval %v samples %d", ts.IntervalS, ts.Samples)
 	}
@@ -475,8 +475,12 @@ func TestSamplerFinalizeBuckets(t *testing.T) {
 		t.Fatalf("busy = %v", ts.DiskBusyFrac)
 	}
 
-	// Interval doubling: 400ms span with maxPoints 3 → 200ms buckets.
-	ts = s.Finalize(0, ms(400), 3)
+	// Build's interval choice: a 400ms span fits 10 points at the 100ms
+	// base, and doubles to 200ms buckets under a cap of 3.
+	if iv := seriesInterval(400*sim.Millisecond, 10); iv != 100*sim.Millisecond {
+		t.Fatalf("interval for 10 points = %v, want 100ms", iv)
+	}
+	ts = s.Finalize(0, ms(400), seriesInterval(400*sim.Millisecond, 3))
 	if ts.IntervalS != 0.2 || ts.Samples != 3 {
 		t.Fatalf("doubled interval %v samples %d", ts.IntervalS, ts.Samples)
 	}

@@ -355,18 +355,15 @@ type Timeseries struct {
 	DiskBusyFrac []float64 `json:"disk_busy_frac"`
 }
 
-// Finalize buckets the recorded raw deltas into at most maxPoints
-// fixed-interval samples spanning [start, end].
-func (s *Sampler) Finalize(start, end sim.Time, maxPoints int) Timeseries {
+// Finalize buckets the recorded raw deltas into fixed-interval samples
+// of the given width spanning [start, end]. The trailing bucket is always
+// emitted and, like every bucket, its throughput is averaged over the
+// full interval, so each level's series sums back to its completed
+// volume (MB = 2^20 bytes).
+func (s *Sampler) Finalize(start, end sim.Time, interval sim.Duration) Timeseries {
 	span := end.Sub(start)
-	if span <= 0 || maxPoints <= 0 {
+	if span <= 0 || interval <= 0 {
 		return Timeseries{Depth: map[string][]int32{}, Outstanding: map[string][]int32{}, ThroughputMBps: map[string][]float64{}}
-	}
-	// Pick the smallest multiple of 100ms that keeps n <= maxPoints.
-	base := 100 * sim.Millisecond
-	interval := base
-	for int(span/interval)+1 > maxPoints {
-		interval *= 2
 	}
 	n := int(span/interval) + 1
 
@@ -412,6 +409,17 @@ func (s *Sampler) Finalize(start, end sim.Time, maxPoints int) Timeseries {
 		}
 	}
 	return ts
+}
+
+// seriesInterval picks the smallest 100ms·2^k bucket width that keeps a
+// span within maxPoints samples: the width Build finalizes a report's
+// timeseries at.
+func seriesInterval(span sim.Duration, maxPoints int) sim.Duration {
+	interval := 100 * sim.Millisecond
+	for int(span/interval)+1 > maxPoints {
+		interval *= 2
+	}
+	return interval
 }
 
 // boundarySamples integrates ±1 deltas and samples the running value at

@@ -1,9 +1,8 @@
 // Package cliutil holds the flag helpers shared by the adaptmr command
 // line tools: metrics snapshot output with an explicit format selector
 // (json, csv or Prometheus text exposition), pprof self-profiling, the
-// evaluation-pool worker count, the on-disk evaluation cache location,
-// structured diagnostic logging (-log), and the daemon flag bundle
-// (-addr, -request-timeout, -queue-depth).
+// evaluation-pool worker count, structured diagnostic logging (-log), and
+// the daemon flag bundle (-addr, -request-timeout, -queue-depth).
 package cliutil
 
 import (
@@ -144,14 +143,6 @@ func (m *MetricsOut) Write(s *obs.Snapshot) error {
 func BindParallelFlag(fs *flag.FlagSet) *int {
 	return fs.Int("parallel", 0,
 		"evaluation worker count (0 = GOMAXPROCS, 1 = serial); output is identical at every setting")
-}
-
-// BindEvalCacheFlag registers the shared -evalcache flag: a directory for
-// the content-addressed on-disk evaluation cache. Empty (the default)
-// disables caching.
-func BindEvalCacheFlag(fs *flag.FlagSet) *string {
-	return fs.String("evalcache", "",
-		"directory for the on-disk evaluation cache (empty = disabled; ignored while -trace/-metrics are set)")
 }
 
 // BindCheckFlag registers the shared -check flag: attach the runtime

@@ -6,6 +6,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"adaptmr/internal/cluster"
+	"adaptmr/internal/obs"
+	"adaptmr/internal/workloads"
 )
 
 func TestRunnerContextCancelled(t *testing.T) {
@@ -153,5 +157,46 @@ func TestGroupErrorPropagation(t *testing.T) {
 	v, err, _ := g.Do("other", func() (any, error) { return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("got %v, %v", v, err)
+	}
+}
+
+func TestEvalDigestStability(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	job := workloads.Sort(96 << 20).Job
+	plan := Uniform(TwoPhases, cc)
+
+	a, err := EvalDigest(cfg, job, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Attaching observation sinks must not change the digest (they are
+	// zeroed before hashing).
+	obsCfg := cfg
+	obsCfg.Obs.Trace = obs.NewTracer()
+	obsCfg.Obs.Metrics = obs.NewRegistry()
+	b, err := EvalDigest(obsCfg, job, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("digest depends on observation sinks")
+	}
+	// Equivalent plans (same runtime expansion) share a digest…
+	c, err := EvalDigest(cfg, job, Uniform(ThreePhases, cc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != c {
+		t.Fatal("equivalent plans produced different digests")
+	}
+	// …while any config difference changes it.
+	cfg2 := cfg
+	cfg2.Seed = cfg.Seed + 1
+	d, err := EvalDigest(cfg2, job, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == d {
+		t.Fatal("seed change did not change the digest")
 	}
 }

@@ -150,8 +150,8 @@ type RunResult struct {
 	// it into the caller's shared registry.
 	Metrics *obs.Snapshot
 	// Perf carries engine self-telemetry for the evaluation (nil unless
-	// Runner.CollectPerf was set, and always nil on memo or disk-cache
-	// hits — wall times are machine-dependent and must not be replayed).
+	// Runner.CollectPerf was set; a memo hit returns the stats of the
+	// evaluation that answered it).
 	Perf *perfstat.Stat
 	// Journeys summarises the evaluation's per-request latency
 	// decompositions (nil unless a journey log was attached via

@@ -55,32 +55,26 @@ type Runner struct {
 	// loop.
 	Context context.Context
 
-	// DiskCache, when non-nil, is consulted before simulating and updated
-	// after each evaluation — but only while no tracer/metrics sink is
-	// attached, because a cached result cannot replay its trace events.
-	// Disk-cache hits do not count as Evaluations.
-	DiskCache *EvalCache
-
 	// CollectPerf, when set, wraps every evaluation's event loop in a
 	// perfstat probe: wall clock, events processed, allocation and GC
 	// deltas land on RunResult.Perf and (when a metrics registry is
 	// attached) as perf.* gauges in the evaluation's private registry.
 	// Off by default — the probe's two ReadMemStats calls briefly
 	// stop-the-world, and perf numbers are machine-dependent, so
-	// byte-determinism tests and cached runs leave it disabled.
+	// byte-determinism tests leave it disabled.
 	CollectPerf bool
 
-	// OnEvaluation, when non-nil, is called for each actual (non-memoised,
-	// non-cached) evaluation after the cluster is built and the plan's
-	// first pair installed, but before the job starts. It runs on the
-	// evaluating worker's goroutine; callers use it to attach samplers or
-	// pump events for live streaming. It must not retain the cluster past
-	// the evaluation.
+	// OnEvaluation, when non-nil, is called for each actual (non-memoised)
+	// evaluation after the cluster is built and the plan's first pair
+	// installed, but before the job starts. It runs on the evaluating
+	// worker's goroutine; callers use it to attach samplers or pump
+	// events for live streaming. It must not retain the cluster past the
+	// evaluation.
 	OnEvaluation func(plan Plan, cl *cluster.Cluster)
 
-	// Evaluations counts actual (non-memoised, non-disk-cached) job
-	// executions. It is mutated under the runner's lock while a batch is
-	// in flight and is safe to read once the triggering call returns.
+	// Evaluations counts actual (non-memoised) job executions. It is
+	// mutated under the runner's lock while a batch is in flight and is
+	// safe to read once the triggering call returns.
 	Evaluations int
 
 	mu       sync.Mutex
@@ -93,7 +87,7 @@ type Runner struct {
 // entry owns its execution; everyone else waits on done.
 type evalEntry struct {
 	plan Plan // first plan submitted under this key (labels the run)
-	idx  int  // evaluation index; -1 when satisfied from the disk cache
+	idx  int  // evaluation index (submission order)
 	done chan struct{}
 	res  RunResult
 	err  error
@@ -136,11 +130,6 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 	if r.pending == nil {
 		r.pending = make(map[int]*evalEntry)
 	}
-	diskCache := r.DiskCache
-	bypassed := diskCache != nil && r.ClusterConfig.Obs.Enabled()
-	if bypassed {
-		diskCache = nil // cached results cannot replay traces or metrics
-	}
 	ctx := r.Context
 	for i, plan := range plans {
 		key := plan.Key()
@@ -148,30 +137,15 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 			entries[i] = e
 			continue
 		}
-		e := &evalEntry{plan: plan, idx: -1, done: make(chan struct{})}
-		if diskCache != nil {
-			if res, ok := diskCache.Get(r.ClusterConfig, r.Job, plan); ok {
-				e.res = res
-				close(e.done)
-				r.memo[key] = e
-				entries[i] = e
-				continue
-			}
-		}
-		e.idx = r.Evaluations
+		e := &evalEntry{plan: plan, idx: r.Evaluations, done: make(chan struct{})}
 		r.Evaluations++
 		r.memo[key] = e
 		entries[i] = e
 		toRun = append(toRun, e)
 	}
-	if bypassed {
-		// The cache exists but could not be consulted; tally the skipped
-		// lookups so long-lived holders can report them.
-		r.DiskCache.NoteBypass(len(toRun))
-	}
 	r.mu.Unlock()
 
-	Fan(r.Parallelism, len(toRun), func(i int) { r.execute(ctx, toRun[i], diskCache) })
+	Fan(r.Parallelism, len(toRun), func(i int) { r.execute(ctx, toRun[i]) })
 
 	out := make([]RunResult, len(plans))
 	var firstErr error
@@ -192,7 +166,7 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 // observations exactly as a serial run would have produced them. A
 // cancelled evaluation still folds (with its error set), so later indices
 // are never stranded behind it.
-func (r *Runner) execute(ctx context.Context, e *evalEntry, diskCache *EvalCache) {
+func (r *Runner) execute(ctx context.Context, e *evalEntry) {
 	cc := r.ClusterConfig
 	if cc.Obs.Enabled() { // only an observed run needs the label, which allocates
 		cc.Obs = cc.Obs.Private(e.idx, e.plan.String())
@@ -213,7 +187,7 @@ func (r *Runner) execute(ctx context.Context, e *evalEntry, diskCache *EvalCache
 		}
 		delete(r.pending, r.foldNext)
 		r.foldNext++
-		r.fold(f, diskCache)
+		r.fold(f)
 	}
 	r.mu.Unlock()
 }
@@ -221,13 +195,9 @@ func (r *Runner) execute(ctx context.Context, e *evalEntry, diskCache *EvalCache
 // fold absorbs one finished evaluation into the shared sinks (in index
 // order — the caller guarantees it) and releases its waiters. Called with
 // r.mu held.
-func (r *Runner) fold(f *evalEntry, diskCache *EvalCache) {
+func (r *Runner) fold(f *evalEntry) {
 	if f.err == nil {
 		r.ClusterConfig.Obs.Absorb(f.obs, f.res.Metrics)
-		if diskCache != nil {
-			// Best effort: a failed write only costs a future re-simulation.
-			_ = diskCache.Put(r.ClusterConfig, r.Job, f.plan, f.res)
-		}
 	}
 	f.obs = obs.Sink{}
 	close(f.done)

@@ -1,6 +1,16 @@
 package core
 
-import "sync"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"sync"
+
+	"adaptmr/internal/cluster"
+	"adaptmr/internal/mapred"
+	"adaptmr/internal/obs"
+)
 
 // Group is an exported single-flight: concurrent Do/DoChan calls that
 // share a key execute the supplied function exactly once and all receive
@@ -89,4 +99,26 @@ func (g *Group) InFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.calls)
+}
+
+// EvalDigest derives the content hash of one evaluation: a sha256 over
+// the (cluster config, job config, plan key) triple, which captures
+// everything that determines its outcome. Observation sinks are zeroed
+// before hashing: they do not affect simulated timings, and pointer
+// fields would not marshal meaningfully anyway. It is the coalescing key
+// for a Group; the key never leaves the process, so it carries no
+// version.
+func EvalDigest(cc cluster.Config, job mapred.Config, plan Plan) (string, error) {
+	cc.Obs = obs.Sink{}
+	cc.Host.Obs = obs.Sink{}
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	if err := enc.Encode(cc); err != nil {
+		return "", fmt.Errorf("core: eval digest (cluster): %w", err)
+	}
+	if err := enc.Encode(job); err != nil {
+		return "", fmt.Errorf("core: eval digest (job): %w", err)
+	}
+	h.Write([]byte(plan.Key()))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

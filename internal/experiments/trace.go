@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"adaptmr/internal/analyze"
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/sim"
@@ -28,8 +29,9 @@ type Fig3Result struct {
 	PerVMMean [][]float64
 }
 
-// Fig3 instruments host 0's Dom0 queue and each of its guest queues with
-// 1-second throughput samplers during a sort run.
+// Fig3 attaches one analyze.Sampler to host 0's Dom0 queue (level "dom0")
+// and to each of its guest queues (one level per VM) during a sort run,
+// and reads every level's throughput in the paper's 1-second buckets.
 func Fig3(cfg Config) Fig3Result {
 	pairs := []iosched.Pair{
 		{VMM: iosched.CFQ, VM: iosched.CFQ},
@@ -49,29 +51,31 @@ func Fig3(cfg Config) Fig3Result {
 	// The two instrumented runs are independent clusters, so they execute
 	// on the worker pool.
 	parDo(cfg, len(pairs), func(i int) {
-		var vmmSampler *stats.ThroughputSampler
-		var vmSamplers []*stats.ThroughputSampler
+		smp := analyze.NewSampler()
+		var vms []string
+		var eng *sim.Engine
+		var start sim.Time
 		runPair(cfg, bm, pairs[i], func(cl *cluster.Cluster) {
 			host := cl.Hosts[0]
-			window := 1 * sim.Second
-			vmmSampler = stats.NewThroughputSampler(cl.Eng, window)
-			vmmSampler.Attach(host.Dom0Queue())
+			smp.AttachQueue(host.Dom0Queue(), "dom0")
 			for _, d := range host.Domains() {
-				s := stats.NewThroughputSampler(cl.Eng, window)
-				s.Attach(d.Queue())
-				vmSamplers = append(vmSamplers, s)
+				vm := fmt.Sprintf("vm%d", d.Index)
+				smp.AttachQueue(d.Queue(), vm)
+				vms = append(vms, vm)
 			}
+			eng, start = cl.Eng, cl.Eng.Now()
 		})
+		ts := smp.Finalize(start, eng.Now(), sim.Second)
 
-		vmm := vmmSampler.Series()
+		vmm := ts.ThroughputMBps["dom0"]
 		res.VMMCDF[i] = stats.CDF(vmm)
 		res.VMMMax[i] = stats.Max(vmm)
 		res.VMMMean[i] = stats.Mean(vmm)
 
 		var pooled []float64
 		var perVM []float64
-		for _, s := range vmSamplers {
-			series := s.Series()
+		for _, vm := range vms {
+			series := ts.ThroughputMBps[vm]
 			pooled = append(pooled, series...)
 			perVM = append(perVM, stats.Mean(series))
 		}

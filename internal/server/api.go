@@ -61,8 +61,7 @@ type RunRequest struct {
 	// RunID, when set, makes this a streamed run: its live timeseries
 	// frames are followable at GET /v1/stream?id=<RunID> while the POST
 	// is in flight, and the stream's terminal frame carries this
-	// response's exact payload. Streamed runs always simulate (the eval
-	// cache is not consulted). At most 64 characters of [A-Za-z0-9._-];
+	// response's exact payload. At most 64 characters of [A-Za-z0-9._-];
 	// reuse an id only after its run finished.
 	RunID string `json:"run_id,omitempty"`
 }
@@ -117,8 +116,8 @@ type RunResponse struct {
 	DurationS    float64  `json:"duration_s"`
 	SwitchStallS float64  `json:"switch_stall_s"`
 	Job          JobJSON  `json:"job"`
-	// Evaluations is how many distinct simulations this request consumed
-	// (0 when everything was answered from the eval cache).
+	// Evaluations is how many distinct simulations this request consumed;
+	// a coalesced follower reports its leader's count.
 	Evaluations int `json:"evaluations"`
 }
 
@@ -304,10 +303,10 @@ func timeoutFor(ms int64, def time.Duration) (time.Duration, error) {
 // Coalescing keys
 // ---------------------------------------------------------------------------
 
-// runKey is the single-flight key of a /v1/run request: the eval-cache
-// content digest of the (cluster, job, plan) triple, which captures
-// everything that determines the outcome. Requests that normalise to the
-// same digest coalesce.
+// runKey is the single-flight key of a /v1/run request: the content
+// digest (core.EvalDigest) of the (cluster, job, plan) triple, which
+// captures everything that determines the outcome. Requests that
+// normalise to the same digest coalesce.
 func runKey(cfg adaptmr.ClusterConfig, job adaptmr.JobConfig, plan adaptmr.Plan) (string, error) {
 	d, err := core.EvalDigest(cfg, job, plan)
 	if err != nil {
@@ -317,8 +316,8 @@ func runKey(cfg adaptmr.ClusterConfig, job adaptmr.JobConfig, plan adaptmr.Plan)
 }
 
 // tuneKey is the single-flight key of a /v1/tune or /v1/bruteforce
-// request: the eval-cache digest of the testbed plus the search
-// parameters (scheme, candidate set) and the endpoint.
+// request: the content digest (core.EvalDigest) of the testbed plus the
+// search parameters (scheme, candidate set) and the endpoint.
 func tuneKey(endpoint string, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
 	scheme adaptmr.Scheme, candidates []adaptmr.Pair) (string, error) {
 	d, err := core.EvalDigest(cfg, job, adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair))

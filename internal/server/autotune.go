@@ -134,8 +134,9 @@ func buildOnlinePolicy(spec *AutotunePolicySpec) (control.Policy, error) {
 	return pol, nil
 }
 
-// autotuneKey is the single-flight key: the testbed digest plus every
-// policy knob that shapes the controller's behaviour.
+// autotuneKey is the single-flight key: the testbed's content digest
+// (core.EvalDigest) plus every policy knob that shapes the controller's
+// behaviour.
 func autotuneKey(cfg adaptmr.ClusterConfig, job adaptmr.JobConfig, pol control.Policy) (string, error) {
 	d, err := core.EvalDigest(cfg, job, adaptmr.UniformPlan(adaptmr.TwoPhases, pol.StartPair))
 	if err != nil {
@@ -190,7 +191,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 }
 
 // execAutotune executes one job under the online controller through the
-// facade. RunOnline builds a fresh, uncached runner per call, so the
+// facade. RunOnline builds a fresh, unmemoised runner per call, so the
 // request always costs exactly one evaluation.
 func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	job adaptmr.JobConfig, pol control.Policy) ([]byte, error) {

@@ -7,8 +7,8 @@ import (
 	"adaptmr/internal/obs/perfstat"
 )
 
-// Instrument names the server publishes. Together with the eval-cache
-// gauges they form the /metrics contract the smoke test scrapes.
+// Instrument names the server publishes: the /metrics contract the smoke
+// test scrapes.
 const (
 	mReqRun         = "server.requests.run"
 	mReqTune        = "server.requests.tune"
@@ -37,16 +37,12 @@ const (
 	mPerfAllocsPerEvent = "perf.last.allocs_per_event"
 	mPerfBytesPerEvent  = "perf.last.bytes_per_event"
 
-	mCacheHits     = "evalcache.hits"
-	mCacheMisses   = "evalcache.misses"
-	mCacheBypasses = "evalcache.bypasses"
-
 	mRequestSeconds = "server.request_seconds"
 )
 
 // requestSecondsEdges spans 1 ms … ~65 s exponentially — simulation
-// requests range from milliseconds (tiny runs, cache hits) to tens of
-// seconds (full tuning searches).
+// requests range from milliseconds (tiny runs) to tens of seconds (full
+// tuning searches).
 var requestSecondsEdges = obs.ExpEdges(0.001, 2, 17)
 
 // lockedRegistry makes an obs.Registry safe for the server's concurrent

@@ -64,12 +64,6 @@ type Config struct {
 	// Parallelism is each request's evaluation worker count
 	// (adaptmr.WithParallelism). 0 means GOMAXPROCS.
 	Parallelism int
-	// EvalCacheDir, when non-empty, attaches a shared on-disk evaluation
-	// cache (one handle across all requests, so /statusz aggregates its
-	// hit/miss tallies). Note that cached hits make the evaluations field
-	// of responses depend on server history; leave empty when
-	// byte-stability of that field matters more than speed.
-	EvalCacheDir string
 	// CheckInvariants attaches the runtime correctness harness
 	// (adaptmr.WithInvariantChecks) to every simulation the server runs;
 	// an invariant violation fails the request with a 500.
@@ -101,7 +95,6 @@ func (c Config) withDefaults() Config {
 // Handler, stop with Shutdown.
 type Server struct {
 	cfg    Config
-	cache  *adaptmr.EvalCache
 	logger *slog.Logger
 
 	pool    *pool
@@ -140,13 +133,6 @@ func New(cfg Config) (*Server, error) {
 		streams: newStreams(),
 		start:   time.Now(),
 		build:   readBuildInfo(),
-	}
-	if cfg.EvalCacheDir != "" {
-		cache, err := adaptmr.OpenEvalCache(cfg.EvalCacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("server: opening eval cache: %w", err)
-		}
-		s.cache = cache
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth)
@@ -330,15 +316,12 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, endpoint, c
 	})
 }
 
-// newTuner builds the per-request tuner: the request's context, the
-// server's parallelism and (when configured) the shared eval cache.
+// newTuner builds the per-request tuner: the request's context and the
+// server's parallelism.
 func (s *Server) newTuner(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig) *adaptmr.Tuner {
 	opts := []adaptmr.Option{
 		adaptmr.WithParallelism(s.cfg.Parallelism),
 		adaptmr.WithContext(ctx),
-	}
-	if s.cache != nil {
-		opts = append(opts, adaptmr.WithEvalCacheHandle(s.cache))
 	}
 	if s.cfg.CheckInvariants {
 		opts = append(opts, adaptmr.WithInvariantChecks())
@@ -645,13 +628,6 @@ type statuszPayload struct {
 		Active        int   `json:"active"`
 		DroppedFrames int64 `json:"dropped_frames"`
 	} `json:"streams"`
-
-	EvalCache *evalCacheStatus `json:"evalcache,omitempty"`
-}
-
-type evalCacheStatus struct {
-	Dir string `json:"dir"`
-	adaptmr.EvalCacheStats
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
@@ -678,9 +654,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	p.Evaluations = s.met.counterValue(mEvaluations)
 	p.Streams.Active = s.streams.active()
 	p.Streams.DroppedFrames = s.streams.droppedFrames()
-	if s.cache != nil {
-		p.EvalCache = &evalCacheStatus{Dir: s.cfg.EvalCacheDir, EvalCacheStats: s.cache.Stats()}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -689,7 +662,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the registry in Prometheus text exposition
 // format, refreshing the point-in-time gauges (queue, workers, uptime,
-// cache tallies) at scrape time.
+// streams) at scrape time.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
@@ -699,12 +672,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.setGauge(mUptime, time.Since(s.start).Seconds())
 	s.met.setGauge(mStreamsActive, float64(s.streams.active()))
 	s.met.setGauge(mStreamDropped, float64(s.streams.droppedFrames()))
-	if s.cache != nil {
-		st := s.cache.Stats()
-		s.met.setGauge(mCacheHits, float64(st.Hits))
-		s.met.setGauge(mCacheMisses, float64(st.Misses))
-		s.met.setGauge(mCacheBypasses, float64(st.Bypasses))
-	}
 	snap := s.met.snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap.WritePrometheus(w)

@@ -285,9 +285,7 @@ type streamJourney struct {
 // execStreamed executes one plan with live streaming: the wiring /v1/run
 // and /v1/autotune share. It runs the plan through core.Execute (instead
 // of the facade) so it can attach a sampler and a self-rescheduling pump
-// event to the cluster; the disk cache is deliberately not consulted,
-// because a cache hit has no simulation to stream. The run is one
-// evaluation.
+// event to the cluster. The run is one evaluation.
 //
 // wire extends the evaluating cluster after the sampler attached and
 // before the pump starts, and returns how many

@@ -106,8 +106,7 @@ func RunOnline(cfg ClusterConfig, job JobConfig, opts ...Option) (OnlineResult, 
 	}
 
 	// A fresh runner per call: the controller mutates the execution, so
-	// memoisation or the on-disk evaluation cache must never answer for
-	// it. The runner still provides the ordered observation fold, context
+	// memoisation must never answer for it. The runner still provides the ordered observation fold, context
 	// checking and perf probing the other entry points share.
 	r := core.NewRunner(cfg, job)
 	r.Parallelism = o.parallelism
