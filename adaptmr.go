@@ -241,8 +241,8 @@ type PerfStat = perfstat.Stat
 // The entry point reports the context's error. A tuner whose context has
 // fired should be discarded (failed evaluations are memoised).
 //
-// Honoured by Run, every NewTuner entry point (Tune, RunPlan, BruteForce,
-// Profile), RunOnline, RunChain and TuneChain.
+// Honoured by Run, RunReport, every NewTuner entry point (Tune, RunPlan,
+// BruteForce, Profile), RunOnline, RunChain and TuneChain.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
 // CheckSet aggregates runtime invariant checkers and their violations

@@ -47,17 +47,13 @@ func TestTunerWithInvariantChecksParallel(t *testing.T) {
 	}
 }
 
-// TestReportWithInvariantChecks exercises the CheckInvariants report
-// option: the instrumented report run (tracer + metrics + sampler + checks
-// all attached at once) must pass.
+// TestReportWithInvariantChecks exercises WithInvariantChecks on
+// RunReport: the instrumented report run (tracer + metrics + sampler +
+// checks all attached at once) must pass.
 func TestReportWithInvariantChecks(t *testing.T) {
 	cfg := quickCluster()
 	job := adaptmr.SortBenchmark(96 << 20).Job
-	rep, err := adaptmr.RunReport(cfg, job, adaptmr.DefaultPair, adaptmr.ReportOptions{
-		Workload:        "sort",
-		InputMB:         96,
-		CheckInvariants: true,
-	})
+	rep, err := adaptmr.RunReport(cfg, job, adaptmr.DefaultPair, adaptmr.WithInvariantChecks())
 	if err != nil {
 		t.Fatalf("RunReport with checks: %v", err)
 	}

@@ -74,7 +74,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		if !reflect.DeepEqual(direct, tuned.Job) {
 			t.Errorf("%s: Run and RunPlan disagree:\n run     %+v\n runplan %+v", pair, direct, tuned.Job)
 		}
-		rep, err := adaptmr.RunReport(quickCluster(), job, pair, adaptmr.ReportOptions{Workload: "sort", InputMB: 64})
+		rep, err := adaptmr.RunReport(quickCluster(), job, pair)
 		if err != nil {
 			t.Fatalf("%s: RunReport: %v", pair, err)
 		}

@@ -4,31 +4,25 @@
 //
 // Subcommands:
 //
-//	adaptreport run  [sim flags] [-format md|html|json] [-o report.md] [-bench-out BENCH.json]
+//	adaptreport run|explain [sim flags] [-format md|html|json] [-o report.md]
 //	    Run one fully instrumented job and render the analysis report
 //	    (critical path with per-layer blame, phase breakdown, latency
-//	    quantiles, timeseries).
-//
-//	adaptreport explain [sim flags] [-format md|html|json] [-o report.md]
-//	    Run one fully instrumented job with journey and decision
-//	    provenance enabled and render the run report with its explain
-//	    sections after the full report: per-phase verdicts ("why this
-//	    pair won this phase"), the ns-exact request latency decomposition
-//	    per stage and per VM, and the scheduler decision tallies at both
-//	    queue levels.
+//	    quantiles, timeseries); run -bench-out BENCH.json also writes its
+//	    bench summary. explain also records journey and decision
+//	    provenance and renders the explain sections after the full report:
+//	    per-phase verdicts ("why this pair won this phase"), the ns-exact
+//	    request latency decomposition per stage and per VM, and the
+//	    scheduler decision tallies at both queue levels.
 //
 //	adaptreport gate [sim flags] [-baseline BENCH_baseline.json] [-tol 0.05]
 //	                 [-candidate BENCH_candidate.json] [-html report.html] [-update]
-//	                 [-parallel N] [-sweep-out sweep.json] [-o compare.txt]
+//	                 [-parallel N] [-o compare.txt]
 //	    Run the suite's three workloads — the instrumented job ("sort"),
 //	    the built-in fleet smoke scenario ("fleet:fleet-smoke") and the
 //	    job under the online controller ("online:sort") — and compare
 //	    each against its baseline entry. Exits 1 when a gated metric
 //	    regressed beyond the tolerance or the event count changed at
-//	    all. -update rewrites the baseline
-//	    instead of comparing. -sweep-out additionally times the 16-pair
-//	    profile sweep serial vs -parallel workers, verifies the outputs
-//	    are identical, and writes the speedup record as JSON.
+//	    all. -update rewrites the baseline instead of comparing.
 //
 //	adaptreport compare [-tol 0.05] [-o compare.txt] base.json candidate.json
 //	    Compare two previously written suites.
@@ -41,9 +35,9 @@
 // the path ends in .json), even on FAIL, so CI can upload the verdict.
 //
 // Sim flags (run, explain and gate): -bench, -pair, -hosts, -vms, -input,
-// -seed, -slowdown. All output is deterministic for a fixed
-// configuration, which is what makes byte-level baseline comparison
-// possible.
+// -seed, -check, -perf. All output is deterministic for a fixed
+// configuration (with -perf=false for run and explain), which is what
+// makes byte-level baseline comparison possible.
 package main
 
 import (
@@ -54,9 +48,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"adaptmr"
 	"adaptmr/internal/cliutil"
@@ -93,10 +85,8 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "run":
-		cmdRun(os.Args[2:])
-	case "explain":
-		cmdExplain(os.Args[2:])
+	case "run", "explain":
+		cmdRun(os.Args[1], os.Args[2:])
 	case "gate":
 		cmdGate(os.Args[2:])
 	case "compare":
@@ -108,30 +98,26 @@ func main() {
 
 // simFlags binds the shared simulation flags on fs.
 type simFlags struct {
-	bench    *string
-	pairArg  *string
-	hosts    *int
-	vms      *int
-	inputMB  *int64
-	seed     *int64
-	slowdown *float64
-	points   *int
-	check    *bool
-	perf     *bool
-	log      *cliutil.LogFlag
+	bench   *string
+	pairArg *string
+	hosts   *int
+	vms     *int
+	inputMB *int64
+	seed    *int64
+	check   *bool
+	perf    *bool
+	log     *cliutil.LogFlag
 }
 
 func bindSimFlags(fs *flag.FlagSet) *simFlags {
 	return &simFlags{
-		bench:    fs.String("bench", "sort", "workload: sort, wordcount, wordcount-nc"),
-		pairArg:  fs.String("pair", "cc", "scheduler pair (code or long form)"),
-		hosts:    fs.Int("hosts", 2, "physical nodes"),
-		vms:      fs.Int("vms", 2, "VMs per node"),
-		inputMB:  fs.Int64("input", 64, "input data per datanode VM, in MB"),
-		seed:     fs.Int64("seed", 1, "simulation seed"),
-		slowdown: fs.Float64("slowdown", 0, "slow host 0's disk by this factor (0 = off; for gate testing)"),
-		points:   fs.Int("timeseries-points", 0, "timeseries sample cap (0 = default 160)"),
-		check:    cliutil.BindCheckFlag(fs),
+		bench:   fs.String("bench", "sort", "workload: sort, wordcount, wordcount-nc"),
+		pairArg: fs.String("pair", "cc", "scheduler pair (code or long form)"),
+		hosts:   fs.Int("hosts", 2, "physical nodes"),
+		vms:     fs.Int("vms", 2, "VMs per node"),
+		inputMB: fs.Int64("input", 64, "input data per datanode VM, in MB"),
+		seed:    fs.Int64("seed", 1, "simulation seed"),
+		check:   cliutil.BindCheckFlag(fs),
 		perf: fs.Bool("perf", true,
 			"collect engine self-telemetry (wall clock, events/sec, allocs/event) into the bench summary; disable for byte-identical reports"),
 		log: cliutil.BindLogFlag(fs),
@@ -144,9 +130,6 @@ func (sf *simFlags) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pa
 	cfg.Hosts = *sf.hosts
 	cfg.VMsPerHost = *sf.vms
 	cfg.Seed = *sf.seed
-	if *sf.slowdown > 0 {
-		cfg.HostDiskSlowdown = map[int]float64{0: *sf.slowdown}
-	}
 
 	wl, err := workloads.ByName(*sf.bench, *sf.inputMB<<20)
 	if err != nil {
@@ -159,32 +142,36 @@ func (sf *simFlags) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pa
 	return cfg, wl, pair, nil
 }
 
-// reportOptions labels the instrumented run with the sim flags.
-func (sf *simFlags) reportOptions() adaptmr.ReportOptions {
-	return adaptmr.ReportOptions{
-		Workload:         *sf.bench,
-		InputMB:          *sf.inputMB,
-		TimeseriesPoints: *sf.points,
-		CheckInvariants:  *sf.check,
-		CollectPerf:      *sf.perf,
-	}
-}
-
-// run executes one instrumented job per the sim flags and analyzes it.
-func (sf *simFlags) run() (*adaptmr.Report, error) {
+// run executes one instrumented job per the sim flags and analyzes it;
+// opts adds facade options (explain's journey and decision logs).
+func (sf *simFlags) run(opts ...adaptmr.Option) (*adaptmr.Report, error) {
 	cfg, wl, pair, err := sf.setup()
 	if err != nil {
 		return nil, err
 	}
-	return adaptmr.RunReport(cfg, wl.Job, pair, sf.reportOptions())
+	if *sf.check {
+		opts = append(opts, adaptmr.WithInvariantChecks())
+	}
+	if *sf.perf {
+		opts = append(opts, adaptmr.WithPerfStats())
+	}
+	return adaptmr.RunReport(cfg, wl.Job, pair, opts...)
 }
 
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("adaptreport run", flag.ExitOnError)
+// cmdRun is run and explain: one instrumented job rendered as its report.
+// explain attaches the journey and decision logs, so the report carries
+// its explain sections after the run report.
+func cmdRun(name string, args []string) {
+	fs := flag.NewFlagSet("adaptreport "+name, flag.ExitOnError)
 	sf := bindSimFlags(fs)
 	format := fs.String("format", "md", "output format: md, html or json")
 	out := fs.String("o", "", "output path (default stdout)")
-	benchOut := fs.String("bench-out", "", "also write the run's bench summary here, as a one-entry suite")
+	// Only run writes a bench: explain's journey log turns request pooling
+	// off, which moves the gated allocs_per_event.
+	var benchOut *string
+	if name == "run" {
+		benchOut = fs.String("bench-out", "", "also write the run's bench summary here, as a one-entry suite")
+	}
 	prof := cliutil.BindProfileFlags(fs)
 	fs.Parse(args)
 	initLogger(sf.log)
@@ -192,47 +179,21 @@ func cmdRun(args []string) {
 		fail(err)
 	}
 
-	rep, err := sf.run()
+	var opts []adaptmr.Option
+	if name == "explain" {
+		opts = []adaptmr.Option{adaptmr.WithJourney(), adaptmr.WithDecisionLog()}
+	}
+	rep, err := sf.run(opts...)
 	if err != nil {
 		fail(err)
 	}
 	if err := writeReport(rep, *format, *out); err != nil {
 		fail(err)
 	}
-	if *benchOut != "" {
+	if benchOut != nil && *benchOut != "" {
 		if err := writeJSONFile(*benchOut, []adaptmr.Bench{rep.Bench}); err != nil {
 			fail(err)
 		}
-	}
-	if err := prof.Stop(); err != nil {
-		fail(err)
-	}
-}
-
-// cmdExplain runs one instrumented job with journey and decision
-// provenance enabled and renders the report with its explain sections.
-func cmdExplain(args []string) {
-	fs := flag.NewFlagSet("adaptreport explain", flag.ExitOnError)
-	sf := bindSimFlags(fs)
-	format := fs.String("format", "md", "output format: md, html or json")
-	out := fs.String("o", "", "output path (default stdout)")
-	prof := cliutil.BindProfileFlags(fs)
-	fs.Parse(args)
-	initLogger(sf.log)
-	if err := prof.Start(); err != nil {
-		fail(err)
-	}
-
-	cfg, wl, pair, err := sf.setup()
-	if err != nil {
-		fail(err)
-	}
-	rep, err := adaptmr.RunExplain(cfg, wl.Job, pair, sf.reportOptions())
-	if err != nil {
-		fail(err)
-	}
-	if err := writeReport(rep, *format, *out); err != nil {
-		fail(err)
 	}
 	if err := prof.Stop(); err != nil {
 		fail(err)
@@ -268,8 +229,6 @@ func cmdGate(args []string) {
 	htmlOut := fs.String("html", "", "write the candidate's full HTML report here")
 	update := fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
 	parallel := cliutil.BindParallelFlag(fs)
-	sweepOut := fs.String("sweep-out", "",
-		"also run the 16-pair profile sweep serial and with -parallel workers, verify identical output, and write the timing JSON here")
 	cmpOut := fs.String("o", "",
 		"write the comparison here too (JSON when the path ends in .json, the text tables otherwise)")
 	prof := cliutil.BindProfileFlags(fs)
@@ -303,11 +262,6 @@ func cmdGate(args []string) {
 			}
 		}
 	}
-	if *sweepOut != "" {
-		if err := writeSweep(sf, *parallel, *sweepOut); err != nil {
-			fail(err)
-		}
-	}
 
 	// The fleet smoke scenario and the same job under the online
 	// controller at smoke-scale policy run without perf collection, so
@@ -329,7 +283,7 @@ func cmdGate(args []string) {
 		fail(err)
 	}
 	suite := []adaptmr.Bench{rep.Bench, adaptmr.FleetBench(fleet),
-		adaptmr.OnlineBench(online, *sf.bench, cfg, *sf.inputMB)}
+		adaptmr.OnlineBench(online, cfg, wl.Job)}
 	if *candidate != "" {
 		if err := writeJSONFile(*candidate, suite); err != nil {
 			fail(err)
@@ -448,82 +402,6 @@ func compareSuites(w io.Writer, base, cand []adaptmr.Bench, tol float64, out str
 	default:
 		return regressed, os.WriteFile(out, text.Bytes(), 0o644)
 	}
-}
-
-// sweepRecord is the JSON artifact produced by gate -sweep-out: the
-// serial vs parallel timing of the 16-pair profile sweep plus the
-// byte-identity verdict.
-type sweepRecord struct {
-	Bench           string  `json:"bench"`
-	Pairs           int     `json:"pairs"`
-	Workers         int     `json:"workers"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Evaluations     int     `json:"evaluations"`
-	Identical       bool    `json:"identical"`
-}
-
-// writeSweep runs the full 16-pair profile sweep twice — serial and with
-// the requested worker count — verifies the profiles are byte-identical
-// and the evaluation count unchanged, and records the wall-clock speedup.
-func writeSweep(sf *simFlags, parallel int, path string) error {
-	cfg, wl, _, err := sf.setup()
-	if err != nil {
-		return err
-	}
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	profile := func(n int) ([]adaptmr.Profile, int, float64, error) {
-		tuner := adaptmr.NewTuner(cfg, wl.Job, adaptmr.WithParallelism(n))
-		start := time.Now()
-		profs, err := tuner.Profile()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return profs, tuner.Evaluations(), time.Since(start).Seconds(), nil
-	}
-
-	serial, serialEvals, serialSecs, err := profile(1)
-	if err != nil {
-		return err
-	}
-	par, parEvals, parSecs, err := profile(workers)
-	if err != nil {
-		return err
-	}
-
-	serialJSON, err := json.Marshal(serial)
-	if err != nil {
-		return err
-	}
-	parJSON, err := json.Marshal(par)
-	if err != nil {
-		return err
-	}
-	identical := bytes.Equal(serialJSON, parJSON) && serialEvals == parEvals
-	rec := sweepRecord{
-		Bench:           *sf.bench,
-		Pairs:           len(serial),
-		Workers:         workers,
-		SerialSeconds:   serialSecs,
-		ParallelSeconds: parSecs,
-		Speedup:         serialSecs / parSecs,
-		Evaluations:     parEvals,
-		Identical:       identical,
-	}
-	if err := writeJSONFile(path, rec); err != nil {
-		return err
-	}
-	fmt.Printf("sweep: %d pairs, serial %.2fs, %d workers %.2fs (%.2fx), identical=%v -> %s\n",
-		rec.Pairs, rec.SerialSeconds, rec.Workers, rec.ParallelSeconds, rec.Speedup, rec.Identical, path)
-	if !identical {
-		return fmt.Errorf("parallel profile sweep diverged from serial output")
-	}
-	return nil
 }
 
 // readSuite loads a bench file: a JSON array of bench summaries, one

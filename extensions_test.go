@@ -26,9 +26,10 @@ func TestChainFacade(t *testing.T) {
 	}
 }
 
-// TestChainHonoursContext pins that chains stop on WithContext: with an
-// already-cancelled context both RunChain and TuneChain report an error
-// wrapping context.Canceled instead of running to completion.
+// TestChainHonoursContext pins that chains and the instrumented run stop
+// on WithContext: with an already-cancelled context RunChain, TuneChain
+// and RunReport report an error wrapping context.Canceled instead of
+// running to completion.
 func TestChainHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -45,6 +46,9 @@ func TestChainHonoursContext(t *testing.T) {
 	}
 	if _, err := adaptmr.TuneChain(quickCluster(), stages, adaptmr.WithContext(ctx)); !errors.Is(err, context.Canceled) {
 		t.Errorf("TuneChain with a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := adaptmr.RunReport(quickCluster(), stages[0], adaptmr.DefaultPair, adaptmr.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunReport with a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

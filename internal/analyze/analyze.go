@@ -54,10 +54,6 @@ type Options struct {
 	Seed     int64
 	Pair     string
 
-	// TimeseriesPoints caps the number of fixed-interval samples
-	// (default 160). The interval is derived from the makespan.
-	TimeseriesPoints int
-
 	// Perf, when non-nil, embeds engine self-telemetry into the report's
 	// bench summary (schema v2 perf dimensions). Leave nil for
 	// byte-deterministic reports: wall-clock values differ across runs.
@@ -166,11 +162,7 @@ func Build(tr *obs.Tracer, snap *obs.Snapshot, smp *Sampler, opts Options) (*Rep
 		}
 	}
 	if smp != nil {
-		points := opts.TimeseriesPoints
-		if points <= 0 {
-			points = 160
-		}
-		ts := smp.Finalize(m.start, m.end, seriesInterval(m.end.Sub(m.start), points))
+		ts := smp.Finalize(m.start, m.end, seriesInterval(m.end.Sub(m.start), timeseriesPoints))
 		rep.Timeseries = &ts
 	}
 	if opts.Journeys != nil {
@@ -184,6 +176,10 @@ func Build(tr *obs.Tracer, snap *obs.Snapshot, smp *Sampler, opts Options) (*Rep
 }
 
 const reportSchema = "adaptmr-report/v1"
+
+// timeseriesPoints caps a report's fixed-interval samples; the interval
+// is derived from the makespan.
+const timeseriesPoints = 160
 
 // totalsFrom reads the whole-run totals out of a metrics snapshot. Merges
 // and switches come from the decision recorders' sched.<level>.<kind>

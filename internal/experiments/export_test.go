@@ -8,7 +8,6 @@ import (
 	"adaptmr/internal/core"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/sim"
-	"adaptmr/internal/stats"
 )
 
 func parseCSV(t *testing.T, s string) [][]string {
@@ -58,8 +57,8 @@ func TestTable1CSV(t *testing.T) {
 func TestFig3CSV(t *testing.T) {
 	r := Fig3Result{
 		Pairs:  []iosched.Pair{iosched.DefaultPair},
-		VMMCDF: [][]stats.CDFPoint{{{Value: 10, Fraction: 0.5}}},
-		VMCDF:  [][]stats.CDFPoint{{{Value: 2, Fraction: 1.0}}},
+		VMMCDF: [][]CDFPoint{{{Value: 10, Fraction: 0.5}}},
+		VMCDF:  [][]CDFPoint{{{Value: 2, Fraction: 1.0}}},
 	}
 	var sb strings.Builder
 	if err := r.CSV(&sb); err != nil {

@@ -1,13 +1,74 @@
 package experiments
 
 import (
+	"math"
 	"testing"
-
-	"adaptmr/internal/stats"
+	"testing/quick"
 )
 
+func TestMeanMinMax(t *testing.T) {
+	xs := []float64{3, 1, 4, 1, 5}
+	if Mean(xs) != 2.8 {
+		t.Fatalf("mean %v", Mean(xs))
+	}
+	if Min(xs) != 1 || Max(xs) != 5 {
+		t.Fatalf("min/max %v %v", Min(xs), Max(xs))
+	}
+	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
+		t.Fatal("empty input should give zeros")
+	}
+}
+
+func TestCDF(t *testing.T) {
+	xs := []float64{1, 2, 2, 3}
+	cdf := CDF(xs)
+	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1.0}}
+	if len(cdf) != len(want) {
+		t.Fatalf("cdf %v", cdf)
+	}
+	for i := range want {
+		if cdf[i] != want[i] {
+			t.Fatalf("cdf[%d] = %v, want %v", i, cdf[i], want[i])
+		}
+	}
+	if CDF(nil) != nil {
+		t.Fatal("empty cdf")
+	}
+}
+
+func TestQuickCDFInvariants(t *testing.T) {
+	f := func(raw []float64) bool {
+		var xs []float64
+		for _, v := range raw {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				xs = append(xs, v)
+			}
+		}
+		cdf := CDF(xs)
+		if len(xs) == 0 {
+			return cdf == nil
+		}
+		// Monotone in both coordinates; ends at 1.0.
+		for i := range cdf {
+			if i > 0 && (cdf[i].Value <= cdf[i-1].Value || cdf[i].Fraction <= cdf[i-1].Fraction) {
+				return false
+			}
+			if cdf[i].Fraction <= 0 || cdf[i].Fraction > 1 {
+				return false
+			}
+		}
+		if cdf[len(cdf)-1].Fraction != 1.0 {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPercentileOfCDF(t *testing.T) {
-	cdf := []stats.CDFPoint{
+	cdf := []CDFPoint{
 		{Value: 10, Fraction: 0.25},
 		{Value: 20, Fraction: 0.5},
 		{Value: 30, Fraction: 1.0},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/workloads"
@@ -127,6 +126,5 @@ func (r Fig4Result) Render() string {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"per-segment optimum beats default by %.0f%% and the best single pair by %.0f%%",
 		100*r.OptimalImprovementOverDefault(), 100*r.OptimalImprovementOverBest()))
-	s := t.Render()
-	return strings.ReplaceAll(s, "Fig 4:", "Fig 4:")
+	return t.Render()
 }

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"adaptmr/internal/analyze"
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/sim"
-	"adaptmr/internal/stats"
 	"adaptmr/internal/workloads"
 )
 
@@ -19,9 +19,9 @@ import (
 type Fig3Result struct {
 	Pairs []iosched.Pair
 	// VMMCDF[pair] is the CDF of Dom0-level MB/s samples.
-	VMMCDF [][]stats.CDFPoint
+	VMMCDF [][]CDFPoint
 	// VMCDF[pair] is the CDF of per-VM MB/s samples pooled over the VMs.
-	VMCDF [][]stats.CDFPoint
+	VMCDF [][]CDFPoint
 	// Summary numbers (paper quotes max and mean for each level).
 	VMMMax, VMMMean []float64
 	VMMean, VMMaxes []float64
@@ -40,8 +40,8 @@ func Fig3(cfg Config) Fig3Result {
 	bm := workloads.Sort(cfg.InputPerVM)
 	res := Fig3Result{
 		Pairs:     pairs,
-		VMMCDF:    make([][]stats.CDFPoint, len(pairs)),
-		VMCDF:     make([][]stats.CDFPoint, len(pairs)),
+		VMMCDF:    make([][]CDFPoint, len(pairs)),
+		VMCDF:     make([][]CDFPoint, len(pairs)),
 		VMMMax:    make([]float64, len(pairs)),
 		VMMMean:   make([]float64, len(pairs)),
 		VMMean:    make([]float64, len(pairs)),
@@ -68,20 +68,20 @@ func Fig3(cfg Config) Fig3Result {
 		ts := smp.Finalize(start, eng.Now(), sim.Second)
 
 		vmm := ts.ThroughputMBps["dom0"]
-		res.VMMCDF[i] = stats.CDF(vmm)
-		res.VMMMax[i] = stats.Max(vmm)
-		res.VMMMean[i] = stats.Mean(vmm)
+		res.VMMCDF[i] = CDF(vmm)
+		res.VMMMax[i] = Max(vmm)
+		res.VMMMean[i] = Mean(vmm)
 
 		var pooled []float64
 		var perVM []float64
 		for _, vm := range vms {
 			series := ts.ThroughputMBps[vm]
 			pooled = append(pooled, series...)
-			perVM = append(perVM, stats.Mean(series))
+			perVM = append(perVM, Mean(series))
 		}
-		res.VMCDF[i] = stats.CDF(pooled)
-		res.VMMean[i] = stats.Mean(pooled)
-		res.VMMaxes[i] = stats.Max(pooled)
+		res.VMCDF[i] = CDF(pooled)
+		res.VMMean[i] = Mean(pooled)
+		res.VMMaxes[i] = Max(pooled)
 		res.PerVMMean[i] = perVM
 	})
 	return res
@@ -90,7 +90,7 @@ func Fig3(cfg Config) Fig3Result {
 // FairnessSpread returns max-min of per-VM mean throughput for a pair
 // index — the paper observes (CFQ, CFQ) has the tighter spread.
 func (r Fig3Result) FairnessSpread(i int) float64 {
-	return stats.Max(r.PerVMMean[i]) - stats.Min(r.PerVMMean[i])
+	return Max(r.PerVMMean[i]) - Min(r.PerVMMean[i])
 }
 
 // Render formats the summary and decile tables of both CDFs.
@@ -125,7 +125,7 @@ func (r Fig3Result) Render() string {
 }
 
 // percentileOfCDF inverts an empirical CDF at fraction q/100.
-func percentileOfCDF(cdf []stats.CDFPoint, q float64) float64 {
+func percentileOfCDF(cdf []CDFPoint, q float64) float64 {
 	f := q / 100
 	for _, p := range cdf {
 		if p.Fraction >= f {
@@ -136,4 +136,69 @@ func percentileOfCDF(cdf []stats.CDFPoint, q float64) float64 {
 		return cdf[len(cdf)-1].Value
 	}
 	return 0
+}
+
+// Mean returns the arithmetic mean of xs (0 for empty input).
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
+// Max returns the maximum of xs (0 for empty input).
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Min returns the minimum of xs (0 for empty input).
+func Min(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// CDFPoint is one step of an empirical CDF.
+type CDFPoint struct {
+	Value    float64
+	Fraction float64 // P(X <= Value)
+}
+
+// CDF returns the empirical cumulative distribution of xs.
+func CDF(xs []float64) []CDFPoint {
+	if len(xs) == 0 {
+		return nil
+	}
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	out := make([]CDFPoint, 0, len(ys))
+	n := float64(len(ys))
+	for i, v := range ys {
+		// Collapse runs of equal values into the final step.
+		if i+1 < len(ys) && ys[i+1] == v {
+			continue
+		}
+		out = append(out, CDFPoint{Value: v, Fraction: float64(i+1) / n})
+	}
+	return out
 }

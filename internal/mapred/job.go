@@ -75,7 +75,7 @@ type Result struct {
 	// Perf, when non-nil, carries engine self-telemetry for the run that
 	// produced this result (wall clock, events/sec, allocs/event). It is
 	// populated only when the caller opted in (core.Runner.CollectPerf,
-	// ReportOptions.CollectPerf, WithPerfStats). Wall times are
+	// WithPerfStats). Wall times are
 	// machine-dependent, so it is never byte-deterministic.
 	Perf *perfstat.Stat `json:"perf,omitempty"`
 

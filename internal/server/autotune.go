@@ -212,17 +212,26 @@ func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	return encodePayload(autotuneResponse(res, 1))
 }
 
-// execStreamedAutotune is the streamed /v1/autotune: the shared streamed
-// executor plus the controller, whose OnDecision hook publishes a
-// "decision" frame per evaluated window the instant the simulation
-// produces it — interleaved with the periodic "sample" frames in
-// simulated-time order.
+// execStreamedAutotune is the streamed /v1/autotune: the job under the
+// controller with the sample pump wired in. The controller's OnDecision
+// hook publishes a "decision" frame per evaluated window the instant the
+// simulation produces it — interleaved with the periodic "sample" frames
+// in simulated-time order.
 func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	job adaptmr.JobConfig, pol control.Policy, lr *liveRun) ([]byte, error) {
 
+	cfg.Check = s.checkSet()
+	// The pump and the controller tick are both self-re-arming watchers;
+	// each discounts the other's calendar entry (the controller's
+	// Housekeeping allowance, the pump's watcher count) so they stop once
+	// only the two of them remain — otherwise they'd keep the engine
+	// alive forever.
+	wire := pump(lr, 1)
 	var ctrl *control.Controller
-	res, err := s.execStreamed(ctx, cfg, job, core.Uniform(core.TwoPhases, pol.StartPair), lr,
-		func(cl *cluster.Cluster, smp *analyze.Sampler) int {
+	res, err := core.Execute(ctx, cfg, job, core.Uniform(core.TwoPhases, pol.StartPair), true,
+		func(cl *cluster.Cluster) {
+			smp := analyze.NewSampler()
+			smp.AttachCluster(cl)
 			ctrl = control.New(pol)
 			seq := 0
 			ctrl.OnDecision = func(d control.Decision) {
@@ -232,15 +241,11 @@ func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterCo
 					lr.publish("decision", data)
 				}
 			}
-			// The pump and the controller tick are both self-re-arming
-			// watchers; each discounts the other's calendar entry (the
-			// Housekeeping allowance) so they stop once only the two of
-			// them remain — otherwise they'd keep the engine alive forever.
 			ctrl.Housekeeping = 1
 			ctrl.Attach(cl, smp)
-			return 1
+			wire(cl, smp)
 		})
-	if err != nil {
+	if err := s.publishEvaluation(lr, cfg.Check, res, err); err != nil {
 		return nil, err
 	}
 	return encodePayload(autotuneResponse(adaptmr.OnlineResult{

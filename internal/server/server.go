@@ -231,17 +231,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				return prepared{}, err
 			}
 			lr := s.streams.getOrCreate(req.RunID)
-			workload := req.Job.Bench
-			if workload == "" {
-				workload = "sort"
-			}
-			inputMB := req.Job.InputMB
-			if inputMB == 0 {
-				inputMB = 512
-			}
 			return prepared{key: key + ":stream:" + req.RunID, timeout: timeout, stream: lr,
 				exec: func(ctx context.Context) ([]byte, error) {
-					return s.execStreamedRun(ctx, cfg, job, plan, lr, workload, inputMB)
+					return s.execStreamedRun(ctx, cfg, job, plan, lr)
 				}}, nil
 		}
 		return prepared{key: key, timeout: timeout, exec: func(ctx context.Context) ([]byte, error) {

@@ -282,39 +282,22 @@ type streamJourney struct {
 	Decisions *obs.DecisionSummary `json:"decisions,omitempty"`
 }
 
-// execStreamed executes one plan with live streaming: the wiring /v1/run
-// and /v1/autotune share. It runs the plan through core.Execute (instead
-// of the facade) so it can attach a sampler and a self-rescheduling pump
-// event to the cluster. The run is one evaluation.
-//
-// wire extends the evaluating cluster after the sampler attached and
-// before the pump starts, and returns how many
-// self-re-arming watchers it installed. The pump publishes a "sample"
-// frame per streamPumpInterval of simulated time, starting at the
-// evaluation's first instant so even a trivial run streams at least one
-// sample, and re-arms only while model events remain beyond those
-// watchers, so it never keeps a finished simulation alive.
-//
-// On success it publishes, in order, a "journey" frame when the result
-// carries journey or decision summaries and a "perf" frame with the
-// engine self-telemetry; the caller builds the terminal payload.
-func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
-	plan core.Plan, lr *liveRun, wire func(*cluster.Cluster, *analyze.Sampler) int) (core.RunResult, error) {
-
-	var checks *adaptmr.CheckSet
-	if s.cfg.CheckInvariants {
-		checks = adaptmr.NewCheckSet()
-		cfg.Check = checks
-	}
+// pump returns the wire hook that streams lr's "sample" frames from the
+// evaluating cluster and its sampler: the wiring /v1/run and
+// /v1/autotune share. The pump publishes one frame per
+// streamPumpInterval of simulated time, starting at the evaluation's
+// first instant so even a trivial run streams at least one sample, with
+// the wall clock counted from this call. watchers is how many
+// self-re-arming watchers the caller installs besides the pump; the pump
+// re-arms only while model events remain beyond those watchers, so it
+// never keeps a finished simulation alive.
+func pump(lr *liveRun, watchers int) func(*cluster.Cluster, *analyze.Sampler) {
 	started := time.Now()
-	res, err := core.Execute(ctx, cfg, job, plan, true, func(cl *cluster.Cluster) {
-		smp := analyze.NewSampler()
-		smp.AttachCluster(cl)
-		watchers := wire(cl, smp)
+	return func(cl *cluster.Cluster, smp *analyze.Sampler) {
 		eng := cl.Eng
 		seq := 0
-		var pump func()
-		pump = func() {
+		var fire func()
+		fire = func() {
 			sample := streamSample{
 				RunID:      lr.id,
 				Seq:        seq,
@@ -327,11 +310,28 @@ func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, jo
 				lr.publish("sample", data)
 			}
 			if eng.Pending() > watchers {
-				eng.Schedule(streamPumpInterval, pump)
+				eng.Schedule(streamPumpInterval, fire)
 			}
 		}
-		eng.Schedule(0, pump)
-	})
+		eng.Schedule(0, fire)
+	}
+}
+
+// checkSet returns a fresh invariant-checker set for one evaluation when
+// the server runs checked, nil otherwise.
+func (s *Server) checkSet() *adaptmr.CheckSet {
+	if !s.cfg.CheckInvariants {
+		return nil
+	}
+	return adaptmr.NewCheckSet()
+}
+
+// publishEvaluation closes one streamed evaluation: it audits checks
+// once the run completed and counts the evaluation, then on success
+// publishes, in order, a "journey" frame when the result carries journey or decision
+// summaries and a "perf" frame with the engine self-telemetry. The
+// caller builds the terminal payload.
+func (s *Server) publishEvaluation(lr *liveRun, checks *adaptmr.CheckSet, res core.RunResult, err error) error {
 	if err == nil && checks != nil {
 		checks.Finalize()
 		if cerr := checks.Err(); cerr != nil {
@@ -340,7 +340,7 @@ func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, jo
 	}
 	s.met.addCounter(mEvaluations, 1)
 	if err != nil {
-		return core.RunResult{}, err
+		return err
 	}
 	if res.Journeys != nil || res.Decisions != nil {
 		jf := streamJourney{RunID: lr.id, Journeys: res.Journeys, Decisions: res.Decisions}
@@ -354,56 +354,31 @@ func (s *Server) execStreamed(ctx context.Context, cfg adaptmr.ClusterConfig, jo
 			lr.publish("perf", data)
 		}
 	}
-	return res, nil
+	return nil
 }
 
-// execStreamedRun is the streamed /v1/run. It executes fully
-// instrumented — tracer, metrics, journey log and decision log — so
-// completion publishes a "journey" frame (the run's latency
-// decomposition and decision tallies, summarised) and stores the full
-// explain document for GET /v1/explain?id=. The returned payload is
-// built by the same encoder as the non-streamed path, so the terminal
-// frame is byte-identical to a plain POST body.
+// execStreamedRun is the streamed /v1/run: the instrumented run
+// (analyze.Run, the one RunReport executes) with the journey and
+// decision logs attached and the sample pump wired in. Completion
+// publishes a "journey" frame and stores the run report for
+// GET /v1/explain?id=. The returned payload is built by the same encoder
+// as the non-streamed path, so the terminal frame is byte-identical to a
+// plain POST body.
 func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig, job adaptmr.JobConfig,
-	plan adaptmr.Plan, lr *liveRun, workload string, inputMB int64) ([]byte, error) {
+	plan adaptmr.Plan, lr *liveRun) ([]byte, error) {
 
-	tracer := obs.NewTracer()
-	journeys := obs.NewJourneyLog()
-	decisions := obs.NewDecisionLog()
-	cfg.Obs.Trace = tracer
-	cfg.Obs.Metrics = obs.NewRegistry()
-	cfg.Obs.Journeys = journeys
-	cfg.Obs.Decisions = decisions
-	cfg.Obs.PIDBase = 0
-	// The sampler outlives the evaluation: analyze.Build finalises it into
-	// the explain document's timeseries. One plan, one evaluation, so the
-	// single assignment is safe.
-	var smp *analyze.Sampler
-	res, err := s.execStreamed(ctx, cfg, job, plan, lr, func(_ *cluster.Cluster, sm *analyze.Sampler) int {
-		smp = sm
-		return 0
-	})
-	if err != nil {
+	cfg.Obs.Journeys = obs.NewJourneyLog()
+	cfg.Obs.Decisions = obs.NewDecisionLog()
+	cfg.Check = s.checkSet()
+	// Perf feeds the "perf" frame but stays out of the stored document:
+	// wall-clock values would make it non-deterministic.
+	rep, res, err := analyze.Run(ctx, cfg, job, plan, true, false, pump(lr, 0))
+	if err := s.publishEvaluation(lr, cfg.Check, res, err); err != nil {
 		return nil, err
 	}
-	// Build and stash the explain document before the terminal frame, so a
-	// client that saw "result" can immediately GET /v1/explain. Perf is
-	// deliberately left out of the options: wall-clock values would make
-	// the document non-deterministic.
-	exp, xerr := analyze.Build(tracer, res.Metrics, smp, analyze.Options{
-		PIDBase:   0,
-		Workload:  workload,
-		Hosts:     cfg.Hosts,
-		VMs:       cfg.VMsPerHost,
-		InputMB:   inputMB,
-		Seed:      cfg.Seed,
-		Pair:      res.Plan.String(),
-		Journeys:  journeys,
-		Decisions: decisions,
-	})
-	if xerr != nil {
-		s.logger.Warn("explain document build failed", "id", lr.id, "err", xerr)
-	} else if data, merr := json.Marshal(exp); merr == nil {
+	// Stash the document before the terminal frame, so a client that saw
+	// "result" can immediately GET /v1/explain.
+	if data, err := json.Marshal(rep); err == nil {
 		lr.setExplain(data)
 	}
 	return encodePayload(runResponse(res, 1))

@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"adaptmr"
 )
 
 // sseEvent is one parsed server-sent event.
@@ -219,6 +222,65 @@ func TestExplainEndpointAndJourneyFrame(t *testing.T) {
 	}
 	if st, body := getBody(t, ts.URL+"/v1/explain"); st != http.StatusBadRequest {
 		t.Errorf("/v1/explain without id = %d: %s", st, body)
+	}
+}
+
+// TestExplainDocumentIsRunReport pins that /v1/explain serves the run
+// record RunReport builds: the stored document of a streamed 2×2 sort
+// run under (CFQ, CFQ) decodes deep-equal to the JSON of
+// adaptmr.RunReport with the journey and decision logs, once the events
+// of the stream's sample pump — one per "sample" frame — are taken off
+// the document's event counts.
+func TestExplainDocumentIsRunReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations")
+	}
+	_, ts := newTestServer(t, Config{Workers: 1}, nil)
+
+	req := smallRunReq("cc")
+	req.RunID = "pin-1"
+	if st, _, body := postJSON(t, ts.URL+"/v1/run", req); st != http.StatusOK {
+		t.Fatalf("streamed run = %d: %s", st, body)
+	}
+	st, sse := getBody(t, ts.URL+"/v1/stream?id=pin-1")
+	if st != http.StatusOK {
+		t.Fatalf("/v1/stream = %d: %s", st, sse)
+	}
+	var samples int64
+	for _, e := range readSSE(t, sse) {
+		if e.event == "sample" {
+			samples++
+		}
+	}
+	st, doc := getBody(t, ts.URL+"/v1/explain?id=pin-1")
+	if st != http.StatusOK {
+		t.Fatalf("/v1/explain = %d: %s", st, doc)
+	}
+	var served adaptmr.Report
+	if err := json.Unmarshal(doc, &served); err != nil {
+		t.Fatalf("explain document is not a report: %v", err)
+	}
+	served.Totals.SimEvents -= samples
+	served.Bench.SimEvents -= samples
+
+	cfg := adaptmr.DefaultClusterConfig()
+	cfg.Hosts, cfg.VMsPerHost = 2, 2
+	rep, err := adaptmr.RunReport(cfg, adaptmr.SortBenchmark(64<<20).Job, adaptmr.DefaultPair,
+		adaptmr.WithJourney(), adaptmr.WithDecisionLog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local adaptmr.Report
+	if err := json.Unmarshal(data, &local); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(served, local) {
+		t.Errorf("/v1/explain differs from RunReport (%d sample frames taken off):\n served bench %+v\n  local bench %+v",
+			samples, served.Bench, local.Bench)
 	}
 }
 

@@ -151,16 +151,17 @@ func RunOnline(cfg ClusterConfig, job JobConfig, opts ...Option) (OnlineResult, 
 	return out, nil
 }
 
-// OnlineBench condenses an online run into the gate summary compared by
-// CompareBenches (workload label "online:<bench>"). workload names the
-// benchmark; cfg and inputMB identify the testbed the run executed on.
-func OnlineBench(res OnlineResult, workload string, cfg ClusterConfig, inputMB int64) Bench {
+// OnlineBench condenses an online run of job on cfg into the gate
+// summary compared by CompareBenches, labelled from those inputs like
+// RunReport's bench: workload "online:<job name>", the per-VM input in
+// MB, the testbed and the seed.
+func OnlineBench(res OnlineResult, cfg ClusterConfig, job JobConfig) Bench {
 	j := res.Job
 	return analyze.BenchFromOnline(analyze.OnlineRunSummary{
-		Workload:  workload,
+		Workload:  job.Name,
 		Hosts:     cfg.Hosts,
 		VMs:       cfg.VMsPerHost,
-		InputMB:   inputMB,
+		InputMB:   job.InputPerVM >> 20,
 		Seed:      cfg.Seed,
 		StartPair: res.StartPairCode,
 		FinalPair: res.FinalPairCode,

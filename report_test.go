@@ -26,9 +26,7 @@ func reportConfig(hosts, vms int, seed int64) adaptmr.ClusterConfig {
 func runSortReport(t *testing.T, cfg adaptmr.ClusterConfig, inputMB int64) *adaptmr.Report {
 	t.Helper()
 	wl := adaptmr.SortBenchmark(inputMB << 20)
-	rep, err := adaptmr.RunReport(cfg, wl.Job, adaptmr.DefaultPair, adaptmr.ReportOptions{
-		Workload: "sort", InputMB: inputMB,
-	})
+	rep, err := adaptmr.RunReport(cfg, wl.Job, adaptmr.DefaultPair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +61,43 @@ func TestReportDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(js1, js2) {
 		t.Fatal("JSON output differs between identical runs")
+	}
+}
+
+// TestReportSharedInstruments pins that a report covers its own run
+// alone: two runs recording into one tracer and one registry each report
+// exactly what a run on fresh instruments reports, while the shared
+// instruments collect both runs.
+func TestReportSharedInstruments(t *testing.T) {
+	cfg, wl := reportConfig(2, 2, 1), adaptmr.SortBenchmark(32<<20)
+	fresh := runSortReport(t, cfg, 32)
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, m := adaptmr.NewTracer(), adaptmr.NewMetrics()
+	var traced []int
+	for i := 0; i < 2; i++ {
+		rep, err := adaptmr.RunReport(cfg, wl.Job, adaptmr.DefaultPair,
+			adaptmr.WithTracer(tr), adaptmr.WithMetrics(m))
+		if err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		got, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("run %d on shared instruments reports differently from a fresh run (sim_events %d, want %d)",
+				i+1, rep.Totals.SimEvents, fresh.Totals.SimEvents)
+		}
+		traced = append(traced, tr.Len())
+	}
+	if traced[0] == 0 || traced[1] != 2*traced[0] {
+		t.Errorf("shared tracer holds %v events after each run, want n then 2n", traced)
+	}
+	if got := m.Snapshot().Counters["sim.events"]; got != 2*fresh.Totals.SimEvents {
+		t.Errorf("shared registry counts %d sim events, want both runs' %d", got, 2*fresh.Totals.SimEvents)
 	}
 }
 
@@ -116,15 +151,14 @@ func TestFleetReportGolden(t *testing.T) {
 	checkGolden(t, "fleet_smoke.md", buf.Bytes())
 }
 
-// TestExplainReportGolden pins that RunExplain analyzes the same run as
-// RunReport: with journeys and decisions recorded, its Markdown starts
+// TestExplainReportGolden pins that the journey and decision logs only
+// add to RunReport's analysis: with them recorded, its Markdown starts
 // with the committed run golden byte for byte and then appends the
 // explain sections, whose full text is pinned in a golden of its own.
 func TestExplainReportGolden(t *testing.T) {
 	wl := adaptmr.SortBenchmark(32 << 20)
-	exp, err := adaptmr.RunExplain(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair, adaptmr.ReportOptions{
-		Workload: "sort", InputMB: 32,
-	})
+	exp, err := adaptmr.RunReport(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair,
+		adaptmr.WithJourney(), adaptmr.WithDecisionLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +180,10 @@ func TestExplainReportGolden(t *testing.T) {
 // as one HTML page holding exactly the tables of their Markdown.
 func TestReportHTMLOnePage(t *testing.T) {
 	wl := adaptmr.SortBenchmark(32 << 20)
-	opts := adaptmr.ReportOptions{Workload: "sort", InputMB: 32}
-	for name, run := range map[string]func(adaptmr.ClusterConfig, adaptmr.JobConfig, adaptmr.Pair, adaptmr.ReportOptions) (*adaptmr.Report, error){
-		"report": adaptmr.RunReport, "explain": adaptmr.RunExplain,
+	for name, opts := range map[string][]adaptmr.Option{
+		"report": nil, "explain": {adaptmr.WithJourney(), adaptmr.WithDecisionLog()},
 	} {
-		rep, err := run(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair, opts)
+		rep, err := adaptmr.RunReport(reportConfig(2, 2, 1), wl.Job, adaptmr.DefaultPair, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,9 +229,7 @@ func TestReportProperties(t *testing.T) {
 		case "wordcount":
 			wl = adaptmr.WordCountBenchmark(c.inputMB << 20)
 		}
-		rep, err := adaptmr.RunReport(cfg, wl.Job, adaptmr.DefaultPair, adaptmr.ReportOptions{
-			Workload: c.bench, InputMB: c.inputMB,
-		})
+		rep, err := adaptmr.RunReport(cfg, wl.Job, adaptmr.DefaultPair)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
