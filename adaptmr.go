@@ -122,7 +122,7 @@ type options struct {
 	ctx         context.Context
 	check       *check.Set
 	perf        bool
-	online      *control.Policy
+	online      control.Policy // zero fields run DefaultOnlinePolicy's values
 }
 
 func buildOptions(opts []Option) options {
@@ -218,9 +218,11 @@ func WithInvariantChecks() Option {
 	return func(o *options) { o.check = check.NewSet() }
 }
 
-// WithParallelism sets the evaluation worker count for tuners and chain
-// tuning. n <= 0 (the default) means GOMAXPROCS. Output is byte-identical
-// at every setting.
+// WithParallelism sets the worker count for tuners and chain tuning,
+// which fan evaluations out on it, and for RunFleet and RunFleetOnline,
+// which shard cells on it. n <= 0 (the default) means GOMAXPROCS. Output
+// is byte-identical at every setting. Single runs (Run, RunReport,
+// RunOnline) ignore it.
 func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n } }
 
 // WithPerfStats collects engine self-telemetry around each executed
@@ -242,7 +244,8 @@ type PerfStat = perfstat.Stat
 // fired should be discarded (failed evaluations are memoised).
 //
 // Honoured by Run, RunReport, every NewTuner entry point (Tune, RunPlan,
-// BruteForce, Profile), RunOnline, RunChain and TuneChain.
+// BruteForce, Profile), RunOnline, RunChain, TuneChain, and RunFleet and
+// RunFleetOnline, which pass it to every cell.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
 // CheckSet aggregates runtime invariant checkers and their violations

@@ -276,9 +276,7 @@ func cmdGate(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	online, err := adaptmr.RunOnline(cfg, wl.Job,
-		adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()),
-		adaptmr.WithParallelism(*parallel))
+	online, err := adaptmr.RunOnline(cfg, wl.Job, adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()))
 	if err != nil {
 		fail(err)
 	}

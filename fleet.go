@@ -67,15 +67,49 @@ func SmokeFleetScenario() FleetScenario { return fleet.SmokeScenario() }
 // serially). Output — results, traces, metrics, journeys, decisions — is
 // byte-identical at every parallelism setting. WithInvariantChecks
 // attaches the runtime correctness harness to every block queue of every
-// cell; WithPerfStats fills FleetResult.WallS/EventsPerSec.
+// cell; WithPerfStats fills FleetResult.WallS/EventsPerSec; WithContext
+// bounds every cell.
 func RunFleet(s FleetScenario, opts ...Option) (*FleetResult, error) {
+	return runFleet(s, buildOptions(opts), nil)
+}
+
+// RunFleetOnline is RunFleet with an independent online adaptive
+// controller attached to every cell: each controller samples its cell's
+// live Dom0 I/O mix and switches the cell's elevator pair in-run through
+// the hysteresis gates, with no knowledge of job phase boundaries — the
+// regime it sees is whatever the overlapping jobs of that cell compose
+// on the shared spindles. It returns each cell's controller outcome, in
+// cell order. WithOnlineControl selects the policy (the scenario's Pair
+// stays the boot pair; the policy's StartPair is ignored). Deterministic
+// and byte-identical at every WithParallelism setting: controllers are
+// engine-confined per cell.
+func RunFleetOnline(s FleetScenario, opts ...Option) (*FleetResult, []OnlineOutcome, error) {
 	o := buildOptions(opts)
+	var ctls []*control.Controller // cells are constructed serially, in index order
+	res, err := runFleet(s, o, func(_ int, cl *cluster.Cluster) {
+		c, _ := control.AttachCluster(cl, o.online)
+		ctls = append(ctls, c)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]OnlineOutcome, len(ctls))
+	for i, c := range ctls {
+		out[i] = c.Outcome()
+	}
+	return res, out, nil
+}
+
+// runFleet is the one fleet run behind RunFleet and RunFleetOnline:
+// onCell, when non-nil, extends each cell before any cell runs.
+func runFleet(s FleetScenario, o options, onCell func(int, *cluster.Cluster)) (*FleetResult, error) {
 	res, err := fleet.Run(s, fleet.Options{
 		Parallelism: o.parallelism,
 		Obs:         o.sink,
 		Check:       o.check,
 		Perf:        o.perf,
 		Context:     o.ctx,
+		OnCell:      onCell,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adaptmr: %w", err)
@@ -84,82 +118,6 @@ func RunFleet(s FleetScenario, opts ...Option) (*FleetResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// FleetOnlineCellStats is one cell's controller activity in a
-// RunFleetOnline execution.
-type FleetOnlineCellStats struct {
-	Cell      int              `json:"cell"`
-	StartPair string           `json:"start_pair"`
-	FinalPair string           `json:"final_pair"`
-	Switches  int              `json:"switches"`
-	Windows   int              `json:"windows"`
-	Decisions []OnlineDecision `json:"decisions"`
-}
-
-// FleetOnlineStats aggregates the per-cell online controllers of a
-// RunFleetOnline execution.
-type FleetOnlineStats struct {
-	Cells    []FleetOnlineCellStats `json:"cells"`
-	Switches int                    `json:"switches"`
-	Windows  int                    `json:"windows"`
-}
-
-// RunFleetOnline is RunFleet with an independent online adaptive
-// controller attached to every cell: each controller samples its cell's
-// live Dom0 I/O mix and switches the cell's elevator pair in-run through
-// the hysteresis gates, with no knowledge of job phase boundaries — the
-// regime it sees is whatever the overlapping jobs of that cell compose
-// on the shared spindles. WithOnlineControl selects the policy (the
-// scenario's Pair stays the boot pair; the policy's StartPair is
-// ignored). Deterministic and byte-identical at every WithParallelism
-// setting: controllers are engine-confined per cell, and stats report in
-// cell order.
-func RunFleetOnline(s FleetScenario, opts ...Option) (*FleetResult, *FleetOnlineStats, error) {
-	o := buildOptions(opts)
-	pol := DefaultOnlinePolicy()
-	if o.online != nil {
-		pol = *o.online
-	}
-	type cellCtl struct {
-		ctrl  *control.Controller
-		start string
-	}
-	var ctls []cellCtl // cells are constructed serially, in index order
-	res, err := fleet.Run(s, fleet.Options{
-		Parallelism: o.parallelism,
-		Obs:         o.sink,
-		Check:       o.check,
-		Perf:        o.perf,
-		Context:     o.ctx,
-		OnCell: func(cell int, cl *cluster.Cluster) {
-			smp := analyze.NewSampler()
-			smp.AttachCluster(cl)
-			ctrl := control.New(pol)
-			ctrl.Attach(cl, smp)
-			ctls = append(ctls, cellCtl{ctrl: ctrl, start: cl.Pair().Code()})
-		},
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("adaptmr: %w", err)
-	}
-	if err := o.verify(nil); err != nil {
-		return nil, nil, err
-	}
-	stats := &FleetOnlineStats{}
-	for i, c := range ctls {
-		stats.Cells = append(stats.Cells, FleetOnlineCellStats{
-			Cell:      i,
-			StartPair: c.start,
-			FinalPair: c.ctrl.InstalledPair().Code(),
-			Switches:  c.ctrl.Switches(),
-			Windows:   c.ctrl.Windows(),
-			Decisions: c.ctrl.Decisions(),
-		})
-		stats.Switches += c.ctrl.Switches()
-		stats.Windows += c.ctrl.Windows()
-	}
-	return res, stats, nil
 }
 
 // FleetBench condenses a fleet result into the gate summary compared by

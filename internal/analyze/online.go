@@ -1,52 +1,40 @@
 package analyze
 
-// OnlineRunSummary is the slice of an online-controlled run the gate
-// bench needs, condensed to primitives so this package does not depend
-// on the facade's result types.
-type OnlineRunSummary struct {
-	Workload string // benchmark name ("sort", "wordcount", ...)
-	Hosts    int
-	VMs      int
-	InputMB  int64
-	Seed     int64
+import (
+	"adaptmr/internal/cluster"
+	"adaptmr/internal/mapred"
+	"adaptmr/internal/sim"
+)
 
-	StartPair string // boot pair code
-	FinalPair string // pair the last issued switch left installed
-	Switches  int    // issued switch commands
-
-	MakespanS    float64
-	MapS         float64
-	ShuffleS     float64
-	ReduceS      float64
-	SwitchStallS float64
-	SimEvents    int64
-}
-
-// BenchFromOnline condenses an online-controlled run into the committed
-// gate summary. The workload label is namespaced ("online:<bench>") so
-// an online bench can never be compared against a static-pair baseline
-// by accident; Pair records the boot pair (what the run bootstrapped
-// from — the controller's switching is gated separately through the
-// Switches count and the makespan itself).
-func BenchFromOnline(s OnlineRunSummary) Bench {
+// BenchFromOnline condenses an online-controlled run of job on cfg into
+// the committed gate summary: res is the job's result, startPair the
+// boot pair's code, switches the issued switch commands, stall their
+// switch stall and events the engine's event count. The labels come
+// from the inputs as Run's do, and the workload label is namespaced
+// ("online:<job name>") so an online bench can never be compared against
+// a static-pair baseline by accident; Pair records the boot pair (what
+// the run bootstrapped from — the controller's switching is gated
+// separately through the Switches count and the makespan itself).
+func BenchFromOnline(cfg cluster.Config, job mapred.Config, res mapred.Result, startPair string,
+	switches int, stall sim.Duration, events uint64) Bench {
 	return Bench{
 		Schema:   benchSchema,
-		Workload: "online:" + s.Workload,
-		Hosts:    s.Hosts,
-		VMs:      s.VMs,
-		InputMB:  s.InputMB,
-		Seed:     s.Seed,
-		Pair:     s.StartPair,
+		Workload: "online:" + job.Name,
+		Hosts:    cfg.Hosts,
+		VMs:      cfg.VMsPerHost,
+		InputMB:  job.InputPerVM >> 20,
+		Seed:     cfg.Seed,
+		Pair:     startPair,
 
-		MakespanS: round6(s.MakespanS),
+		MakespanS: round6(res.Duration.Seconds()),
 		PhaseS: map[string]float64{
-			"map":     round6(s.MapS),
-			"shuffle": round6(s.ShuffleS),
-			"reduce":  round6(s.ReduceS),
+			"map":     round6(res.MapsDoneAt.Sub(res.Start).Seconds()),
+			"shuffle": round6(res.ShuffleDoneAt.Sub(res.MapsDoneAt).Seconds()),
+			"reduce":  round6(res.Done.Sub(res.ShuffleDoneAt).Seconds()),
 		},
 		BlameS:       map[string]float64{},
-		SwitchStallS: round6(s.SwitchStallS),
-		SimEvents:    s.SimEvents,
-		Switches:     s.Switches,
+		SwitchStallS: round6(stall.Seconds()),
+		SimEvents:    int64(events),
+		Switches:     switches,
 	}
 }

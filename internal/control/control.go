@@ -229,14 +229,15 @@ type Controller struct {
 	pol Policy
 
 	// OnDecision, when non-nil, observes every Decision as it is recorded
-	// (inside the simulation event that produced it). Set before Attach.
+	// (inside the simulation event that produced it). Set before the run
+	// starts.
 	OnDecision func(Decision)
 
 	// Housekeeping is the number of co-resident self-re-arming watcher
 	// events (e.g. a streaming sample pump) to discount when the tick
 	// decides whether the simulation is still live. Without it, two
 	// watchers that each re-arm while the calendar is non-empty keep each
-	// other alive forever after the job drains. Set before Attach.
+	// other alive forever after the job drains. Set before the run starts.
 	Housekeeping int
 
 	cl         *cluster.Cluster
@@ -249,9 +250,23 @@ type Controller struct {
 	switching  bool
 	stopped    bool
 
-	windows   int
-	switches  int
-	decisions []Decision
+	out Outcome // FinalPairCode is read off installed
+}
+
+// Outcome is a controller's record of its run: the pair it found
+// installed, the pair its last issued switch left installed (equal when
+// it never switched), and what it did in between.
+type Outcome struct {
+	StartPairCode string `json:"start_pair"`
+	FinalPairCode string `json:"final_pair"`
+	// Switches counts issued switch commands; Windows counts evaluated
+	// sampling windows.
+	Switches int `json:"switches"`
+	Windows  int `json:"windows"`
+	// Decisions is the full decision log, in simulation order: every
+	// window where the classifier wanted a different pair, issued or
+	// held.
+	Decisions []Decision `json:"decisions"`
 }
 
 // New builds a controller from the policy (zero fields defaulted). One
@@ -278,6 +293,7 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach f
 		c.pol.Cost = core.FigureFiveCost(cl.Config().Host.SwitchReinit, iosched.DefaultParams())
 	}
 	c.installed = cl.Pair()
+	c.out.StartPairCode = c.installed.Code()
 	// The opening dwell budget is available immediately, so the controller
 	// can react to the first stable regime of the run.
 	c.lastSwitch = cl.Eng.Now().Add(-c.pol.MinDwell)
@@ -301,7 +317,7 @@ func (c *Controller) evaluate(now sim.Time) {
 	cur := c.smp.Live(now)
 	w := cur.Window(c.prev, c.pol.Level)
 	c.prev = cur
-	c.windows++
+	c.out.Windows++
 
 	regime := c.pol.classify(w)
 	var want iosched.Pair
@@ -353,29 +369,23 @@ func (c *Controller) evaluate(now sim.Time) {
 		d.Issued = true
 		d.Reason = ReasonSwitch
 		c.lastSwitch = now
-		c.switches++
+		c.out.Switches++
 		c.installed = want
 		c.streak = 0
 		c.switching = true
 		c.cl.SetPairAll(want, func() { c.switching = false })
 	}
-	c.decisions = append(c.decisions, d)
+	c.out.Decisions = append(c.out.Decisions, d)
 	if c.OnDecision != nil {
 		c.OnDecision(d)
 	}
 }
 
-// Decisions returns the recorded decision log, in simulation order.
-func (c *Controller) Decisions() []Decision {
-	return append([]Decision(nil), c.decisions...)
+// Outcome returns the controller's record of its run so far; the
+// decision log is a copy.
+func (c *Controller) Outcome() Outcome {
+	o := c.out
+	o.FinalPairCode = c.installed.Code()
+	o.Decisions = append([]Decision(nil), c.out.Decisions...)
+	return o
 }
-
-// Switches counts the issued switch commands.
-func (c *Controller) Switches() int { return c.switches }
-
-// Windows counts the evaluated sampling windows.
-func (c *Controller) Windows() int { return c.windows }
-
-// InstalledPair is the pair the controller believes is installed (the
-// last issued target, or the boot pair).
-func (c *Controller) InstalledPair() iosched.Pair { return c.installed }

@@ -98,7 +98,7 @@ func TestStreakThenSwitch(t *testing.T) {
 	readWindows(cl.Eng, q, 100*sim.Millisecond, 0, 6)
 	cl.Eng.Run()
 
-	ds := ctrl.Decisions()
+	ds := ctrl.Outcome().Decisions
 	if len(ds) != 2 {
 		t.Fatalf("decisions = %d (%+v), want 2 (one hold, one switch)", len(ds), ds)
 	}
@@ -111,8 +111,8 @@ func TestStreakThenSwitch(t *testing.T) {
 	if ds[1].From != "cc" || ds[1].To != "ac" {
 		t.Fatalf("switch %s -> %s, want cc -> ac", ds[1].From, ds[1].To)
 	}
-	if ctrl.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1", ctrl.Switches())
+	if ctrl.Outcome().Switches != 1 {
+		t.Fatalf("switches = %d, want 1", ctrl.Outcome().Switches)
 	}
 	if got := cl.Pair(); got != ctrl.Policy().ReadPair {
 		t.Fatalf("cluster pair %s, want %s installed", got.Code(), ctrl.Policy().ReadPair.Code())
@@ -135,12 +135,12 @@ func TestDwellGateSpacesSwitches(t *testing.T) {
 	writeWindows(cl.Eng, q, win, 2, 14) // immediate flip back: dwell gates
 	cl.Eng.Run()
 
-	if ctrl.Switches() != 2 {
-		t.Fatalf("switches = %d, want 2", ctrl.Switches())
+	if ctrl.Outcome().Switches != 2 {
+		t.Fatalf("switches = %d, want 2", ctrl.Outcome().Switches)
 	}
 	var issued []Decision
 	dwellHolds := 0
-	for _, d := range ctrl.Decisions() {
+	for _, d := range ctrl.Outcome().Decisions {
 		if d.Issued {
 			issued = append(issued, d)
 		}
@@ -171,10 +171,10 @@ func TestCostGateBlocksExpensiveSwitch(t *testing.T) {
 	readWindows(cl.Eng, q, 100*sim.Millisecond, 0, 8)
 	cl.Eng.Run()
 
-	if ctrl.Switches() != 0 {
-		t.Fatalf("switches = %d, want 0 (cost-gated)", ctrl.Switches())
+	if ctrl.Outcome().Switches != 0 {
+		t.Fatalf("switches = %d, want 0 (cost-gated)", ctrl.Outcome().Switches)
 	}
-	ds := ctrl.Decisions()
+	ds := ctrl.Outcome().Decisions
 	if len(ds) < 2 {
 		t.Fatalf("decisions = %d, want the held evaluations recorded", len(ds))
 	}
@@ -199,8 +199,8 @@ func TestIdleWindowFreezesStreak(t *testing.T) {
 	readWindows(cl.Eng, q, win, 2, 3) // window 2: streak 2 -> switch
 	cl.Eng.Run()
 
-	if ctrl.Switches() != 1 {
-		t.Fatalf("switches = %d, want 1 (idle window must not reset the streak)", ctrl.Switches())
+	if ctrl.Outcome().Switches != 1 {
+		t.Fatalf("switches = %d, want 1 (idle window must not reset the streak)", ctrl.Outcome().Switches)
 	}
 
 	// Mixed resets: read, mixed, read, read — the switch needs both
@@ -220,7 +220,7 @@ func TestIdleWindowFreezesStreak(t *testing.T) {
 
 	issued := 0
 	var at sim.Time
-	for _, d := range ctrl2.Decisions() {
+	for _, d := range ctrl2.Outcome().Decisions {
 		if d.Issued {
 			issued++
 			at = d.At
@@ -250,11 +250,11 @@ func TestAsyncReadsClassifyMixed(t *testing.T) {
 	}
 	cl.Eng.Run()
 
-	if ctrl.Switches() != 0 {
-		t.Fatalf("switches = %d, want 0 (async reads are not an anticipation regime)", ctrl.Switches())
+	if ctrl.Outcome().Switches != 0 {
+		t.Fatalf("switches = %d, want 0 (async reads are not an anticipation regime)", ctrl.Outcome().Switches)
 	}
-	if len(ctrl.Decisions()) != 0 {
-		t.Fatalf("decisions = %+v, want none (mixed regime holds silently)", ctrl.Decisions())
+	if len(ctrl.Outcome().Decisions) != 0 {
+		t.Fatalf("decisions = %+v, want none (mixed regime holds silently)", ctrl.Outcome().Decisions)
 	}
 }
 
@@ -286,12 +286,12 @@ func TestControllerOnRealJob(t *testing.T) {
 	if !j.Done() {
 		t.Fatal("job did not complete under the online controller")
 	}
-	if ctrl.Windows() == 0 {
+	if ctrl.Outcome().Windows == 0 {
 		t.Fatal("controller never evaluated a window")
 	}
 	var lastIssued sim.Time
 	seen := false
-	for _, d := range ctrl.Decisions() {
+	for _, d := range ctrl.Outcome().Decisions {
 		if d.Regime == "" || d.From == "" || d.To == "" || d.Reason == "" {
 			t.Fatalf("malformed decision %+v", d)
 		}
@@ -303,7 +303,7 @@ func TestControllerOnRealJob(t *testing.T) {
 		}
 		lastIssued, seen = d.At, true
 	}
-	if ctrl.Switches() == 0 {
+	if ctrl.Outcome().Switches == 0 {
 		t.Fatal("controller never switched on a sort job (read map phase should trigger ReadPair)")
 	}
 }

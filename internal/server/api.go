@@ -24,6 +24,7 @@ const (
 	maxDomains    = 512 // hosts × vms_per_host
 	maxInputMB    = 1 << 16
 	maxBodyBytes  = 1 << 20
+	maxPolicyMS   = 86_400_000 // policy.window_ms and min_dwell_ms: one simulated day
 )
 
 // ClusterSpec selects the simulated testbed. Zero fields take the
@@ -289,14 +290,11 @@ func timeoutFor(ms int64, def time.Duration) (time.Duration, error) {
 	if ms < 0 {
 		return 0, badf("timeout_ms must be non-negative, got %d", ms)
 	}
-	if ms == 0 {
+	// Compare in milliseconds: a huge ms would wrap when converted.
+	if ms == 0 || ms > def.Milliseconds() {
 		return def, nil
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > def {
-		d = def
-	}
-	return d, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // ---------------------------------------------------------------------------

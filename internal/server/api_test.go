@@ -102,6 +102,13 @@ func TestTimeoutForClamping(t *testing.T) {
 	if d, err := timeoutFor(3_600_000, def); err != nil || d != def {
 		t.Errorf("timeoutFor(1h) = %v, %v (want clamp to %v)", d, err, def)
 	}
+	// Converted to a Duration first, these wrap to 448µs and to a
+	// negative value; both must clamp like any other huge value.
+	for _, ms := range []int64{18446744073710, 9300000000000} {
+		if d, err := timeoutFor(ms, def); err != nil || d != def {
+			t.Errorf("timeoutFor(%d) = %v, %v (want clamp to %v)", ms, d, err, def)
+		}
+	}
 	if _, err := timeoutFor(-5, def); err == nil {
 		t.Error("negative timeout accepted")
 	}

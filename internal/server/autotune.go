@@ -32,7 +32,8 @@ type AutotunePolicySpec struct {
 	ReadPair  string `json:"read_pair,omitempty"`
 	WritePair string `json:"write_pair,omitempty"`
 	// WindowMS is the sampling window; MinDwellMS the minimum spacing
-	// between issued switches, in simulated milliseconds.
+	// between issued switches, in simulated milliseconds (each at most
+	// one simulated day, maxPolicyMS).
 	WindowMS   int64 `json:"window_ms,omitempty"`
 	MinDwellMS int64 `json:"min_dwell_ms,omitempty"`
 	// StableWindows is the consecutive agreeing windows required before a
@@ -116,6 +117,13 @@ func buildOnlinePolicy(spec *AutotunePolicySpec) (control.Policy, error) {
 		spec.MinRequests < 0 || spec.CostBudget < 0 {
 		return pol, badf("policy fields must be non-negative")
 	}
+	// Bounded before the conversion to nanoseconds, which would wrap.
+	if spec.WindowMS > maxPolicyMS {
+		return pol, badf("policy.window_ms must be at most %d, got %d", maxPolicyMS, spec.WindowMS)
+	}
+	if spec.MinDwellMS > maxPolicyMS {
+		return pol, badf("policy.min_dwell_ms must be at most %d, got %d", maxPolicyMS, spec.MinDwellMS)
+	}
 	if spec.WindowMS > 0 {
 		pol.Window = sim.Duration(spec.WindowMS) * sim.Millisecond
 	}
@@ -191,16 +199,12 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 }
 
 // execAutotune executes one job under the online controller through the
-// facade. RunOnline builds a fresh, unmemoised runner per call, so the
-// request always costs exactly one evaluation.
+// facade: one online run, so the request always costs exactly one
+// evaluation.
 func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	job adaptmr.JobConfig, pol control.Policy) ([]byte, error) {
 
-	opts := []adaptmr.Option{
-		adaptmr.WithOnlineControl(pol),
-		adaptmr.WithContext(ctx),
-		adaptmr.WithParallelism(1),
-	}
+	opts := []adaptmr.Option{adaptmr.WithOnlineControl(pol), adaptmr.WithContext(ctx)}
 	if s.cfg.CheckInvariants {
 		opts = append(opts, adaptmr.WithInvariantChecks())
 	}
@@ -209,30 +213,22 @@ func (s *Server) execAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	if err != nil {
 		return nil, err
 	}
-	return encodePayload(autotuneResponse(res, 1))
+	return encodePayload(autotuneResponse(res))
 }
 
-// execStreamedAutotune is the streamed /v1/autotune: the job under the
-// controller with the sample pump wired in. The controller's OnDecision
-// hook publishes a "decision" frame per evaluated window the instant the
-// simulation produces it — interleaved with the periodic "sample" frames
-// in simulated-time order.
+// execStreamedAutotune is the streamed /v1/autotune: the online run
+// RunOnline executes (control.Run), with the sample pump and the
+// decision publisher wired in. The controller's OnDecision hook publishes
+// a "decision" frame per evaluated window the instant the simulation
+// produces it — interleaved with the periodic "sample" frames in
+// simulated-time order.
 func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterConfig,
 	job adaptmr.JobConfig, pol control.Policy, lr *liveRun) ([]byte, error) {
 
 	cfg.Check = s.checkSet()
-	// The pump and the controller tick are both self-re-arming watchers;
-	// each discounts the other's calendar entry (the controller's
-	// Housekeeping allowance, the pump's watcher count) so they stop once
-	// only the two of them remain — otherwise they'd keep the engine
-	// alive forever.
-	wire := pump(lr, 1)
-	var ctrl *control.Controller
-	res, err := core.Execute(ctx, cfg, job, core.Uniform(core.TwoPhases, pol.StartPair), true,
-		func(cl *cluster.Cluster) {
-			smp := analyze.NewSampler()
-			smp.AttachCluster(cl)
-			ctrl = control.New(pol)
+	samples := pump(lr, 1)
+	res, run, err := control.Run(ctx, cfg, job, pol, true,
+		func(cl *cluster.Cluster, smp *analyze.Sampler, ctrl *control.Controller) {
 			seq := 0
 			ctrl.OnDecision = func(d control.Decision) {
 				sd := streamDecision{RunID: lr.id, Seq: seq, Decision: d}
@@ -241,28 +237,24 @@ func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterCo
 					lr.publish("decision", data)
 				}
 			}
+			// The pump and the controller tick are both self-re-arming
+			// watchers; each discounts the other's calendar entry (the
+			// controller's Housekeeping allowance, the pump's watcher
+			// count) so they stop once only the two of them remain —
+			// otherwise they'd keep the engine alive forever.
 			ctrl.Housekeeping = 1
-			ctrl.Attach(cl, smp)
-			wire(cl, smp)
+			samples(cl, smp)
 		})
-	if err := s.publishEvaluation(lr, cfg.Check, res, err); err != nil {
+	if err := s.publishEvaluation(lr, cfg.Check, run, err); err != nil {
 		return nil, err
 	}
-	return encodePayload(autotuneResponse(adaptmr.OnlineResult{
-		Job:           res.Job,
-		StartPairCode: pol.StartPair.Code(),
-		FinalPairCode: ctrl.InstalledPair().Code(),
-		Switches:      ctrl.Switches(),
-		Windows:       ctrl.Windows(),
-		Decisions:     ctrl.Decisions(),
-		SwitchStall:   res.SwitchStall,
-	}, 1))
+	return encodePayload(autotuneResponse(res))
 }
 
-// autotuneResponse shapes an online run into the /v1/autotune payload;
-// both paths share it so a streamed run's terminal frame is
-// byte-identical to a plain POST body.
-func autotuneResponse(res adaptmr.OnlineResult, evaluations int) AutotuneResponse {
+// autotuneResponse shapes an online run, which is one evaluation, into
+// the /v1/autotune payload; both paths share it so a streamed run's
+// terminal frame is byte-identical to a plain POST body.
+func autotuneResponse(res adaptmr.OnlineResult) AutotuneResponse {
 	decisions := res.Decisions
 	if decisions == nil {
 		decisions = []control.Decision{}
@@ -277,6 +269,6 @@ func autotuneResponse(res adaptmr.OnlineResult, evaluations int) AutotuneRespons
 		DurationS:    res.Job.Duration.Seconds(),
 		SwitchStallS: res.SwitchStall.Seconds(),
 		Job:          jobJSON(res.Job),
-		Evaluations:  evaluations,
+		Evaluations:  1,
 	}
 }

@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
+
+	"adaptmr"
+	"adaptmr/internal/sim"
 )
 
 // smokePolicySpec mirrors adaptmr.SmokeOnlinePolicy for the test
@@ -140,11 +144,13 @@ func TestAutotuneStreamOrdersDecisionFrames(t *testing.T) {
 	}
 }
 
-// TestAutotuneValidation: malformed policies answer 400 before anything
-// simulates.
-func TestAutotuneValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1}, nil)
-	cases := []struct {
+// autotuneValidationCases are malformed /v1/autotune requests, each of
+// which must answer 400 before anything simulates.
+func autotuneValidationCases() []struct {
+	name string
+	req  AutotuneRequest
+} {
+	return []struct {
 		name string
 		req  AutotuneRequest
 	}{
@@ -157,13 +163,27 @@ func TestAutotuneValidation(t *testing.T) {
 		{"negative window", AutotuneRequest{Cluster: testCluster,
 			Job:    JobSpec{Bench: "sort", InputMB: 64},
 			Policy: &AutotunePolicySpec{WindowMS: -1}}},
+		// In nanoseconds these wrap: to a negative window that the
+		// default replaced, and to a 448µs dwell.
+		{"window beyond bound", AutotuneRequest{Cluster: testCluster,
+			Job:    JobSpec{Bench: "sort", InputMB: 64},
+			Policy: &AutotunePolicySpec{WindowMS: 9300000000000}}},
+		{"dwell beyond bound", AutotuneRequest{Cluster: testCluster,
+			Job:    JobSpec{Bench: "sort", InputMB: 64},
+			Policy: &AutotunePolicySpec{MinDwellMS: 18446744073710}}},
 		{"bad run id", AutotuneRequest{Cluster: testCluster,
 			Job:   JobSpec{Bench: "sort", InputMB: 64},
 			RunID: "has spaces"}},
 		{"unknown bench", AutotuneRequest{Cluster: testCluster,
 			Job: JobSpec{Bench: "nope", InputMB: 64}}},
 	}
-	for _, tc := range cases {
+}
+
+// TestAutotuneValidation: malformed policies answer 400 before anything
+// simulates.
+func TestAutotuneValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1}, nil)
+	for _, tc := range autotuneValidationCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			st, _, body := postJSON(t, ts.URL+"/v1/autotune", tc.req)
 			if st != http.StatusBadRequest {
@@ -174,4 +194,122 @@ func TestAutotuneValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAutotuneIsRunOnline pins that /v1/autotune serves the run
+// adaptmr.RunOnline executes: for sort and wordcount on the 2×2/64 MB
+// testbed, under the smoke and the default policy, the plain and the
+// streamed bodies are byte-equal to each other and to the payload of a
+// local RunOnline with the same policy.
+func TestAutotuneIsRunOnline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations")
+	}
+	_, ts := newTestServer(t, Config{Workers: 1}, nil)
+	cfg := adaptmr.DefaultClusterConfig()
+	cfg.Hosts, cfg.VMsPerHost = 2, 2
+	for _, bench := range []struct {
+		name string
+		wl   adaptmr.Workload
+	}{
+		{"sort", adaptmr.SortBenchmark(64 << 20)},
+		{"wordcount", adaptmr.WordCountBenchmark(64 << 20)},
+	} {
+		for _, pc := range []struct {
+			name string
+			spec *AutotunePolicySpec
+			pol  adaptmr.OnlinePolicy
+		}{
+			{"smoke", smokePolicySpec(), adaptmr.SmokeOnlinePolicy()},
+			{"default", nil, adaptmr.DefaultOnlinePolicy()},
+		} {
+			t.Run(bench.name+"/"+pc.name, func(t *testing.T) {
+				res, err := adaptmr.RunOnline(cfg, bench.wl.Job, adaptmr.WithOnlineControl(pc.pol))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := encodePayload(autotuneResponse(res))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := AutotuneRequest{
+					Cluster: testCluster,
+					Job:     JobSpec{Bench: bench.name, InputMB: 64},
+					Policy:  pc.spec,
+				}
+				st, _, plain := postJSON(t, ts.URL+"/v1/autotune", req)
+				if st != http.StatusOK {
+					t.Fatalf("plain /v1/autotune = %d: %s", st, plain)
+				}
+				req.RunID = "same-" + bench.name + "-" + pc.name
+				st, _, streamed := postJSON(t, ts.URL+"/v1/autotune", req)
+				if st != http.StatusOK {
+					t.Fatalf("streamed /v1/autotune = %d: %s", st, streamed)
+				}
+				if !bytes.Equal(plain, streamed) {
+					t.Errorf("streamed body differs from plain:\nstreamed: %s\n   plain: %s", streamed, plain)
+				}
+				if !bytes.Equal(plain, want) {
+					t.Errorf("plain body differs from RunOnline's:\n   plain: %s\n    want: %s", plain, want)
+				}
+			})
+		}
+	}
+}
+
+// FuzzPolicySpec feeds arbitrary /v1/autotune bodies through the
+// handler's decoding: decodeStrict, the policy builder, the timeout, the
+// cluster and job builders and the coalescing key. Nothing may panic, an
+// accepted non-zero window_ms or min_dwell_ms must come back unchanged
+// from the policy (a value that wraps on its way to nanoseconds fails),
+// and an accepted timeout lies within the server default.
+func FuzzPolicySpec(f *testing.F) {
+	seed := func(req AutotuneRequest) {
+		data, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	seed(AutotuneRequest{Cluster: testCluster, Job: JobSpec{Bench: "sort", InputMB: 64},
+		Policy: smokePolicySpec()})
+	for _, tc := range autotuneValidationCases() {
+		seed(tc.req)
+	}
+	const def = time.Minute
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req AutotuneRequest
+		if err := decodeStrict(json.NewDecoder(bytes.NewReader(body)), &req); err != nil {
+			return
+		}
+		pol, err := buildOnlinePolicy(req.Policy)
+		if err != nil {
+			return
+		}
+		if spec := req.Policy; spec != nil {
+			for _, c := range []struct {
+				name string
+				ms   int64
+				got  sim.Duration
+			}{{"window", spec.WindowMS, pol.Window}, {"min_dwell", spec.MinDwellMS, pol.MinDwell}} {
+				if c.ms != 0 && (c.got%sim.Millisecond != 0 || int64(c.got/sim.Millisecond) != c.ms) {
+					t.Fatalf("policy.%s_ms %d came back as %v", c.name, c.ms, c.got)
+				}
+			}
+		}
+		if d, err := timeoutFor(req.TimeoutMS, def); err == nil && (d <= 0 || d > def) {
+			t.Fatalf("timeout_ms %d resolved to %v, want within (0, %v]", req.TimeoutMS, d, def)
+		}
+		cfg, err := buildCluster(req.Cluster)
+		if err != nil {
+			return
+		}
+		job, err := buildJob(req.Job)
+		if err != nil {
+			return
+		}
+		if _, err := autotuneKey(cfg, job, pol); err != nil {
+			t.Fatalf("accepted request has no coalescing key: %v", err)
+		}
+	})
 }

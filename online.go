@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"adaptmr/internal/analyze"
-	"adaptmr/internal/cluster"
 	"adaptmr/internal/control"
-	"adaptmr/internal/core"
-	"adaptmr/internal/obs/perfstat"
 	"adaptmr/internal/sim"
 )
 
@@ -52,35 +49,21 @@ func SmokeOnlinePolicy() OnlinePolicy {
 // the per-cell controllers of RunFleetOnline). Omitting the option runs
 // DefaultOnlinePolicy.
 func WithOnlineControl(p OnlinePolicy) Option {
-	return func(o *options) { o.online = &p }
+	return func(o *options) { o.online = p }
 }
 
-// OnlineResult is one job executed under the online controller.
-type OnlineResult struct {
-	// Job is the executed job's result (phases, volumes, metrics).
-	Job JobResult `json:"job"`
-	// StartPair is the pair installed at boot; FinalPair is what the last
-	// issued switch left installed (equal when the controller never
-	// switched).
-	StartPair Pair `json:"-"`
-	FinalPair Pair `json:"-"`
-	// StartPairCode / FinalPairCode are their two-letter codes, for the
-	// JSON view.
-	StartPairCode string `json:"start_pair"`
-	FinalPairCode string `json:"final_pair"`
-	// Switches counts issued switch commands; Windows counts evaluated
-	// sampling windows.
-	Switches int `json:"switches"`
-	Windows  int `json:"windows"`
-	// Decisions is the full decision log: every window where the
-	// classifier wanted a different pair, issued or held.
-	Decisions []OnlineDecision `json:"decisions"`
-	// SwitchStall is the total simulated time block queues spent stalled
-	// in elevator drains and re-inits caused by the controller's commands.
-	SwitchStall sim.Duration `json:"switch_stall_ns"`
-	// SimEvents is the engine's event count for the run.
-	SimEvents uint64 `json:"sim_events"`
-}
+// OnlineResult is one job executed under the online controller: Job is
+// the job's result; the embedded OnlineOutcome carries the start and
+// final pair codes, the switch and window counts and the decision log;
+// SwitchStall is the simulated time block queues spent stalled in the
+// controller's switches; SimEvents is the engine's event count.
+type OnlineResult = control.Result
+
+// OnlineOutcome is one controller's record of its run: the pair it
+// booted on (start_pair), the pair its last issued switch left installed
+// (final_pair), the issued switches, the evaluated windows and the
+// decision log.
+type OnlineOutcome = control.Outcome
 
 // RunOnline executes one job under the online adaptive controller: the
 // cluster boots with the policy's start pair, and the controller samples
@@ -90,65 +73,22 @@ type OnlineResult struct {
 //
 // Options: WithOnlineControl selects the policy; WithTracer, WithMetrics,
 // WithJourney, WithDecisionLog, WithInvariantChecks, WithPerfStats and
-// WithContext behave as on Run.
-// Output is deterministic and byte-identical at every WithParallelism
-// setting.
+// WithContext behave as on Run, and WithParallelism has no effect on
+// this single run. Output is deterministic for a fixed cfg, job and
+// policy.
 func RunOnline(cfg ClusterConfig, job JobConfig, opts ...Option) (OnlineResult, error) {
 	if err := job.Validate(); err != nil {
 		return OnlineResult{}, fmt.Errorf("adaptmr: %w", err)
 	}
 	o := buildOptions(opts)
-	cfg = o.apply(cfg)
-
-	pol := DefaultOnlinePolicy()
-	if o.online != nil {
-		pol = *o.online
-	}
-
-	// A fresh runner per call: the controller mutates the execution, so
-	// memoisation must never answer for it. The runner still provides the ordered observation fold, context
-	// checking and perf probing the other entry points share.
-	r := core.NewRunner(cfg, job)
-	r.Parallelism = o.parallelism
-	r.Context = o.ctx
-	r.CollectPerf = o.perf
-
-	var ctrl *control.Controller
-	var eng *sim.Engine
-	r.OnEvaluation = func(_ core.Plan, cl *cluster.Cluster) {
-		smp := analyze.NewSampler()
-		smp.AttachCluster(cl)
-		ctrl = control.New(pol)
-		ctrl.Attach(cl, smp)
-		eng = cl.Eng
-	}
-
-	// The plan is uniform: the controller is the only thing that switches.
-	start := control.New(pol).Policy().StartPair
-	res, err := r.Run(core.Uniform(core.TwoPhases, start))
+	res, _, err := control.Run(o.ctx, o.apply(cfg), job, o.online, o.perf, nil)
 	if err != nil {
 		return OnlineResult{}, fmt.Errorf("adaptmr: online run: %w", err)
 	}
 	if err := o.verify(nil); err != nil {
 		return OnlineResult{}, err
 	}
-	perfstat.Publish(cfg.Obs.Metrics, res.Perf)
-
-	out := OnlineResult{
-		Job:         res.Job,
-		StartPair:   start,
-		FinalPair:   ctrl.InstalledPair(),
-		Switches:    ctrl.Switches(),
-		Windows:     ctrl.Windows(),
-		Decisions:   ctrl.Decisions(),
-		SwitchStall: res.SwitchStall,
-	}
-	out.StartPairCode = out.StartPair.Code()
-	out.FinalPairCode = out.FinalPair.Code()
-	if eng != nil {
-		out.SimEvents = eng.EventsFired()
-	}
-	return out, nil
+	return res, nil
 }
 
 // OnlineBench condenses an online run of job on cfg into the gate
@@ -156,22 +96,6 @@ func RunOnline(cfg ClusterConfig, job JobConfig, opts ...Option) (OnlineResult, 
 // RunReport's bench: workload "online:<job name>", the per-VM input in
 // MB, the testbed and the seed.
 func OnlineBench(res OnlineResult, cfg ClusterConfig, job JobConfig) Bench {
-	j := res.Job
-	return analyze.BenchFromOnline(analyze.OnlineRunSummary{
-		Workload:  job.Name,
-		Hosts:     cfg.Hosts,
-		VMs:       cfg.VMsPerHost,
-		InputMB:   job.InputPerVM >> 20,
-		Seed:      cfg.Seed,
-		StartPair: res.StartPairCode,
-		FinalPair: res.FinalPairCode,
-		Switches:  res.Switches,
-
-		MakespanS:    j.Duration.Seconds(),
-		MapS:         j.MapsDoneAt.Sub(j.Start).Seconds(),
-		ShuffleS:     j.ShuffleDoneAt.Sub(j.MapsDoneAt).Seconds(),
-		ReduceS:      j.Done.Sub(j.ShuffleDoneAt).Seconds(),
-		SwitchStallS: res.SwitchStall.Seconds(),
-		SimEvents:    int64(res.SimEvents),
-	})
+	return analyze.BenchFromOnline(cfg, job, res.Job, res.StartPairCode, res.Switches,
+		res.SwitchStall, res.SimEvents)
 }
