@@ -3,6 +3,7 @@ package adaptmr
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"adaptmr/internal/analyze"
 	"adaptmr/internal/cluster"
@@ -62,13 +63,15 @@ func ParseFleetScenario(data []byte) (FleetScenario, error) { return fleet.Parse
 func SmokeFleetScenario() FleetScenario { return fleet.SmokeScenario() }
 
 // RunFleet executes a fleet scenario: per-cell JobTracker admission and
-// slot scheduling over concurrent jobs, with each cell run to completion
-// on its own and cells simulated in parallel (WithParallelism; 1 runs
-// serially). Output — results, traces, metrics, journeys, decisions — is
+// slot scheduling over concurrent jobs, with cells simulated in parallel
+// (WithParallelism; 1 runs serially). Each worker builds a cell right
+// before running it to completion and releases its cluster when it
+// finishes, so memory grows with the parallelism, not the cell count.
+// Output — results, traces, metrics, journeys, decisions — is
 // byte-identical at every parallelism setting. WithInvariantChecks
 // attaches the runtime correctness harness to every block queue of every
-// cell; WithPerfStats fills FleetResult.WallS/EventsPerSec; WithContext
-// bounds every cell.
+// cell; WithPerfStats fills FleetResult.WallS/EventsPerSec (cell
+// construction included); WithContext bounds every cell.
 func RunFleet(s FleetScenario, opts ...Option) (*FleetResult, error) {
 	return runFleet(s, buildOptions(opts), nil)
 }
@@ -80,28 +83,42 @@ func RunFleet(s FleetScenario, opts ...Option) (*FleetResult, error) {
 // regime it sees is whatever the overlapping jobs of that cell compose
 // on the shared spindles. It returns each cell's controller outcome, in
 // cell order. WithOnlineControl selects the policy (the scenario's Pair
-// stays the boot pair; the policy's StartPair is ignored). Deterministic
-// and byte-identical at every WithParallelism setting: controllers are
+// stays the boot pair; the policy's StartPair is ignored). Each
+// controller is attached on its cell's worker right before the cell
+// runs, and only its outcome outlives the cell. Deterministic and
+// byte-identical at every WithParallelism setting: controllers are
 // engine-confined per cell.
 func RunFleetOnline(s FleetScenario, opts ...Option) (*FleetResult, []OnlineOutcome, error) {
-	o := buildOptions(opts)
-	var ctls []*control.Controller // cells are constructed serially, in index order
-	res, err := runFleet(s, o, func(_ int, cl *cluster.Cluster) {
+	return runFleetOnline(s, buildOptions(opts), nil)
+}
+
+// runFleetOnline is RunFleetOnline; onCell, when non-nil, runs on each
+// cell's worker after the cell's controller attached.
+func runFleetOnline(s FleetScenario, o options, onCell func(cell int)) (*FleetResult, []OnlineOutcome, error) {
+	var mu sync.Mutex // cells are built on their workers, concurrently
+	ctls := map[int]*control.Controller{}
+	res, err := runFleet(s, o, func(cell int, cl *cluster.Cluster) {
 		c, _ := control.AttachCluster(cl, o.online)
-		ctls = append(ctls, c)
+		mu.Lock()
+		ctls[cell] = c
+		mu.Unlock()
+		if onCell != nil {
+			onCell(cell)
+		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]OnlineOutcome, len(ctls))
-	for i, c := range ctls {
-		out[i] = c.Outcome()
+	out := make([]OnlineOutcome, res.Cells)
+	for i := range out {
+		out[i] = ctls[i].Outcome()
 	}
 	return res, out, nil
 }
 
 // runFleet is the one fleet run behind RunFleet and RunFleetOnline:
-// onCell, when non-nil, extends each cell before any cell runs.
+// onCell, when non-nil, extends each cell on its worker right before the
+// cell runs.
 func runFleet(s FleetScenario, o options, onCell func(int, *cluster.Cluster)) (*FleetResult, error) {
 	res, err := fleet.Run(s, fleet.Options{
 		Parallelism: o.parallelism,

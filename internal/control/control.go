@@ -240,8 +240,7 @@ type Controller struct {
 	// other alive forever after the job drains. Set before the run starts.
 	Housekeeping int
 
-	cl         *cluster.Cluster
-	smp        *analyze.Sampler
+	attached   bool
 	prev       analyze.LiveSample
 	installed  iosched.Pair
 	streakWant iosched.Pair
@@ -283,12 +282,15 @@ func (c *Controller) Policy() Policy { return c.pol }
 // through the hysteresis gates. The sampler must already be attached to
 // the cluster (or be attached before traffic starts). The tick re-arms
 // only while the calendar holds other events, so a finished simulation is
-// never kept alive; the returned detach stops the controller early.
+// never kept alive; the returned detach stops the controller early. Only
+// the scheduled tick refers to the cluster and the sampler, and the last
+// sample is dropped when the tick stops, so a controller kept for its
+// Outcome keeps no finished cluster alive.
 func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach func()) {
-	if c.cl != nil {
+	if c.attached {
 		panic("control: controller attached twice (build one per run)")
 	}
-	c.cl, c.smp = cl, smp
+	c.attached = true
 	if c.pol.Cost == nil {
 		c.pol.Cost = core.FigureFiveCost(cl.Config().Host.SwitchReinit, iosched.DefaultParams())
 	}
@@ -303,18 +305,21 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach f
 		if c.stopped {
 			return
 		}
-		c.evaluate(cl.Eng.Now())
+		c.evaluate(cl, smp, cl.Eng.Now())
 		if !c.stopped && cl.Eng.Pending() > c.Housekeeping {
 			cl.Eng.Schedule(c.pol.Window, tick)
+			return
 		}
+		c.prev = analyze.LiveSample{} // the run is over: keep only the outcome
 	}
 	cl.Eng.Schedule(c.pol.Window, tick)
 	return func() { c.stopped = true }
 }
 
-// evaluate classifies the window that just closed and runs the gates.
-func (c *Controller) evaluate(now sim.Time) {
-	cur := c.smp.Live(now)
+// evaluate classifies the window that just closed and runs the gates; an
+// issued switch goes to every elevator of cl.
+func (c *Controller) evaluate(cl *cluster.Cluster, smp *analyze.Sampler, now sim.Time) {
+	cur := smp.Live(now)
 	w := cur.Window(c.prev, c.pol.Level)
 	c.prev = cur
 	c.out.Windows++
@@ -363,7 +368,7 @@ func (c *Controller) evaluate(now sim.Time) {
 		d.Reason = ReasonStreak
 	case now.Sub(c.lastSwitch) < c.pol.MinDwell:
 		d.Reason = ReasonDwell
-	case cost > sim.Duration(c.pol.CostBudget*float64(c.pol.MinDwell)):
+	case float64(cost) > c.pol.CostBudget*float64(c.pol.MinDwell):
 		d.Reason = ReasonCost
 	default:
 		d.Issued = true
@@ -373,7 +378,7 @@ func (c *Controller) evaluate(now sim.Time) {
 		c.installed = want
 		c.streak = 0
 		c.switching = true
-		c.cl.SetPairAll(want, func() { c.switching = false })
+		cl.SetPairAll(want, func() { c.switching = false })
 	}
 	c.out.Decisions = append(c.out.Decisions, d)
 	if c.OnDecision != nil {

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"reflect"
 	"testing"
 
 	"adaptmr/internal/analyze"
@@ -182,6 +183,33 @@ func TestCostGateBlocksExpensiveSwitch(t *testing.T) {
 		if d.Reason != ReasonCost {
 			t.Fatalf("decision %+v, want hold:cost", d)
 		}
+	}
+}
+
+// TestCostGateHugeBudget pins the amortisation gate at budgets whose
+// CostBudget × MinDwell product leaves the int64 range: a budget of
+// 1e300 admits every switch, exactly as 1e9 does.
+func TestCostGateHugeBudget(t *testing.T) {
+	run := func(budget float64) Outcome {
+		cl, smp, q := harness(t)
+		pol := testPolicy()
+		pol.CostBudget = budget
+		ctrl := New(pol)
+		ctrl.Attach(cl, smp)
+		win := 100 * sim.Millisecond
+		readWindows(cl.Eng, q, win, 0, 2)
+		writeWindows(cl.Eng, q, win, 2, 14)
+		cl.Eng.Run()
+		return ctrl.Outcome()
+	}
+	want := run(1e9)
+	if want.Switches != 2 {
+		t.Fatalf("budget 1e9: switches = %d, want 2", want.Switches)
+	}
+	got := run(1e300)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("budget 1e300: %d switches over %d decisions, want the 1e9 outcome (%d over %d)",
+			got.Switches, len(got.Decisions), want.Switches, len(want.Decisions))
 	}
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"os"
 	"testing"
+	"time"
 
 	"adaptmr/internal/check"
 )
@@ -10,14 +11,15 @@ import (
 // TestAcceptanceScale is the fleet-scale acceptance run: 32 cells ×
 // 8 hosts × 8 VMs (256 hosts, 2048 VMs) carrying 50 jobs under
 // fair-share admission with Poisson arrivals, sharded across all cores,
-// with the full invariant harness attached. It takes a few minutes of
-// wall clock, so it only runs when FLEET_ACCEPT is set (the CI
+// with the full invariant harness attached. It takes about 8 s of wall
+// clock on 2 cores, so it only runs when FLEET_ACCEPT is set (the CI
 // fleet-smoke job sets it); the regular suite exercises the same
 // machinery at small scale (byte-identity, 20-job fair-share under
-// check).
+// check, flat live heap across cells). It logs the peak live heap next
+// to wall time and events.
 func TestAcceptanceScale(t *testing.T) {
 	if os.Getenv("FLEET_ACCEPT") == "" {
-		t.Skip("multi-minute acceptance scenario; set FLEET_ACCEPT=1 to run")
+		t.Skip("acceptance-scale scenario; set FLEET_ACCEPT=1 to run")
 	}
 	s := Scenario{
 		Name:                 "accept",
@@ -37,7 +39,9 @@ func TestAcceptanceScale(t *testing.T) {
 	}
 	s = s.withDefaults()
 	cs := check.NewSet()
+	peak := pollLiveHeap()
 	res, err := Run(s, Options{Parallelism: 0, Check: cs, Perf: true})
+	peakMB := float64(peak()) / (1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +52,32 @@ func TestAcceptanceScale(t *testing.T) {
 	if res.Hosts != 256 || res.VMs != 2048 || len(res.Jobs) != 50 {
 		t.Fatalf("scale mismatch: hosts=%d vms=%d jobs=%d", res.Hosts, res.VMs, len(res.Jobs))
 	}
-	t.Logf("hosts=%d vms=%d jobs=%d makespan=%.1fs events=%d wall=%.1fs eps=%.0f",
-		res.Hosts, res.VMs, len(res.Jobs), res.Agg.MakespanS, res.SimEvents, res.WallS, res.EventsPerSec)
+	t.Logf("hosts=%d vms=%d jobs=%d makespan=%.1fs events=%d wall=%.1fs eps=%.0f peak_live_heap=%.1fMB",
+		res.Hosts, res.VMs, len(res.Jobs), res.Agg.MakespanS, res.SimEvents, res.WallS, res.EventsPerSec, peakMB)
+}
+
+// pollLiveHeap samples the live heap (/gc/heap/live:bytes, what the last
+// collection found live) every 5 ms on one goroutine until the returned
+// stop is called; stop returns the largest sample.
+func pollLiveHeap() (stop func() uint64) {
+	var peak uint64
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			peak = max(peak, liveHeapNow())
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() uint64 {
+		close(quit)
+		<-done
+		return max(peak, liveHeapNow())
+	}
 }

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"adaptmr/internal/check"
+	"adaptmr/internal/cluster"
 	"adaptmr/internal/obs"
 	"adaptmr/internal/sim"
 )
@@ -102,6 +106,46 @@ func TestSerialShardedByteIdentity(t *testing.T) {
 			t.Fatalf("parallelism %d output differs from serial fallback (%d vs %d bytes)",
 				par, len(got), len(serial))
 		}
+	}
+}
+
+// liveHeap collects garbage and returns the bytes the collection found
+// live.
+func liveHeap() uint64 {
+	runtime.GC()
+	return liveHeapNow()
+}
+
+// liveHeapNow returns the bytes the last collection found live.
+func liveHeapNow() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestFinishedCellsAreReleased pins the fleet's memory bound: a serial
+// run builds each cell right before running it and drops the cell's
+// cluster, job tracker and jobs when it finishes, so the live heap seen
+// as each cell starts stays flat instead of growing by one cluster per
+// cell.
+func TestFinishedCellsAreReleased(t *testing.T) {
+	s := SmokeScenario()
+	s.Cells = 6 // one job per cell
+	var heaps []uint64
+	_, err := Run(s, Options{
+		Parallelism: 1,
+		OnCell:      func(int, *cluster.Cluster) { heaps = append(heaps, liveHeap()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	low := slices.Min(heaps)
+	t.Logf("live heap at each cell's start (bytes): %v", heaps)
+	// A retained smoke-scale cell adds about 30 KB.
+	const slack = 16 << 10
+	if last := heaps[len(heaps)-1]; last > low+slack {
+		t.Fatalf("live heap grew %d KB over %d cells, want at most %d KB: finished cells are retained",
+			(last-low)>>10, len(heaps), slack>>10)
 	}
 }
 

@@ -82,16 +82,17 @@ type Result struct {
 	Agg Aggregate `json:"agg"`
 
 	// SimEvents totals the events fired across every cell engine
-	// (deterministic). WallS/EventsPerSec are wall-clock telemetry, set
-	// only when Options.Perf was enabled (machine-dependent, never part
-	// of byte-identity comparisons).
+	// (deterministic). WallS/EventsPerSec are wall-clock telemetry over
+	// building and running every cell, set only when Options.Perf was
+	// enabled (machine-dependent, never part of byte-identity
+	// comparisons).
 	SimEvents    int64   `json:"sim_events"`
 	WallS        float64 `json:"wall_s,omitempty"`
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 }
 
 // buildResult assembles the Result from finished cells.
-func buildResult(s Scenario, cells []*cellState) *Result {
+func buildResult(s Scenario, cells []cell) *Result {
 	res := &Result{
 		Scenario: s.Name,
 		Policy:   s.Policy,
@@ -106,20 +107,17 @@ func buildResult(s Scenario, cells []*cellState) *Result {
 	var durations, waits []float64
 	var lastDone sim.Duration
 	var overlapSum float64
-	for _, st := range cells {
-		// Admission order: deterministic and stable across runs.
-		jobs := append([]*runningJob(nil), st.jt.finished...)
-		sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
-		for _, rj := range jobs {
+	for _, c := range cells {
+		for _, rj := range c.jobs {
 			r := rj.res
 			arrive := rj.inst.arrive // already scenario time
-			admit := rj.admit.Sub(st.epoch)
-			done := r.Done.Sub(st.epoch)
+			admit := rj.admit.Sub(c.epoch)
+			done := r.Done.Sub(c.epoch)
 			out := JobOutcome{
 				ID:         rj.inst.id,
 				Benchmark:  rj.inst.bench,
 				Class:      rj.inst.class.String(),
-				Cell:       st.idx,
+				Cell:       c.idx,
 				Queue:      rj.inst.queue,
 				Priority:   rj.inst.prio,
 				Weight:     rj.inst.weight,
@@ -133,10 +131,10 @@ func buildResult(s Scenario, cells []*cellState) *Result {
 				ReduceS:    r.Done.Sub(r.ShuffleDoneAt).Seconds(),
 				Maps:       r.NumMaps,
 				Reduces:    r.NumReduces,
-				OverlapPct: overlapPct(rj, jobs),
+				OverlapPct: overlapPct(rj, c.jobs),
 			}
 			res.Jobs = append(res.Jobs, out)
-			res.InputMB += rj.inst.cfg.InputPerVM * int64(st.cl.NumVMs()) >> 20
+			res.InputMB += rj.inst.cfg.InputPerVM * int64(c.vms) >> 20
 
 			durations = append(durations, r.Duration.Seconds())
 			waits = append(waits, (admit - sim.Duration(arrive)).Seconds())
@@ -149,10 +147,10 @@ func buildResult(s Scenario, cells []*cellState) *Result {
 			agg.PhaseS["shuffle"] += out.ShuffleS
 			agg.PhaseS["reduce"] += out.ReduceS
 		}
-		if st.jt.peakConcurrent > agg.PeakConcurrency {
-			agg.PeakConcurrency = st.jt.peakConcurrent
+		if c.peak > agg.PeakConcurrency {
+			agg.PeakConcurrency = c.peak
 		}
-		res.SimEvents += int64(st.cl.Eng.EventsFired())
+		res.SimEvents += int64(c.events)
 	}
 
 	agg.Jobs = len(res.Jobs)

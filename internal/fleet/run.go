@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"adaptmr/internal/check"
@@ -31,9 +32,9 @@ type Options struct {
 	// cell goroutines).
 	Check *check.Set
 
-	// Perf collects wall-clock telemetry (Result.WallS, EventsPerSec).
-	// Off by default: wall values are machine-dependent and break
-	// byte-identity comparisons.
+	// Perf collects wall-clock telemetry (Result.WallS, EventsPerSec),
+	// timed over building and running every cell. Off by default: wall
+	// values are machine-dependent and break byte-identity comparisons.
 	Perf bool
 
 	// Context, when non-nil, is checked every few thousand events of
@@ -41,33 +42,63 @@ type Options struct {
 	Context context.Context
 
 	// OnCell, when non-nil, is called once per cell after its cluster and
-	// job tracker are built but before any cell runs. Cells are
-	// constructed serially, so the hook needs no locking; anything it
-	// attaches (samplers, online controllers) runs inside that cell's
-	// engine thereafter and must not be shared across cells.
+	// job tracker are built, right before the cell runs. It runs on the
+	// cell's worker, so calls for different cells may overlap and must
+	// guard anything they share; anything it attaches (samplers, online
+	// controllers) runs inside that cell's engine thereafter and must not
+	// be shared across cells.
 	OnCell func(cell int, cl *cluster.Cluster)
 }
 
-// cellState is one shard: a full cluster with its own engine (recording
-// into the private sinks the fold absorbs) and the cell's jobTracker.
-type cellState struct {
-	idx   int
-	cl    *cluster.Cluster
-	jt    *jobTracker
-	epoch sim.Time // engine time when the scenario clock started
+// cell is what a finished cell leaves for buildResult and the fold. Its
+// cluster, job tracker and mapred.Jobs are gone by then, so a fleet holds
+// at most Parallelism clusters at a time.
+type cell struct {
+	idx    int
+	epoch  sim.Time      // engine time when the scenario clock started
+	vms    int           // VMs in the cell's cluster
+	jobs   []*runningJob // finished jobs in admission order, job dropped
+	peak   int           // most jobs admitted at once
+	events uint64        // events the cell's engine fired
+	obs    obs.Sink      // the private sink the fold absorbs
 }
 
-// run drives the cell's engine until its calendar drains. A cell that
-// drains with jobs unfinished has deadlocked.
-func (st *cellState) run(ctx context.Context) error {
-	if err := core.RunEngine(ctx, st.cl.Eng); err != nil {
-		return fmt.Errorf("fleet: run abandoned: %w", err)
+// runCell builds cell c — its cluster, boot pair, epoch, job tracker and
+// OnCell — drives its engine until the calendar drains and keeps only
+// what the result and the fold read. A cell that drains with jobs
+// unfinished has deadlocked.
+func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instance) (cell, error) {
+	cc := cluster.DefaultConfig()
+	cc.Hosts = s.HostsPerCell
+	cc.VMsPerHost = s.VMsPerHost
+	cc.Seed = cellSeed(s.Seed, c)
+	cc.Check = opt.Check
+	cc.Obs = opt.Obs.Private(c, fmt.Sprintf("cell%d", c))
+	cl := cluster.New(cc)
+	cl.InstallPair(pair)
+	// Arrivals are scheduled relative to the post-install engine time;
+	// reported times subtract this epoch.
+	epoch := cl.Eng.Now()
+	jt := newJobTracker(cl, s, insts)
+	if opt.OnCell != nil {
+		opt.OnCell(c, cl)
 	}
-	if !st.jt.allDone() {
-		return fmt.Errorf("fleet: cell %d stalled with %d/%d jobs finished (model deadlock)",
-			st.idx, len(st.jt.finished), st.jt.total)
+	if err := core.RunEngine(opt.Context, cl.Eng); err != nil {
+		return cell{}, fmt.Errorf("fleet: run abandoned: %w", err)
 	}
-	return nil
+	if !jt.allDone() {
+		return cell{}, fmt.Errorf("fleet: cell %d stalled with %d/%d jobs finished (model deadlock)",
+			c, len(jt.finished), jt.total)
+	}
+	jobs := jt.finished
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	for _, rj := range jobs {
+		rj.job = nil // the job's tasks reach back into the cluster
+	}
+	return cell{
+		idx: c, epoch: epoch, vms: cl.NumVMs(), jobs: jobs,
+		peak: jt.peakConcurrent, events: cl.Eng.EventsFired(), obs: cl.Obs(),
+	}, nil
 }
 
 // Run executes the scenario to completion and returns the fleet result.
@@ -89,35 +120,17 @@ func Run(s Scenario, opt Options) (*Result, error) {
 		perCell[inst.cell] = append(perCell[inst.cell], inst)
 	}
 
-	base := opt.Obs
-	cells := make([]*cellState, s.Cells)
-	for c := range cells {
-		cc := cluster.DefaultConfig()
-		cc.Hosts = s.HostsPerCell
-		cc.VMsPerHost = s.VMsPerHost
-		cc.Seed = cellSeed(s.Seed, c)
-		cc.Check = opt.Check
-		cc.Obs = base.Private(c, fmt.Sprintf("cell%d", c))
-		st := &cellState{idx: c, cl: cluster.New(cc)}
-		st.cl.InstallPair(pair)
-		// Arrivals are scheduled relative to the post-install engine time;
-		// reported times subtract this epoch.
-		st.epoch = st.cl.Eng.Now()
-		st.jt = newJobTracker(st.cl, s, perCell[c])
-		if opt.OnCell != nil {
-			opt.OnCell(c, st.cl)
-		}
-		cells[c] = st
-	}
-
 	var wallStart time.Time
 	if opt.Perf {
 		wallStart = time.Now()
 	}
-	// Cells exchange no events, so each runs start to finish on its own;
-	// the first error in cell order is reported.
-	errs := make([]error, len(cells))
-	core.Fan(opt.Parallelism, len(cells), func(i int) { errs[i] = cells[i].run(opt.Context) })
+	// Cells exchange no events, so each is built, run and released on its
+	// own worker; the first error in cell order is reported.
+	cells := make([]cell, s.Cells)
+	errs := make([]error, s.Cells)
+	core.Fan(opt.Parallelism, s.Cells, func(c int) {
+		cells[c], errs[c] = runCell(s, opt, pair, c, perCell[c])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -131,9 +144,8 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	// Fold the per-cell observation into the base sink, strictly in cell
 	// order — the same ordered-fold contract the parallel tuner uses, so
 	// serial and sharded runs produce identical bytes.
-	for _, st := range cells {
-		priv := st.cl.Obs()
-		base.Absorb(priv, priv.Metrics.Snapshot())
+	for _, c := range cells {
+		opt.Obs.Absorb(c.obs, c.obs.Metrics.Snapshot())
 	}
 
 	res := buildResult(s, cells)

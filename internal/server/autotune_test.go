@@ -69,6 +69,41 @@ func TestAutotuneEndpoint(t *testing.T) {
 	}
 }
 
+// TestAutotuneHugeCostBudget: a cost_budget whose product with the dwell
+// leaves the int64 range admits every switch, so 1e300 answers the same
+// body as 1e9 (two switches on the smoke sort), not a run that holds
+// every window on cost.
+func TestAutotuneHugeCostBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations")
+	}
+	_, ts := newTestServer(t, Config{Workers: 1}, nil)
+	post := func(budget float64) []byte {
+		pol := smokePolicySpec()
+		pol.CostBudget = budget
+		st, _, body := postJSON(t, ts.URL+"/v1/autotune", AutotuneRequest{
+			Cluster: testCluster,
+			Job:     JobSpec{Bench: "sort", InputMB: 64},
+			Policy:  pol,
+		})
+		if st != http.StatusOK {
+			t.Fatalf("cost_budget %g: /v1/autotune = %d: %s", budget, st, body)
+		}
+		return body
+	}
+	want := post(1e9)
+	var resp AutotuneResponse
+	if err := json.Unmarshal(want, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Switches != 2 {
+		t.Fatalf("cost_budget 1e9: switches = %d, want 2", resp.Switches)
+	}
+	if got := post(1e300); !bytes.Equal(got, want) {
+		t.Fatalf("cost_budget 1e300 body differs from 1e9's:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestAutotuneStreamOrdersDecisionFrames is the satellite-6 frame
 // contract: a streamed autotune run interleaves "decision" frames with
 // the periodic "sample" frames in simulated-time order, every decision
@@ -262,7 +297,8 @@ func TestAutotuneIsRunOnline(t *testing.T) {
 // cluster and job builders and the coalescing key. Nothing may panic, an
 // accepted non-zero window_ms or min_dwell_ms must come back unchanged
 // from the policy (a value that wraps on its way to nanoseconds fails),
-// and an accepted timeout lies within the server default.
+// so must an accepted cost_budget, and an accepted timeout lies within
+// the server default.
 func FuzzPolicySpec(f *testing.F) {
 	seed := func(req AutotuneRequest) {
 		data, err := json.Marshal(req)
@@ -273,6 +309,10 @@ func FuzzPolicySpec(f *testing.F) {
 	}
 	seed(AutotuneRequest{Cluster: testCluster, Job: JobSpec{Bench: "sort", InputMB: 64},
 		Policy: smokePolicySpec()})
+	huge := smokePolicySpec()
+	huge.CostBudget = 1e300 // × the dwell in ns, beyond int64
+	seed(AutotuneRequest{Cluster: testCluster, Job: JobSpec{Bench: "sort", InputMB: 64},
+		Policy: huge})
 	for _, tc := range autotuneValidationCases() {
 		seed(tc.req)
 	}
@@ -295,6 +335,9 @@ func FuzzPolicySpec(f *testing.F) {
 				if c.ms != 0 && (c.got%sim.Millisecond != 0 || int64(c.got/sim.Millisecond) != c.ms) {
 					t.Fatalf("policy.%s_ms %d came back as %v", c.name, c.ms, c.got)
 				}
+			}
+			if spec.CostBudget != 0 && pol.CostBudget != spec.CostBudget {
+				t.Fatalf("policy.cost_budget %g came back as %g", spec.CostBudget, pol.CostBudget)
 			}
 		}
 		if d, err := timeoutFor(req.TimeoutMS, def); err == nil && (d <= 0 || d > def) {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
+	"slices"
 	"testing"
 
 	"adaptmr"
@@ -299,5 +302,37 @@ func TestRunFleetOnlineDeterminism(t *testing.T) {
 	if got := run(4); !bytes.Equal(serial, got) {
 		t.Fatalf("parallel fleet online output differs from serial (%d vs %d bytes)",
 			len(got), len(serial))
+	}
+}
+
+// TestRunFleetOnlineReleasesCells pins the fleet's memory bound with a
+// controller on every cell: a controller kept for its outcome must not
+// keep its finished cell alive, so the live heap seen as each cell of a
+// serial run starts stays flat instead of growing by one cluster per
+// cell.
+func TestRunFleetOnlineReleasesCells(t *testing.T) {
+	s := adaptmr.SmokeFleetScenario()
+	s.Cells = 6 // one job per cell
+	var heaps []uint64
+	_, cells, err := adaptmr.RunFleetOnlineOnCell(s, func(int) {
+		runtime.GC()
+		m := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(m)
+		heaps = append(heaps, m[0].Value.Uint64())
+	}, adaptmr.WithOnlineControl(adaptmr.SmokeOnlinePolicy()), adaptmr.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != s.Cells || len(heaps) != s.Cells {
+		t.Fatalf("%d outcomes and %d heap readings, want %d", len(cells), len(heaps), s.Cells)
+	}
+	low := slices.Min(heaps)
+	t.Logf("live heap at each cell's start (bytes): %v", heaps)
+	// A retained smoke-scale cell with its controller and sampler adds
+	// about 38 KB; each returned decision log about 1 KB.
+	const slack = 24 << 10
+	if last := heaps[len(heaps)-1]; last > low+slack {
+		t.Fatalf("live heap grew %d KB over %d cells, want at most %d KB: finished cells are retained",
+			(last-low)>>10, len(heaps), slack>>10)
 	}
 }
