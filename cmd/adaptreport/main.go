@@ -14,17 +14,18 @@
 //	    request latency decomposition per stage and per VM, and the
 //	    scheduler decision tallies at both queue levels.
 //
-//	adaptreport gate [sim flags] [-baseline BENCH_baseline.json] [-tol 0.05]
-//	                 [-candidate BENCH_candidate.json] [-html report.html] [-update]
-//	                 [-parallel N] [-o compare.txt]
-//	    Run the suite's three workloads — the instrumented job ("sort"),
-//	    the built-in fleet smoke scenario ("fleet:fleet-smoke") and the
-//	    job under the online controller ("online:sort") — and compare
-//	    each against its baseline entry. Exits 1 when a gated metric
-//	    regressed beyond the tolerance or the event count changed at
-//	    all. -update rewrites the baseline instead of comparing.
+//	adaptreport gate [-baseline BENCH_baseline.json] [-candidate BENCH_candidate.json]
+//	                 [-html report.html] [-update] [-parallel N] [-o compare.txt]
+//	    Run the suite's three workloads on the gate's one testbed (sort at
+//	    64 MB per VM on 2 hosts × 2 VMs, seed 1, pair cc) — the
+//	    instrumented job ("sort"), the built-in fleet smoke scenario
+//	    ("fleet:fleet-smoke") and the job under the online controller
+//	    ("online:sort") — and compare each against its baseline entry.
+//	    Exits 1 when any simulated field differs from the baseline at all
+//	    or a perf row left its bound. -update rewrites the baseline
+//	    instead of comparing.
 //
-//	adaptreport compare [-tol 0.05] [-o compare.txt] base.json candidate.json
+//	adaptreport compare [-o compare.txt] base.json candidate.json
 //	    Compare two previously written suites.
 //
 // Every bench file is a suite: a JSON array of bench summaries, one per
@@ -34,10 +35,10 @@
 // also writes the tables to a file (a JSON object keyed by workload when
 // the path ends in .json), even on FAIL, so CI can upload the verdict.
 //
-// Sim flags (run, explain and gate): -bench, -pair, -hosts, -vms, -input,
-// -seed, -check, -perf. All output is deterministic for a fixed
-// configuration (with -perf=false for run and explain), which is what
-// makes byte-level baseline comparison possible.
+// Sim flags (run and explain): -bench, -pair, -hosts, -vms, -input,
+// -seed, -check, -perf; their defaults are the gate's testbed. All output
+// is deterministic for a fixed configuration (with -perf=false), which is
+// what makes exact baseline comparison possible.
 package main
 
 import (
@@ -96,63 +97,64 @@ func main() {
 	}
 }
 
-// simFlags binds the shared simulation flags on fs.
-type simFlags struct {
-	bench   *string
-	pairArg *string
-	hosts   *int
-	vms     *int
-	inputMB *int64
-	seed    *int64
-	check   *bool
-	perf    *bool
-	log     *cliutil.LogFlag
+// testbed is one simulation's settings.
+type testbed struct {
+	bench, pair   string
+	hosts, vms    int
+	inputMB, seed int64
+	check, perf   bool
 }
 
-func bindSimFlags(fs *flag.FlagSet) *simFlags {
-	return &simFlags{
-		bench:   fs.String("bench", "sort", "workload: sort, wordcount, wordcount-nc"),
-		pairArg: fs.String("pair", "cc", "scheduler pair (code or long form)"),
-		hosts:   fs.Int("hosts", 2, "physical nodes"),
-		vms:     fs.Int("vms", 2, "VMs per node"),
-		inputMB: fs.Int64("input", 64, "input data per datanode VM, in MB"),
-		seed:    fs.Int64("seed", 1, "simulation seed"),
-		check:   cliutil.BindCheckFlag(fs),
-		perf: fs.Bool("perf", true,
-			"collect engine self-telemetry (wall clock, events/sec, allocs/event) into the bench summary; disable for byte-identical reports"),
-		log: cliutil.BindLogFlag(fs),
-	}
+// gateTestbed is the gate's one testbed, which every baseline entry
+// records: sort at 64 MB per VM on 2 hosts × 2 VMs, seed 1, pair cc,
+// unchecked, with engine self-telemetry. run and explain default to it.
+var gateTestbed = testbed{bench: "sort", pair: "cc", hosts: 2, vms: 2, inputMB: 64, seed: 1, perf: true}
+
+// bindTestbed binds the simulation flags of run and explain on fs.
+func bindTestbed(fs *flag.FlagSet) *testbed {
+	tb := gateTestbed
+	fs.StringVar(&tb.bench, "bench", tb.bench, "workload: sort, wordcount, wordcount-nc")
+	fs.StringVar(&tb.pair, "pair", tb.pair, "scheduler pair (code or long form)")
+	fs.IntVar(&tb.hosts, "hosts", tb.hosts, "physical nodes")
+	fs.IntVar(&tb.vms, "vms", tb.vms, "VMs per node")
+	fs.Int64Var(&tb.inputMB, "input", tb.inputMB, "input data per datanode VM, in MB")
+	fs.Int64Var(&tb.seed, "seed", tb.seed, "simulation seed")
+	fs.BoolVar(&tb.check, "check", tb.check,
+		"attach runtime invariant checks to every block queue (a violation fails the run)")
+	fs.BoolVar(&tb.perf, "perf", tb.perf,
+		"collect engine self-telemetry (wall clock, events/sec, allocs/event) into the bench summary; disable for byte-identical reports")
+	return &tb
 }
 
-// setup resolves the sim flags into a cluster config, workload and pair.
-func (sf *simFlags) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pair, error) {
+// setup resolves the testbed into a cluster config, workload and pair.
+func (tb testbed) setup() (adaptmr.ClusterConfig, adaptmr.Workload, adaptmr.Pair, error) {
 	cfg := adaptmr.DefaultClusterConfig()
-	cfg.Hosts = *sf.hosts
-	cfg.VMsPerHost = *sf.vms
-	cfg.Seed = *sf.seed
+	cfg.Hosts = tb.hosts
+	cfg.VMsPerHost = tb.vms
+	cfg.Seed = tb.seed
 
-	wl, err := workloads.ByName(*sf.bench, *sf.inputMB<<20)
+	wl, err := workloads.ByName(tb.bench, tb.inputMB<<20)
 	if err != nil {
 		return cfg, wl, adaptmr.Pair{}, err
 	}
-	pair, err := adaptmr.ParsePair(*sf.pairArg)
+	pair, err := adaptmr.ParsePair(tb.pair)
 	if err != nil {
 		return cfg, wl, adaptmr.Pair{}, err
 	}
 	return cfg, wl, pair, nil
 }
 
-// run executes one instrumented job per the sim flags and analyzes it;
+// run executes one instrumented job on the testbed and analyzes it;
 // opts adds facade options (explain's journey and decision logs).
-func (sf *simFlags) run(opts ...adaptmr.Option) (*adaptmr.Report, error) {
-	cfg, wl, pair, err := sf.setup()
+func (tb testbed) run(opts ...adaptmr.Option) (*adaptmr.Report, error) {
+	cfg, wl, pair, err := tb.setup()
 	if err != nil {
 		return nil, err
 	}
-	if *sf.check {
+	if tb.check {
 		opts = append(opts, adaptmr.WithInvariantChecks())
 	}
-	if *sf.perf {
+	if tb.perf {
 		opts = append(opts, adaptmr.WithPerfStats())
 	}
 	return adaptmr.RunReport(cfg, wl.Job, pair, opts...)
@@ -163,7 +165,8 @@ func (sf *simFlags) run(opts ...adaptmr.Option) (*adaptmr.Report, error) {
 // its explain sections after the run report.
 func cmdRun(name string, args []string) {
 	fs := flag.NewFlagSet("adaptreport "+name, flag.ExitOnError)
-	sf := bindSimFlags(fs)
+	tb := bindTestbed(fs)
+	lf := cliutil.BindLogFlag(fs)
 	format := fs.String("format", "md", "output format: md, html or json")
 	out := fs.String("o", "", "output path (default stdout)")
 	// Only run writes a bench: explain's journey log turns request pooling
@@ -174,7 +177,7 @@ func cmdRun(name string, args []string) {
 	}
 	prof := cliutil.BindProfileFlags(fs)
 	fs.Parse(args)
-	initLogger(sf.log)
+	initLogger(lf)
 	if err := prof.Start(); err != nil {
 		fail(err)
 	}
@@ -183,7 +186,7 @@ func cmdRun(name string, args []string) {
 	if name == "explain" {
 		opts = []adaptmr.Option{adaptmr.WithJourney(), adaptmr.WithDecisionLog()}
 	}
-	rep, err := sf.run(opts...)
+	rep, err := tb.run(opts...)
 	if err != nil {
 		fail(err)
 	}
@@ -222,9 +225,7 @@ func writeReport(rep *adaptmr.Report, format, path string) error {
 
 func cmdGate(args []string) {
 	fs := flag.NewFlagSet("adaptreport gate", flag.ExitOnError)
-	sf := bindSimFlags(fs)
 	baseline := fs.String("baseline", "BENCH_baseline.json", "committed baseline suite JSON (one bench per workload)")
-	tol := fs.Float64("tol", 0.05, "relative regression tolerance on gated metrics")
 	candidate := fs.String("candidate", "", "write the candidate suite JSON here (for CI artifacts)")
 	htmlOut := fs.String("html", "", "write the candidate's full HTML report here")
 	update := fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
@@ -232,8 +233,9 @@ func cmdGate(args []string) {
 	cmpOut := fs.String("o", "",
 		"write the comparison here too (JSON when the path ends in .json, the text tables otherwise)")
 	prof := cliutil.BindProfileFlags(fs)
+	lf := cliutil.BindLogFlag(fs)
 	fs.Parse(args)
-	initLogger(sf.log)
+	initLogger(lf)
 	if err := prof.Start(); err != nil {
 		fail(err)
 	}
@@ -246,33 +248,29 @@ func cmdGate(args []string) {
 	// estimator of true cost under scheduling noise. The simulation is
 	// deterministic, so every repeat produces the identical report; only
 	// timing fidelity changes.
-	rep, err := sf.run()
+	rep, err := gateTestbed.run()
 	if err != nil {
 		fail(err)
 	}
-	if *sf.perf {
-		const perfRepeats = 5
-		for i := 0; i < perfRepeats; i++ {
-			r, err := sf.run()
-			if err != nil {
-				fail(err)
-			}
-			if r.Bench.EventsPerSec > rep.Bench.EventsPerSec {
-				rep = r
-			}
+	const perfRepeats = 5
+	for i := 0; i < perfRepeats; i++ {
+		r, err := gateTestbed.run()
+		if err != nil {
+			fail(err)
+		}
+		if r.Bench.EventsPerSec > rep.Bench.EventsPerSec {
+			rep = r
 		}
 	}
 
 	// The fleet smoke scenario and the same job under the online
 	// controller at smoke-scale policy run without perf collection, so
-	// their entries are byte-deterministic. The online switch count gates
-	// near-exactly: a controller behaviour change needs an explicit
-	// baseline update.
+	// their entries are byte-deterministic.
 	fleet, err := adaptmr.RunFleet(adaptmr.SmokeFleetScenario(), adaptmr.WithParallelism(*parallel))
 	if err != nil {
 		fail(err)
 	}
-	cfg, wl, _, err := sf.setup()
+	cfg, wl, _, err := gateTestbed.setup()
 	if err != nil {
 		fail(err)
 	}
@@ -307,7 +305,7 @@ func cmdGate(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	regressed, err := compareSuites(os.Stdout, base, suite, *tol, *cmpOut)
+	regressed, err := compareSuites(os.Stdout, base, suite, *cmpOut)
 	if err != nil {
 		fail(err)
 	}
@@ -321,7 +319,6 @@ func cmdGate(args []string) {
 
 func cmdCompare(args []string) {
 	fs := flag.NewFlagSet("adaptreport compare", flag.ExitOnError)
-	tol := fs.Float64("tol", 0.05, "relative regression tolerance on gated metrics")
 	cmpOut := fs.String("o", "",
 		"write the comparison here too (JSON when the path ends in .json, the text tables otherwise)")
 	lf := cliutil.BindLogFlag(fs)
@@ -338,7 +335,7 @@ func cmdCompare(args []string) {
 	if err != nil {
 		fail(err)
 	}
-	regressed, err := compareSuites(os.Stdout, base, cand, *tol, *cmpOut)
+	regressed, err := compareSuites(os.Stdout, base, cand, *cmpOut)
 	if err != nil {
 		fail(err)
 	}
@@ -353,7 +350,7 @@ func cmdCompare(args []string) {
 // side, or listed twice, is a config error. When out is set the tables
 // are also written there — even on FAIL, so CI can upload the verdict
 // before the exit status stops the job.
-func compareSuites(w io.Writer, base, cand []adaptmr.Bench, tol float64, out string) (bool, error) {
+func compareSuites(w io.Writer, base, cand []adaptmr.Bench, out string) (bool, error) {
 	candBy := make(map[string]adaptmr.Bench, len(cand))
 	for _, c := range cand {
 		if _, dup := candBy[c.Workload]; dup {
@@ -372,7 +369,7 @@ func compareSuites(w io.Writer, base, cand []adaptmr.Bench, tol float64, out str
 		if !ok {
 			return false, fmt.Errorf("workload %q is in the baseline but not the candidate", b.Workload)
 		}
-		cmp, err := adaptmr.CompareBenches(b, c, tol)
+		cmp, err := adaptmr.CompareBenches(b, c)
 		if err != nil {
 			return false, fmt.Errorf("workload %q: %w", b.Workload, err)
 		}

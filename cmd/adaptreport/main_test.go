@@ -31,7 +31,7 @@ func TestCompareSuitesIdenticalPassInAnyOrder(t *testing.T) {
 	s := testSuite()
 	for _, cand := range [][]adaptmr.Bench{s, {s[2], s[0], s[1]}, {s[1], s[2], s[0]}} {
 		var out bytes.Buffer
-		regressed, err := compareSuites(&out, testSuite(), cand, 0.05, "")
+		regressed, err := compareSuites(&out, testSuite(), cand, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,12 +48,12 @@ func TestCompareSuitesRegressionInAnyEntryFails(t *testing.T) {
 	for i := range testSuite() {
 		cand := testSuite()
 		cand[i].MakespanS *= 1.2
-		regressed, err := compareSuites(io.Discard, testSuite(), cand, 0.05, "")
+		regressed, err := compareSuites(io.Discard, testSuite(), cand, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !regressed {
-			t.Errorf("%s: 20%% slower makespan passed a 5%% gate", cand[i].Workload)
+			t.Errorf("%s: 20%% slower makespan passed the gate", cand[i].Workload)
 		}
 	}
 }
@@ -71,7 +71,7 @@ func TestCompareSuitesWorkloadMismatchIsNamed(t *testing.T) {
 		{"listed twice in baseline", append(testSuite(), s[0]), s, "sort"},
 	}
 	for _, tc := range cases {
-		_, err := compareSuites(io.Discard, tc.base, tc.cand, 0.05, "")
+		_, err := compareSuites(io.Discard, tc.base, tc.cand, "")
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.workload)) {
 			t.Errorf("%s: got error %v, want one naming %q", tc.name, err, tc.workload)
 		}
@@ -83,7 +83,7 @@ func TestCompareSuitesWorkloadMismatchIsNamed(t *testing.T) {
 func TestCompareSuitesWritesEveryTable(t *testing.T) {
 	dir := t.TempDir()
 	txt := filepath.Join(dir, "compare.txt")
-	if _, err := compareSuites(io.Discard, testSuite(), testSuite(), 0.05, txt); err != nil {
+	if _, err := compareSuites(io.Discard, testSuite(), testSuite(), txt); err != nil {
 		t.Fatal(err)
 	}
 	text, err := os.ReadFile(txt)
@@ -91,7 +91,7 @@ func TestCompareSuitesWritesEveryTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	js := filepath.Join(dir, "compare.json")
-	if _, err := compareSuites(io.Discard, testSuite(), testSuite(), 0.05, js); err != nil {
+	if _, err := compareSuites(io.Discard, testSuite(), testSuite(), js); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(js)

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 
@@ -211,7 +212,7 @@ func TestCompareGating(t *testing.T) {
 	}
 
 	// Identical run passes.
-	cmp, err := Compare(base, base, 0.05)
+	cmp, err := Compare(base, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,91 +220,88 @@ func TestCompareGating(t *testing.T) {
 		t.Fatalf("identical benches regressed: %+v", cmp.Deltas)
 	}
 
-	// 20% slower makespan fails a 5% gate.
-	cand := base
-	cand.MakespanS = 12
-	cmp, err = Compare(base, cand, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cmp.Regressed() {
-		t.Fatal("20% slower makespan should regress at 5% tolerance")
-	}
-
-	// ...but passes a 30% gate.
-	cmp, err = Compare(base, cand, 0.30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Regressed() {
-		t.Fatal("20% slower makespan should pass at 30% tolerance")
-	}
-
-	// Improvements are flagged, never gated.
-	cand = base
-	cand.MakespanS = 8
-	cmp, _ = Compare(base, cand, 0.05)
-	improved := false
-	for _, d := range cmp.Deltas {
-		if d.Metric == "makespan_s" {
-			improved = d.Improved
+	// A slower makespan fails, and so does a faster one: either is a
+	// model change.
+	for _, makespan := range []float64{12, 8} {
+		cand := base
+		cand.MakespanS = makespan
+		cmp, err = Compare(base, cand)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if cmp.Regressed() || !improved {
-		t.Fatal("faster candidate should be flagged improved, not regressed")
-	}
-
-	// Tiny absolute changes under the floor never trip.
-	cand = base
-	cand.SwitchStallS = base.SwitchStallS + 0.004
-	cmp, _ = Compare(base, cand, 0)
-	if cmp.Regressed() {
-		t.Fatal("sub-floor absolute change should not regress")
-	}
-
-	// Blame shifts are informational only.
-	cand = base
-	cand.BlameS = map[string]float64{"disk": 9, "cpu": 1}
-	cmp, _ = Compare(base, cand, 0.05)
-	if cmp.Regressed() {
-		t.Fatal("blame changes must not gate")
+		if !cmp.Regressed() {
+			t.Fatalf("makespan %v against %v passed", makespan, base.MakespanS)
+		}
 	}
 
 	// Config mismatches error instead of comparing.
-	cand = base
+	cand := base
 	cand.Hosts = 4
-	if _, err := Compare(base, cand, 0.05); err == nil {
+	if _, err := Compare(base, cand); err == nil {
 		t.Fatal("host-count mismatch should error")
 	}
 	cand = base
 	cand.Seed = 2
-	if _, err := Compare(base, cand, 0.05); err == nil {
+	if _, err := Compare(base, cand); err == nil {
 		t.Fatal("seed mismatch should error")
 	}
 }
 
-// TestCompareSimEventsExact pins the event-count gate: the simulator is
-// deterministic, so a candidate one event off either way regresses at any
-// tolerance, and an identical count passes.
-func TestCompareSimEventsExact(t *testing.T) {
+// TestCompareEverySimulatedFieldExact pins the exact gate on every
+// simulated field: the simulator is deterministic, so moving one by a
+// unit in its last stored digit (1e-6 for the rounded seconds and
+// megabytes, one event or switch for the counts), up or down, regresses
+// exactly that row, and a bench without perf data shows no perf rows.
+func TestCompareEverySimulatedFieldExact(t *testing.T) {
 	base := Bench{
-		Schema: benchSchema, Workload: "sort", Hosts: 2, VMs: 2, InputMB: 64, Seed: 1, Pair: "cc",
-		MakespanS: 10,
-		SimEvents: 12620,
+		Schema: benchSchema, Workload: "online:sort", Hosts: 2, VMs: 2, InputMB: 64, Seed: 1, Pair: "cc",
+		MakespanS:    6.248105,
+		PhaseS:       map[string]float64{"map": 2.56654, "shuffle": 1.296348, "reduce": 2.385217},
+		BlameS:       map[string]float64{"disk": 4.828, "cpu": 0.936049},
+		SwitchStallS: 0.176,
+		Dom0MB:       533.5,
+		SimEvents:    12620,
+		Switches:     2,
 	}
-	cmp, err := Compare(base, base, 0.05)
+	moves := []struct {
+		metric string
+		move   func(b *Bench, d float64)
+	}{
+		{"makespan_s", func(b *Bench, d float64) { b.MakespanS += d * 1e-6 }},
+		{"phase.shuffle_s", func(b *Bench, d float64) { b.PhaseS["shuffle"] += d * 1e-6 }},
+		{"switch_stall_s", func(b *Bench, d float64) { b.SwitchStallS += d * 1e-6 }},
+		{"switches", func(b *Bench, d float64) { b.Switches += int(d) }},
+		{"sim_events", func(b *Bench, d float64) { b.SimEvents += int64(d) }},
+		{"blame.cpu_s", func(b *Bench, d float64) { b.BlameS["cpu"] += d * 1e-6 }},
+		{"dom0_mb", func(b *Bench, d float64) { b.Dom0MB += d * 1e-6 }},
+	}
+	cmp, err := Compare(base, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmp.Regressed() {
-		t.Fatalf("identical event count regressed: %+v", cmp.Deltas)
+		t.Fatalf("identical benches regressed: %+v", cmp.Deltas)
 	}
-	for _, off := range []int64{1, -1} {
-		cand := base
-		cand.SimEvents += off
-		cmp, _ = Compare(base, cand, 10)
-		if !cmp.Regressed() {
-			t.Fatalf("candidate %+d event(s) off passed at tolerance 10: %+v", off, cmp.Deltas)
+	for _, d := range cmp.Deltas {
+		if !d.Gated {
+			t.Errorf("row %s is not gated", d.Metric)
+		}
+	}
+	if n := len(cmp.Deltas); n != 10 {
+		t.Errorf("a perf-less comparison has %d rows, want the 10 simulated ones: %+v", n, cmp.Deltas)
+	}
+	for _, m := range moves {
+		for _, dir := range []float64{1, -1} {
+			cand := base
+			cand.PhaseS = maps.Clone(base.PhaseS)
+			cand.BlameS = maps.Clone(base.BlameS)
+			m.move(&cand, dir)
+			cmp, _ := Compare(base, cand)
+			for _, d := range cmp.Deltas {
+				if d.Regressed != (d.Metric == m.metric) {
+					t.Errorf("%s moved by %+g: row %s regressed=%v", m.metric, dir, d.Metric, d.Regressed)
+				}
+			}
 		}
 	}
 }
@@ -319,7 +317,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errWriteFailed }
 // TestCompareWriteTextReportsWriteError pins that a failed write of the
 // verdict table surfaces as an error rather than passing silently.
 func TestCompareWriteTextReportsWriteError(t *testing.T) {
-	cmp := Comparison{TolFrac: 0.05, Deltas: []Delta{{Metric: "makespan_s", Base: 1, Candidate: 1, Gated: true}}}
+	cmp := Comparison{Deltas: []Delta{{Metric: "makespan_s", Base: 1, Candidate: 1, Gated: true}}}
 	if err := cmp.WriteText(failWriter{}); !errors.Is(err, errWriteFailed) {
 		t.Fatalf("WriteText to a failing writer returned %v, want %v", err, errWriteFailed)
 	}
@@ -347,7 +345,7 @@ func TestComparePerfGating(t *testing.T) {
 	}
 
 	// Identical perf passes.
-	cmp, err := Compare(base, base, 0.05)
+	cmp, err := Compare(base, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,34 +357,35 @@ func TestComparePerfGating(t *testing.T) {
 	// couple of extra allocs) trips the allocs/event gate.
 	cand := base
 	cand.AllocsPerEvent = base.AllocsPerEvent + 2
-	cmp, _ = Compare(base, cand, 0.05)
+	cmp, _ = Compare(base, cand)
 	if !regressedMetric(cmp, "allocs_per_event") {
 		t.Fatal("+2 allocs/event should trip the alloc gate")
 	}
 
-	// A sub-floor alloc wiggle (< allocAbsFloor) passes even at 0 relative
-	// tolerance.
+	// A sub-floor alloc wiggle (< allocAbsFloor) passes.
 	cand = base
 	cand.AllocsPerEvent = base.AllocsPerEvent + 0.3
-	cmp, _ = Compare(base, cand, 0)
+	cmp, _ = Compare(base, cand)
 	if regressedMetric(cmp, "allocs_per_event") {
 		t.Fatal("sub-floor alloc change should not trip the gate")
 	}
 
-	// The absolute ceiling trips on the candidate alone, even at a
-	// tolerance wide enough to silence the relative gate…
+	// The absolute ceiling trips on the candidate alone, even against a
+	// baseline that drifted close enough to silence the relative gate…
+	drifted := base
+	drifted.AllocsPerEvent = 3.2
 	cand = base
 	cand.AllocsPerEvent = 3.5
-	cmp, _ = Compare(base, cand, 10)
+	cmp, _ = Compare(drifted, cand)
 	if regressedMetric(cmp, "allocs_per_event") {
-		t.Fatal("relative alloc gate should be quiet at tol=10")
+		t.Fatal("relative alloc gate should be quiet within the floor of a drifted baseline")
 	}
 	if !regressedMetric(cmp, "allocs_per_event_ceiling") {
 		t.Fatal("3.5 allocs/event should breach the 3.0 ceiling")
 	}
 	// …and stays quiet just under the budget.
 	cand.AllocsPerEvent = 2.8
-	cmp, _ = Compare(base, cand, 10)
+	cmp, _ = Compare(drifted, cand)
 	if regressedMetric(cmp, "allocs_per_event_ceiling") {
 		t.Fatal("2.8 allocs/event is within the 3.0 ceiling")
 	}
@@ -394,21 +393,21 @@ func TestComparePerfGating(t *testing.T) {
 	// events/sec: a mild slowdown (CI runner noise) passes...
 	cand = base
 	cand.EventsPerSec = base.EventsPerSec * 0.6
-	cmp, _ = Compare(base, cand, 0.05)
+	cmp, _ = Compare(base, cand)
 	if regressedMetric(cmp, "events_per_sec") {
 		t.Fatal("40% throughput dip should pass the wide gate")
 	}
-	// ...but a collapse trips it, regardless of the caller's tolerance.
+	// ...but a collapse trips it.
 	cand = base
 	cand.EventsPerSec = base.EventsPerSec * 0.1
-	cmp, _ = Compare(base, cand, 0.05)
+	cmp, _ = Compare(base, cand)
 	if !regressedMetric(cmp, "events_per_sec") {
 		t.Fatal("10x throughput collapse should trip the gate")
 	}
-	// Faster is improvement, never regression, for a higher-is-better gate.
+	// Faster is never a regression for a higher-is-better gate.
 	cand = base
 	cand.EventsPerSec = base.EventsPerSec * 10
-	cmp, _ = Compare(base, cand, 0.05)
+	cmp, _ = Compare(base, cand)
 	if regressedMetric(cmp, "events_per_sec") {
 		t.Fatal("faster candidate flagged as throughput regression")
 	}
@@ -418,11 +417,11 @@ func TestComparePerfGating(t *testing.T) {
 	noPerf := base
 	noPerf.WallS, noPerf.EventsPerSec, noPerf.AllocsPerEvent = 0, 0, 0
 	noPerf.BytesPerEvent, noPerf.GCCycles, noPerf.GCPauseMS = 0, 0, 0
-	cmp, _ = Compare(noPerf, base, 0.05)
+	cmp, _ = Compare(noPerf, base)
 	if cmp.Regressed() {
 		t.Fatalf("perf-less baseline vs perf candidate must not gate: %+v", cmp.Deltas)
 	}
-	cmp, _ = Compare(base, noPerf, 0.05)
+	cmp, _ = Compare(base, noPerf)
 	if cmp.Regressed() {
 		t.Fatalf("perf baseline vs perf-less candidate must not gate: %+v", cmp.Deltas)
 	}
@@ -430,7 +429,7 @@ func TestComparePerfGating(t *testing.T) {
 	// Wall time and GC are informational even when wildly different.
 	cand = base
 	cand.WallS, cand.GCCycles, cand.GCPauseMS = 100, 50, 80
-	cmp, _ = Compare(base, cand, 0.05)
+	cmp, _ = Compare(base, cand)
 	if cmp.Regressed() {
 		t.Fatal("wall/GC changes must not gate")
 	}

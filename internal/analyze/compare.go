@@ -28,9 +28,8 @@ type Bench struct {
 	Seed     int64  `json:"seed"`
 	Pair     string `json:"pair"`
 
-	// Watched metrics. Makespan and phase times gate on "lower is
-	// better"; the informational fields below them are reported in diffs
-	// but do not trip the gate.
+	// Simulated metrics. The simulator is deterministic, so each of these
+	// gates exactly: any change needs a refreshed baseline.
 	MakespanS    float64            `json:"makespan_s"`
 	PhaseS       map[string]float64 `json:"phase_s"`
 	BlameS       map[string]float64 `json:"blame_s"`
@@ -39,16 +38,14 @@ type Bench struct {
 	SimEvents    int64              `json:"sim_events"`
 
 	// Switches counts issued in-run elevator switches (online-controller
-	// benches only; omitted elsewhere). It gates near-exactly: a changed
-	// switch count is a behaviour change that needs an explicit baseline
-	// update, not tolerance slack.
+	// benches only; omitted elsewhere).
 	Switches int `json:"switches,omitempty"`
 
 	// Engine self-telemetry (schema v2), present only when the run was
-	// executed with perf collection enabled. allocs_per_event is
-	// deterministic for a fixed toolchain and gates tightly;
-	// events_per_sec is wall-clock and machine-dependent, so it gates
-	// only on order-of-magnitude collapses; the rest are informational.
+	// executed with perf collection enabled. allocs_per_event gates
+	// within half an allocation of the baseline and under an absolute
+	// ceiling; events_per_sec is wall-clock and machine-dependent, so it
+	// gates only on a halving; the rest are informational.
 	WallS          float64 `json:"wall_s,omitempty"`
 	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
 	AllocsPerEvent float64 `json:"allocs_per_event,omitempty"`
@@ -92,9 +89,9 @@ func benchFrom(rep *Report, opts Options) Bench {
 	return b
 }
 
-// Delta is one compared metric. Regressed means the candidate exceeded
-// the gate tolerance on a lower-is-better metric; Improved means it came
-// in under the baseline by more than the tolerance.
+// Delta is one compared metric. Regressed means the candidate broke
+// the metric's rule: any change at all on a deterministic row, or a perf
+// row outside its bound.
 type Delta struct {
 	Metric    string  `json:"metric"`
 	Base      float64 `json:"base"`
@@ -103,14 +100,12 @@ type Delta struct {
 	DeltaFrac float64 `json:"delta_frac"`
 	Gated     bool    `json:"gated"`
 	Regressed bool    `json:"regressed"`
-	Improved  bool    `json:"improved"`
 }
 
 // Comparison is the result of gating a candidate bench against a
 // baseline.
 type Comparison struct {
-	TolFrac float64 `json:"tol_frac"`
-	Deltas  []Delta `json:"deltas"`
+	Deltas []Delta `json:"deltas"`
 }
 
 // Regressed reports whether any gated metric regressed.
@@ -122,11 +117,6 @@ func (c Comparison) Regressed() bool {
 	}
 	return false
 }
-
-// absFloor is the absolute slack below which a gated metric never trips,
-// regardless of relative tolerance — 5ms of makespan noise on a tiny run
-// should not fail CI.
-const absFloor = 0.005
 
 // allocAbsFloor is the absolute slack for the allocs/event gate: below
 // half an extra allocation per event the gate stays quiet, so cold-path
@@ -152,106 +142,75 @@ const allocCeiling = 3.0
 // jitter. Finer-grained regressions are the allocs/event gate's job.
 const throughputTol = 0.5
 
-// Compare gates cand against base with the given relative tolerance
-// (e.g. 0.05 = 5%). It errors if the two benches were produced by
-// different run configurations.
-func Compare(base, cand Bench, tol float64) (Comparison, error) {
+// Compare gates cand against base. The simulator is bit-deterministic,
+// so every simulated field — makespan, phases, switch stall, switches,
+// event count, blame and Dom0 volume — moves only when the model does:
+// each gates exactly, in either direction. The perf rows, which measure
+// the machine, keep their bounds. It errors if the two benches were
+// produced by different run configurations.
+func Compare(base, cand Bench) (Comparison, error) {
 	if err := configMismatch(base, cand); err != nil {
 		return Comparison{}, err
 	}
-	if tol < 0 {
-		return Comparison{}, fmtErr("negative tolerance %v", tol)
-	}
-	c := Comparison{TolFrac: tol}
-
-	// Gated lower-is-better metrics: makespan, per-phase durations,
-	// switch stall.
-	c.add("makespan_s", base.MakespanS, cand.MakespanS, true, tol)
+	var c Comparison
+	c.exact("makespan_s", base.MakespanS, cand.MakespanS)
 	for _, name := range sortedKeys2(base.PhaseS, cand.PhaseS) {
-		c.add("phase."+name+"_s", base.PhaseS[name], cand.PhaseS[name], true, tol)
+		c.exact("phase."+name+"_s", base.PhaseS[name], cand.PhaseS[name])
 	}
-	c.add("switch_stall_s", base.SwitchStallS, cand.SwitchStallS, true, tol)
+	c.exact("switch_stall_s", base.SwitchStallS, cand.SwitchStallS)
 	if base.Switches > 0 || cand.Switches > 0 {
-		c.add("switches", float64(base.Switches), float64(cand.Switches), true, tol)
+		c.exact("switches", float64(base.Switches), float64(cand.Switches))
 	}
-
-	// The simulator is deterministic, so the event count moves only when
-	// the model does: it gates exactly, in either direction.
-	c.addExact("sim_events", float64(base.SimEvents), float64(cand.SimEvents))
-
-	// Informational metrics: reported, never gated.
+	c.exact("sim_events", float64(base.SimEvents), float64(cand.SimEvents))
 	for _, name := range sortedKeys2(base.BlameS, cand.BlameS) {
-		c.add("blame."+name+"_s", base.BlameS[name], cand.BlameS[name], false, tol)
+		c.exact("blame."+name+"_s", base.BlameS[name], cand.BlameS[name])
 	}
-	c.add("dom0_mb", base.Dom0MB, cand.Dom0MB, false, tol)
+	c.exact("dom0_mb", base.Dom0MB, cand.Dom0MB)
 
-	// Perf dimensions (schema v2). They gate only when both benches carry
-	// them, so comparing runs recorded without perf collection (or mixing
-	// one of each) degrades to informational reporting instead of
-	// spuriously flagging a zero→nonzero jump.
-	perfBoth := base.AllocsPerEvent > 0 && cand.AllocsPerEvent > 0
-	c.addMetric("allocs_per_event", base.AllocsPerEvent, cand.AllocsPerEvent,
-		perfBoth, tol, allocAbsFloor, false)
+	// Perf dimensions (schema v2), shown only when a side carries them.
+	// They gate only when both do, so comparing a run recorded without
+	// perf collection against one with it reports instead of flagging a
+	// zero→nonzero jump.
+	if !base.hasPerf() && !cand.hasPerf() {
+		return c, nil
+	}
+	c.row("allocs_per_event", base.AllocsPerEvent, cand.AllocsPerEvent,
+		base.AllocsPerEvent > 0 && cand.AllocsPerEvent > 0,
+		cand.AllocsPerEvent > base.AllocsPerEvent+allocAbsFloor)
 	// The absolute budget gates on the candidate alone (the baseline is
 	// shown for context), so it fires even when the baseline itself has
 	// drifted over the ceiling.
 	if cand.AllocsPerEvent > 0 {
-		c.Deltas = append(c.Deltas, Delta{
-			Metric:    "allocs_per_event_ceiling",
-			Base:      allocCeiling,
-			Candidate: cand.AllocsPerEvent,
-			DeltaFrac: round6((cand.AllocsPerEvent - allocCeiling) / allocCeiling),
-			Gated:     true,
-			Regressed: cand.AllocsPerEvent > allocCeiling,
-		})
+		c.row("allocs_per_event_ceiling", allocCeiling, cand.AllocsPerEvent,
+			true, cand.AllocsPerEvent > allocCeiling)
 	}
-	tputBoth := base.EventsPerSec > 0 && cand.EventsPerSec > 0
-	c.addMetric("events_per_sec", base.EventsPerSec, cand.EventsPerSec,
-		tputBoth, throughputTol, absFloor, true)
-	c.add("wall_s", base.WallS, cand.WallS, false, tol)
-	c.add("bytes_per_event", base.BytesPerEvent, cand.BytesPerEvent, false, tol)
-	c.add("gc_cycles", float64(base.GCCycles), float64(cand.GCCycles), false, tol)
-	c.add("gc_pause_ms", base.GCPauseMS, cand.GCPauseMS, false, tol)
+	c.row("events_per_sec", base.EventsPerSec, cand.EventsPerSec,
+		base.EventsPerSec > 0 && cand.EventsPerSec > 0,
+		cand.EventsPerSec < base.EventsPerSec*(1-throughputTol))
+	c.row("wall_s", base.WallS, cand.WallS, false, false)
+	c.row("bytes_per_event", base.BytesPerEvent, cand.BytesPerEvent, false, false)
+	c.row("gc_cycles", float64(base.GCCycles), float64(cand.GCCycles), false, false)
+	c.row("gc_pause_ms", base.GCPauseMS, cand.GCPauseMS, false, false)
 	return c, nil
 }
 
-// add records a lower-is-better metric with the default absolute floor.
-func (c *Comparison) add(metric string, base, cand float64, gated bool, tol float64) {
-	c.addMetric(metric, base, cand, gated, tol, absFloor, false)
+// hasPerf reports whether b carries any engine self-telemetry.
+func (b Bench) hasPerf() bool {
+	return b.WallS != 0 || b.EventsPerSec != 0 || b.AllocsPerEvent != 0 ||
+		b.BytesPerEvent != 0 || b.GCCycles != 0 || b.GCPauseMS != 0
 }
 
-// addExact records a gated metric with no tolerance and no floor: any
-// difference from the baseline regresses.
-func (c *Comparison) addExact(metric string, base, cand float64) {
-	d := Delta{Metric: metric, Base: base, Candidate: cand, Gated: true, Regressed: cand != base}
-	if base != 0 {
-		d.DeltaFrac = round6((cand - base) / base)
-	}
-	c.Deltas = append(c.Deltas, d)
+// exact records a gated row with no slack: any difference from the
+// baseline regresses.
+func (c *Comparison) exact(metric string, base, cand float64) {
+	c.row(metric, base, cand, true, cand != base)
 }
 
-// addMetric records one compared metric. floor is the absolute slack below
-// which the gate never trips; higherBetter inverts the regression
-// direction (a throughput metric regresses when the candidate drops).
-func (c *Comparison) addMetric(metric string, base, cand float64, gated bool, tol, floor float64, higherBetter bool) {
-	d := Delta{Metric: metric, Base: base, Candidate: cand, Gated: gated}
+// row records one row; worse marks a regression only on a gated row.
+func (c *Comparison) row(metric string, base, cand float64, gated, worse bool) {
+	d := Delta{Metric: metric, Base: base, Candidate: cand, Gated: gated, Regressed: gated && worse}
 	if base != 0 {
 		d.DeltaFrac = round6((cand - base) / base)
-	}
-	if gated {
-		slack := base * tol
-		if slack < 0 {
-			slack = -slack
-		}
-		if slack < floor {
-			slack = floor
-		}
-		worse, better := cand > base+slack, cand < base-slack
-		if higherBetter {
-			worse, better = better, worse
-		}
-		d.Regressed = worse
-		d.Improved = better
 	}
 	c.Deltas = append(c.Deltas, d)
 }
@@ -285,24 +244,20 @@ func (c Comparison) WriteText(w writer) error {
 	tw := &errWriter{w: w}
 	tw.printf("%-22s %14s %14s %9s  %s\n", "metric", "base", "candidate", "delta", "verdict")
 	for _, d := range c.Deltas {
-		verdict := ""
+		verdict := "ok"
 		switch {
 		case d.Regressed:
 			verdict = "REGRESSED"
-		case d.Improved:
-			verdict = "improved"
 		case !d.Gated:
 			verdict = "(info)"
-		default:
-			verdict = "ok"
 		}
-		tw.printf("%-22s %14.6g %14.6g %8.2f%%  %s\n",
+		tw.printf("%-22s %14.10g %14.10g %8.2f%%  %s\n",
 			d.Metric, d.Base, d.Candidate, d.DeltaFrac*100, verdict)
 	}
 	if c.Regressed() {
-		tw.printf("\nFAIL: regression beyond %.1f%% tolerance\n", c.TolFrac*100)
+		tw.printf("\nFAIL: a simulated row moved or a perf row left its bound\n")
 	} else {
-		tw.printf("\nPASS: within %.1f%% tolerance\n", c.TolFrac*100)
+		tw.printf("\nPASS: simulated rows exact, perf rows within bounds\n")
 	}
 	return tw.err
 }

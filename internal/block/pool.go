@@ -12,11 +12,11 @@ import "fmt"
 //   - fast (checked=false): Put resets a request and recycles its memory;
 //     Get reuses it. Holding a pointer past completion is a use-after-free.
 //   - checked (checked=true): Put marks the request freed and detects
-//     double-frees, but never recycles memory. This keeps every pointer
-//     unique for the lifetime of the run, which the invariant checker's
-//     pointer-keyed request ledger depends on, while still surfacing
-//     lifecycle bugs: a double Put reports a violation and a re-Submit of a
-//     freed request panics in Queue.Submit.
+//     double-frees, but never recycles memory, so a freed request stays
+//     freed and any later use of it surfaces: a double Put reports a
+//     violation and a re-Submit of a freed request panics in
+//     Queue.Submit. Checked runs and the elevator fuzzer rely on it as
+//     their use-after-free detector.
 //
 // A Pool is single-threaded, like the engine that drives it.
 type Pool struct {

@@ -27,7 +27,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -165,6 +167,8 @@ const (
 type reqInfo struct {
 	r     *block.Request
 	state reqState
+	// seq is the request's submission index on its queue.
+	seq int64
 	// backlogged marks requests submitted during a switch drain; cleared
 	// when the switch finishes.
 	backlogged bool
@@ -194,7 +198,13 @@ type Invariants struct {
 	name string
 	p    iosched.Params
 
+	// reqs is the ledger of requests the queue still holds: an entry goes
+	// when its request completes, and a merged child's once its parent's
+	// completion audited it.
 	reqs map[*block.Request]*reqInfo
+	// backlog holds the requests submitted during a switch drain, in
+	// submission order, until the new elevator takes over.
+	backlog []*reqInfo
 
 	submitted, completed int64
 	bytesIn, bytesOut    int64
@@ -202,7 +212,8 @@ type Invariants struct {
 	// Starvation-bound bookkeeping: per-direction FIFO of queued requests
 	// (deadline expiry is checked on the oldest entry only, which is the
 	// first to starve), and a FIFO of queued async requests for the CFQ
-	// async-starvation cap.
+	// async-starvation cap. Entries that left the queue are dropped as
+	// they reach the head.
 	fifo      [2][]*reqInfo
 	asyncFifo []*reqInfo
 
@@ -217,8 +228,7 @@ type Invariants struct {
 	// asyncGapBase is the slice counter at the most recent async dispatch
 	// (or at the moment async work appeared after a drained spell): the
 	// baseline for the class-level async starvation bound.
-	asyncGapBase  int
-	maxServiceLat sim.Duration
+	asyncGapBase int
 }
 
 func newInvariants(set *Set, eng *sim.Engine, q *block.Queue, name string, p iosched.Params) *Invariants {
@@ -255,6 +265,7 @@ func (c *Invariants) enqueue(r *block.Request) {
 	info := &reqInfo{
 		r:            r,
 		state:        rsQueued,
+		seq:          c.submitted,
 		entered:      c.eng.Now(),
 		bytes:        r.Bytes(),
 		overtakes:    -1,
@@ -262,6 +273,7 @@ func (c *Invariants) enqueue(r *block.Request) {
 	}
 	if c.q.Switching() {
 		info.backlogged = true
+		c.backlog = append(c.backlog, info)
 	}
 	c.reqs[r] = info
 	c.submitted++
@@ -279,7 +291,7 @@ func (c *Invariants) enqueue(r *block.Request) {
 func (c *Invariants) track(info *reqInfo) {
 	c.fifo[info.r.Op] = append(c.fifo[info.r.Op], info)
 	if !info.r.IsSyncFull() {
-		if c.asyncFront() == nil {
+		if oldestQueued(&c.asyncFifo) == nil {
 			// Async work reappears after a drained spell: slices granted
 			// while nothing waited are not starvation.
 			c.asyncGapBase = c.sliceSeq
@@ -312,7 +324,7 @@ func (c *Invariants) merge(parent, child *block.Request) {
 func (c *Invariants) dispatch(r *block.Request) {
 	info, ok := c.reqs[r]
 	if !ok {
-		c.violate("exactly-once", "dispatch of unsubmitted request %v", r)
+		c.violate("exactly-once", "dispatch of request %v the queue does not hold (never submitted, or completed)", r)
 		return
 	}
 	switch info.state {
@@ -320,8 +332,6 @@ func (c *Invariants) dispatch(r *block.Request) {
 		c.violate("exactly-once", "request %v dispatched twice", r)
 	case rsMerged:
 		c.violate("exactly-once", "merged child %v dispatched directly", r)
-	case rsDone:
-		c.violate("exactly-once", "completed request %v re-dispatched", r)
 	}
 	if info.backlogged && c.q.Switching() {
 		c.violate("backlogged-dispatch",
@@ -338,8 +348,13 @@ func (c *Invariants) dispatch(r *block.Request) {
 		c.violate("stamps", "request %v dispatched (%v) before issued (%v)", r, r.Dispatched, r.Issued)
 	}
 	info.state = rsDispatched
-	c.checkDeadlineBound(info, now)
+	c.checkDeadlineBound(now)
 	c.checkAsyncStarvation(r, now)
+	// Drop what left the queue from the FIFO heads, so a drained queue
+	// leaves them empty.
+	oldestQueued(&c.fifo[block.Read])
+	oldestQueued(&c.fifo[block.Write])
+	oldestQueued(&c.asyncFifo)
 }
 
 // deadlineOvertakeBound is how many dispatches may overtake an expired
@@ -361,8 +376,7 @@ func (c *Invariants) deadlineOvertakeBound() int {
 
 // checkDeadlineBound enforces the deadline elevator's starvation bound on
 // the oldest queued request of each direction.
-func (c *Invariants) checkDeadlineBound(dispatched *reqInfo, now sim.Time) {
-	c.unlink(dispatched)
+func (c *Invariants) checkDeadlineBound(now sim.Time) {
 	if c.q.Elevator().Name() != iosched.Deadline {
 		return
 	}
@@ -371,7 +385,7 @@ func (c *Invariants) checkDeadlineBound(dispatched *reqInfo, now sim.Time) {
 		return
 	}
 	for op := 0; op < 2; op++ {
-		front := c.front(block.Op(op))
+		front := oldestQueued(&c.fifo[op])
 		if front == nil {
 			continue
 		}
@@ -405,7 +419,6 @@ func (c *Invariants) checkDeadlineBound(dispatched *reqInfo, now sim.Time) {
 // sync slices after expiry, no matter how deep the async backlog is or
 // where the C-SCAN head sits.
 func (c *Invariants) checkAsyncStarvation(r *block.Request, now sim.Time) {
-	c.unlinkAsync(r)
 	if c.q.Elevator().Name() != iosched.CFQ || c.p.SliceSync <= 0 {
 		return
 	}
@@ -419,7 +432,7 @@ func (c *Invariants) checkAsyncStarvation(r *block.Request, now sim.Time) {
 	} else {
 		c.asyncGapBase = c.sliceSeq
 	}
-	front := c.asyncFront()
+	front := oldestQueued(&c.asyncFifo)
 	if front == nil {
 		return
 	}
@@ -443,33 +456,17 @@ func (c *Invariants) checkAsyncStarvation(r *block.Request, now sim.Time) {
 	}
 }
 
-// unlink lazily removes a request from its direction FIFO (only the front
-// is ever inspected, so interior entries are dropped when they surface).
-func (c *Invariants) unlink(info *reqInfo) {
-	// Entries are removed lazily by front(); nothing to do eagerly.
-	_ = info
-}
-
-func (c *Invariants) front(op block.Op) *reqInfo {
-	f := c.fifo[op]
+// oldestQueued drops the entries at the head of a starvation FIFO whose
+// requests left the queue and returns its oldest queued entry, or nil.
+// Only the head is ever inspected, so interior entries go when they
+// surface.
+func oldestQueued(fifo *[]*reqInfo) *reqInfo {
+	f := *fifo
 	for len(f) > 0 && f[0].state != rsQueued {
+		f[0] = nil
 		f = f[1:]
 	}
-	c.fifo[op] = f
-	if len(f) == 0 {
-		return nil
-	}
-	return f[0]
-}
-
-func (c *Invariants) unlinkAsync(r *block.Request) { _ = r }
-
-func (c *Invariants) asyncFront() *reqInfo {
-	f := c.asyncFifo
-	for len(f) > 0 && f[0].state != rsQueued {
-		f = f[1:]
-	}
-	c.asyncFifo = f
+	*fifo = f
 	if len(f) == 0 {
 		return nil
 	}
@@ -479,14 +476,11 @@ func (c *Invariants) asyncFront() *reqInfo {
 func (c *Invariants) complete(r *block.Request) {
 	info, ok := c.reqs[r]
 	if !ok {
-		c.violate("exactly-once", "completion of unsubmitted request %v", r)
+		c.violate("exactly-once", "completion of request %v the queue does not hold (never submitted, or completed already)", r)
 		return
 	}
 	now := c.eng.Now()
 	switch info.state {
-	case rsDone:
-		c.violate("exactly-once", "request %v completed twice", r)
-		return
 	case rsQueued:
 		c.violate("exactly-once", "request %v completed without dispatch", r)
 	case rsMerged:
@@ -502,10 +496,8 @@ func (c *Invariants) complete(r *block.Request) {
 	if c.q.InFlight() < 0 {
 		c.violate("depth", "in-flight count went negative")
 	}
-	if lat := r.Completed.Sub(r.Dispatched); lat > c.maxServiceLat {
-		c.maxServiceLat = lat
-	}
 	info.state = rsDone
+	delete(c.reqs, r)
 	c.completed++
 	// The parent's extent covers every merged child, so its bytes account
 	// for the whole merged run.
@@ -514,13 +506,13 @@ func (c *Invariants) complete(r *block.Request) {
 	for _, ch := range info.children {
 		ci := c.reqs[ch]
 		if ci == nil {
-			continue
-		}
-		if ci.state == rsDone {
+			// merge enrols only tracked children, so a missing one has
+			// completed already.
 			c.violate("exactly-once", "merged child %v completed twice", ch)
 			continue
 		}
 		ci.state = rsDone
+		delete(c.reqs, ch)
 		c.completed++
 		childBytes += ci.bytes
 		if ch.Completed != now {
@@ -546,24 +538,21 @@ func (c *Invariants) switched(info block.SwitchInfo) {
 		c.violate("switch", "SwitchInfo names missing: %q -> %q", info.From, info.To)
 	}
 	// The new elevator starts with a clean dispatch history: re-baseline
-	// the policy bounds and enrol the replayed backlog.
+	// the policy bounds and enrol the replayed backlog in submission
+	// order. The old elevator drained before the switch finished, so the
+	// backlog is all the queue can still hold.
 	c.sliceSeq = 0
 	c.haveSyncDisp = false
-	c.fifo[0] = c.fifo[0][:0]
-	c.fifo[1] = c.fifo[1][:0]
-	c.asyncFifo = c.asyncFifo[:0]
-	for _, ri := range c.reqs {
-		if ri.backlogged {
-			ri.backlogged = false
-			if ri.state == rsQueued {
-				ri.entered = now
-				ri.overtakes = -1
-			}
-		}
+	c.fifo[0], c.fifo[1], c.asyncFifo = nil, nil, nil
+	for _, ri := range c.backlog {
+		ri.backlogged = false
 		if ri.state == rsQueued {
+			ri.entered = now
+			ri.overtakes = -1
 			c.track(ri)
 		}
 	}
+	c.backlog = nil
 }
 
 // Final audits terminal state: every submitted request completed exactly
@@ -574,17 +563,18 @@ func (c *Invariants) Final() {
 		c.violate("leak", "queue not drained at finalize: pending=%d inflight=%d",
 			c.q.Pending(), c.q.InFlight())
 	}
-	leaked := 0
+	// Every request still in the ledger never completed; report the
+	// first three in submission order.
+	var leaked []*reqInfo
 	for _, info := range c.reqs {
-		if info.state != rsDone {
-			leaked++
-			if leaked <= 3 {
-				c.violate("leak", "request %v never completed (state %d)", info.r, info.state)
-			}
-		}
+		leaked = append(leaked, info)
 	}
-	if leaked > 3 {
-		c.violate("leak", "... and %d more leaked requests", leaked-3)
+	slices.SortFunc(leaked, func(a, b *reqInfo) int { return cmp.Compare(a.seq, b.seq) })
+	for _, info := range leaked[:min(len(leaked), 3)] {
+		c.violate("leak", "request %v never completed (state %d)", info.r, info.state)
+	}
+	if len(leaked) > 3 {
+		c.violate("leak", "... and %d more leaked requests", len(leaked)-3)
 	}
 	if c.completed != c.submitted {
 		c.violate("exactly-once", "completed %d of %d submitted requests", c.completed, c.submitted)

@@ -220,3 +220,93 @@ func TestCheckerSwitchDrain(t *testing.T) {
 		t.Fatalf("Switches = %d, want 1", q.Stats().Switches)
 	}
 }
+
+// TestSwitchEnrolsBacklogInSubmissionOrder pins that the requests held
+// back during an elevator switch enter the starvation FIFOs in
+// submission order when the new elevator takes over: the async FIFO's
+// head decides the cfq-async-starvation verdict, so its order must not
+// depend on anything but the run. Repeated, since an order drawn from
+// map iteration is right only by chance.
+func TestSwitchEnrolsBacklogInSubmissionOrder(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		eng, q, set, inv := newCheckedQueue(t, iosched.CFQ, 1, sim.Millisecond)
+		var held, enrolled []*block.Request
+		q.OnSwitched(func(block.SwitchInfo) {
+			for _, ri := range inv.asyncFifo {
+				if ri.state == rsQueued {
+					enrolled = append(enrolled, ri.r)
+				}
+			}
+		})
+		eng.Schedule(0, func() {
+			// In flight while the old elevator drains.
+			q.Submit(block.NewRequest(block.Read, 0, 8, true, 1))
+			q.SetElevator(iosched.MustNew(iosched.CFQ, iosched.DefaultParams()), sim.Millisecond, nil)
+			for i := 0; i < 12; i++ {
+				r := block.NewRequest(block.Write, int64(i+1)*1024, 8, false, block.StreamID(2+i%3))
+				held = append(held, r)
+				q.Submit(r)
+			}
+		})
+		eng.Run()
+		set.Finalize()
+		if err := set.Err(); err != nil {
+			t.Fatal(err)
+		}
+		// The new elevator may dispatch before the hook runs, so what the
+		// FIFO holds must be the rest of the backlog, in order.
+		if len(enrolled) < 8 {
+			t.Fatalf("run %d: %d async requests enrolled, want at least 8", run, len(enrolled))
+		}
+		next := 0
+		for _, r := range enrolled {
+			for next < len(held) && held[next] != r {
+				next++
+			}
+			if next == len(held) {
+				t.Fatalf("run %d: async FIFO %v is not in submission order %v", run, enrolled, held)
+			}
+		}
+	}
+}
+
+// TestCheckerLedgerDrains pins that the checker holds only what its queue
+// holds: a drained run, with merges and a live switch, leaves the request
+// ledger, the starvation FIFOs and the switch backlog empty.
+func TestCheckerLedgerDrains(t *testing.T) {
+	for _, name := range iosched.Names {
+		t.Run(name, func(t *testing.T) {
+			eng, q, set, inv := newCheckedQueue(t, name, 2, 100*sim.Microsecond)
+			for i := 0; i < 20; i++ {
+				i := i
+				eng.Schedule(sim.Duration(i)*40*sim.Microsecond, func() {
+					op := block.Read
+					if i%3 == 0 {
+						op = block.Write
+					}
+					// The second request extends the first, so the
+					// elevators merge it.
+					for half := int64(0); half < 2; half++ {
+						q.Submit(block.NewRequest(op, int64(i)*4096+half*8, 8, i%2 == 0, block.StreamID(i%3)))
+					}
+				})
+			}
+			eng.Schedule(300*sim.Microsecond, func() {
+				q.SetElevator(iosched.MustNew(iosched.CFQ, iosched.DefaultParams()), sim.Millisecond, nil)
+			})
+			eng.Run()
+			set.Finalize()
+			if err := set.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if q.Stats().MergedRequests == 0 || q.Stats().Switches != 1 {
+				t.Fatalf("merged %d requests over %d switches, want some over 1",
+					q.Stats().MergedRequests, q.Stats().Switches)
+			}
+			if n := len(inv.reqs) + len(inv.fifo[0]) + len(inv.fifo[1]) + len(inv.asyncFifo) + len(inv.backlog); n != 0 {
+				t.Fatalf("drained run holds %d requests, %d+%d+%d FIFO entries and %d backlog entries",
+					len(inv.reqs), len(inv.fifo[0]), len(inv.fifo[1]), len(inv.asyncFifo), len(inv.backlog))
+			}
+		})
+	}
+}

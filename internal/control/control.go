@@ -233,21 +233,12 @@ type Controller struct {
 	// starts.
 	OnDecision func(Decision)
 
-	// Housekeeping is the number of co-resident self-re-arming watcher
-	// events (e.g. a streaming sample pump) to discount when the tick
-	// decides whether the simulation is still live. Without it, two
-	// watchers that each re-arm while the calendar is non-empty keep each
-	// other alive forever after the job drains. Set before the run starts.
-	Housekeeping int
-
 	attached   bool
-	prev       analyze.LiveSample
 	installed  iosched.Pair
 	streakWant iosched.Pair
 	streak     int
 	lastSwitch sim.Time
 	switching  bool
-	stopped    bool
 
 	out Outcome // FinalPairCode is read off installed
 }
@@ -280,13 +271,12 @@ func (c *Controller) Policy() Policy { return c.pol }
 // Attach installs the controller on the cluster: it samples smp every
 // Window of simulated time and issues cluster-wide SetPairAll commands
 // through the hysteresis gates. The sampler must already be attached to
-// the cluster (or be attached before traffic starts). The tick re-arms
-// only while the calendar holds other events, so a finished simulation is
-// never kept alive; the returned detach stops the controller early. Only
-// the scheduled tick refers to the cluster and the sampler, and the last
-// sample is dropped when the tick stops, so a controller kept for its
-// Outcome keeps no finished cluster alive.
-func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach func()) {
+// the cluster (or be attached before traffic starts). The tick is an
+// engine watch (sim.Engine.Watch), so a finished simulation is never kept
+// alive. Only the scheduled tick refers to the cluster, the sampler and
+// the last sample, so a controller kept for its Outcome keeps none of
+// them alive.
+func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) {
 	if c.attached {
 		panic("control: controller attached twice (build one per run)")
 	}
@@ -299,29 +289,18 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) (detach f
 	// The opening dwell budget is available immediately, so the controller
 	// can react to the first stable regime of the run.
 	c.lastSwitch = cl.Eng.Now().Add(-c.pol.MinDwell)
-	c.prev = smp.Live(cl.Eng.Now())
-	var tick func()
-	tick = func() {
-		if c.stopped {
-			return
-		}
-		c.evaluate(cl, smp, cl.Eng.Now())
-		if !c.stopped && cl.Eng.Pending() > c.Housekeeping {
-			cl.Eng.Schedule(c.pol.Window, tick)
-			return
-		}
-		c.prev = analyze.LiveSample{} // the run is over: keep only the outcome
-	}
-	cl.Eng.Schedule(c.pol.Window, tick)
-	return func() { c.stopped = true }
+	prev := smp.Live(cl.Eng.Now())
+	cl.Eng.Watch(c.pol.Window, c.pol.Window, func() {
+		now := cl.Eng.Now()
+		cur := smp.Live(now)
+		c.evaluate(cl, cur.Window(prev, c.pol.Level), now)
+		prev = cur
+	})
 }
 
 // evaluate classifies the window that just closed and runs the gates; an
 // issued switch goes to every elevator of cl.
-func (c *Controller) evaluate(cl *cluster.Cluster, smp *analyze.Sampler, now sim.Time) {
-	cur := smp.Live(now)
-	w := cur.Window(c.prev, c.pol.Level)
-	c.prev = cur
+func (c *Controller) evaluate(cl *cluster.Cluster, w analyze.WindowStats, now sim.Time) {
 	c.out.Windows++
 
 	regime := c.pol.classify(w)

@@ -92,19 +92,20 @@ func TestGroupSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, shared := g.Do("k", func() (any, error) {
+			ch, _ := g.DoChan("k", func() (any, error) {
 				mu.Lock()
 				calls++
 				mu.Unlock()
 				<-gate
 				return 42, nil
 			})
-			if err != nil {
-				t.Errorf("Do: %v", err)
+			r := <-ch
+			if r.Err != nil {
+				t.Errorf("DoChan: %v", r.Err)
 			}
-			results[i] = v
+			results[i] = r.Val
 			mu.Lock()
-			if shared {
+			if r.Shared {
 				sharedCount++
 			}
 			mu.Unlock()
@@ -135,28 +136,29 @@ func TestGroupSingleFlight(t *testing.T) {
 	}
 
 	// The key is forgotten: a second call re-executes.
-	_, _, _ = g.Do("k", func() (any, error) {
+	ch, _ := g.DoChan("k", func() (any, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
 		return nil, nil
 	})
+	<-ch
 	if calls != 2 {
-		t.Fatalf("second Do did not re-execute (calls = %d)", calls)
+		t.Fatalf("second DoChan did not re-execute (calls = %d)", calls)
 	}
 }
 
 func TestGroupErrorPropagation(t *testing.T) {
 	var g Group
 	boom := errors.New("boom")
-	_, err, _ := g.Do("e", func() (any, error) { return nil, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	ch, _ := g.DoChan("e", func() (any, error) { return nil, boom })
+	if r := <-ch; !errors.Is(r.Err, boom) {
+		t.Fatalf("err = %v", r.Err)
 	}
 	// Distinct keys run independently.
-	v, err, _ := g.Do("other", func() (any, error) { return "ok", nil })
-	if err != nil || v != "ok" {
-		t.Fatalf("got %v, %v", v, err)
+	ch, _ = g.DoChan("other", func() (any, error) { return "ok", nil })
+	if r := <-ch; r.Err != nil || r.Val != "ok" {
+		t.Fatalf("got %v, %v", r.Val, r.Err)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 	"adaptmr/internal/obs"
 )
 
-// Group is an exported single-flight: concurrent Do/DoChan calls that
-// share a key execute the supplied function exactly once and all receive
-// the leader's result. It generalises the Runner's in-memory memo — which
+// Group is an exported single-flight: concurrent DoChan calls that share
+// a key execute the supplied function exactly once and all receive the
+// leader's result. It generalises the Runner's in-memory memo — which
 // single-flights plan evaluations inside one Runner — to callers that
 // coalesce across requests, keyed by the content digest EvalDigest
 // produces (the tuning daemon coalesces identical in-flight API requests
@@ -44,20 +44,13 @@ type flightCall struct {
 	dups int
 }
 
-// Do executes fn under key, single-flighted: if an identical call is
-// already in flight, Do waits for it and returns its result. shared
-// reports whether the result was delivered to more than one caller.
-func (g *Group) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
-	ch, leader := g.DoChan(key, fn)
-	r := <-ch
-	return r.Val, r.Err, r.Shared || !leader
-}
-
-// DoChan is Do with a channel: it returns a 1-buffered channel that will
-// receive the call's result, and reports whether this caller is the
-// leader (the one whose fn executes, on a new goroutine). Followers'
-// fns are never called. The key is forgotten once the leader's fn
-// returns, so later calls with the same key start fresh work.
+// DoChan executes fn under key, single-flighted: it returns a 1-buffered
+// channel that will receive the call's result, and reports whether this
+// caller is the leader (the one whose fn executes, on a new goroutine).
+// A caller that finds an identical call in flight follows it: its fn is
+// never called, and it receives the leader's result. The key is
+// forgotten once the leader's fn returns, so later calls with the same
+// key start fresh work.
 //
 // The leader's fn runs detached from any individual caller: a follower
 // that stops waiting (e.g. its request context expires) does not cancel

@@ -113,18 +113,12 @@ func (d *Disk) Head() int64 { return d.head }
 // Stats returns a snapshot of the accumulated counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ServiceTime computes how long a request at the given head position takes,
-// split into positioning and transfer components.
-func (d *Disk) ServiceTime(r *block.Request, head int64) (position, transfer sim.Duration) {
-	seek, rot, transfer := d.ServiceParts(r, head)
-	return seek + rot, transfer
-}
-
-// ServiceParts is ServiceTime with the positioning cost further split
-// into its mechanical components: seek (head movement — the settle cost
-// of a short forward hop counts as seek) and rotational latency. The
-// total service time is seek + rot + transfer + Config.Overhead, an
-// exact integer-nanosecond identity journey decompositions rely on.
+// ServiceParts computes how long a request at the given head position
+// takes, split into its mechanical components: seek (head movement — the
+// settle cost of a short forward hop counts as seek), rotational latency
+// and transfer. The total service time is seek + rot + transfer +
+// Config.Overhead, an exact integer-nanosecond identity journey
+// decompositions rely on.
 func (d *Disk) ServiceParts(r *block.Request, head int64) (seek, rot, transfer sim.Duration) {
 	delta := r.Sector - head
 	dist := delta

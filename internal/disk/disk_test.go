@@ -18,41 +18,41 @@ func TestServiceTimeRegimes(t *testing.T) {
 
 	// Adjacent: no positioning.
 	r := block.NewRequest(block.Read, 1000, 256, true, 1)
-	pos, xfer := d.ServiceTime(r, 1000)
-	if pos != 0 {
-		t.Fatalf("adjacent positioning = %v", pos)
+	seek, rot, xfer := d.ServiceParts(r, 1000)
+	if seek+rot != 0 {
+		t.Fatalf("adjacent positioning = %v", seek+rot)
 	}
 	if xfer <= 0 {
 		t.Fatalf("transfer = %v", xfer)
 	}
 
 	// Within NearDistance: still free.
-	pos, _ = d.ServiceTime(r, 1000-cfg.NearDistance)
-	if pos != 0 {
-		t.Fatalf("near positioning = %v", pos)
+	seek, rot, _ = d.ServiceParts(r, 1000-cfg.NearDistance)
+	if seek+rot != 0 {
+		t.Fatalf("near positioning = %v", seek+rot)
 	}
 
 	// Short forward hop: settle only.
 	r2 := block.NewRequest(block.Read, cfg.NearDistance*4, 256, true, 1)
-	pos, _ = d.ServiceTime(r2, 0)
-	if pos != cfg.SettleTime {
-		t.Fatalf("forward-zone positioning = %v, want settle %v", pos, cfg.SettleTime)
+	seek, rot, _ = d.ServiceParts(r2, 0)
+	if seek+rot != cfg.SettleTime {
+		t.Fatalf("forward-zone positioning = %v, want settle %v", seek+rot, cfg.SettleTime)
 	}
 
 	// Backward hop of the same distance: full seek + rotation.
 	r3 := block.NewRequest(block.Read, 0, 256, true, 1)
-	pos, _ = d.ServiceTime(r3, cfg.NearDistance*4)
-	if pos <= cfg.SettleTime {
-		t.Fatalf("backward positioning = %v, should exceed settle", pos)
+	seek, rot, _ = d.ServiceParts(r3, cfg.NearDistance*4)
+	if seek+rot <= cfg.SettleTime {
+		t.Fatalf("backward positioning = %v, should exceed settle", seek+rot)
 	}
 
 	// Far forward hop: full cost, larger than a nearer far hop.
 	far := block.NewRequest(block.Read, cfg.Sectors-1000, 256, true, 1)
 	mid := block.NewRequest(block.Read, cfg.ZoneDistance*4, 256, true, 1)
-	posFar, _ := d.ServiceTime(far, 0)
-	posMid, _ := d.ServiceTime(mid, 0)
-	if posFar <= posMid {
-		t.Fatalf("seek not increasing with distance: far %v <= mid %v", posFar, posMid)
+	seekFar, rotFar, _ := d.ServiceParts(far, 0)
+	seekMid, rotMid, _ := d.ServiceParts(mid, 0)
+	if seekFar+rotFar <= seekMid+rotMid {
+		t.Fatalf("seek not increasing with distance: far %v <= mid %v", seekFar+rotFar, seekMid+rotMid)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestTransferScalesWithSize(t *testing.T) {
 	_, d := testDisk()
 	small := block.NewRequest(block.Read, 0, 256, true, 1)
 	big := block.NewRequest(block.Read, 0, 1024, true, 1)
-	_, xs := d.ServiceTime(small, 0)
-	_, xb := d.ServiceTime(big, 0)
+	_, _, xs := d.ServiceParts(small, 0)
+	_, _, xb := d.ServiceParts(big, 0)
 	ratio := float64(xb) / float64(xs)
 	if ratio < 3.9 || ratio > 4.1 {
 		t.Fatalf("transfer ratio = %.2f, want ~4", ratio)

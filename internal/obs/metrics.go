@@ -161,18 +161,6 @@ func ExpEdges(start, factor float64, n int) []float64 {
 	return edges
 }
 
-// LinearEdges builds n evenly spaced edges start, start+step, ...
-func LinearEdges(start, step float64, n int) []float64 {
-	if n <= 0 || step <= 0 {
-		panic("obs: invalid linear edges")
-	}
-	edges := make([]float64, n)
-	for i := range edges {
-		edges[i] = start + float64(i)*step
-	}
-	return edges
-}
-
 // Registry is a named collection of counters, gauges and histograms.
 // Lookup-or-create methods are idempotent: the same name always returns
 // the same instrument, which is how per-level metrics aggregate across

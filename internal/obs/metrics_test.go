@@ -60,16 +60,9 @@ func TestEdgeBuilders(t *testing.T) {
 			t.Fatalf("ExpEdges[%d] = %v, want %v", i, exp[i], want)
 		}
 	}
-	lin := LinearEdges(10, 5, 3)
-	for i, want := range []float64{10, 15, 20} {
-		if lin[i] != want {
-			t.Fatalf("LinearEdges[%d] = %v, want %v", i, lin[i], want)
-		}
-	}
 	for _, fn := range []func(){
 		func() { ExpEdges(0, 2, 4) },
 		func() { ExpEdges(1, 1, 4) },
-		func() { LinearEdges(0, 0, 3) },
 		func() { NewRegistry().Histogram("bad", nil) },
 		func() { NewRegistry().Histogram("bad", []float64{2, 1}) },
 	} {

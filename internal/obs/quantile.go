@@ -52,15 +52,6 @@ func (h HistSnapshot) Quantile(q float64) float64 {
 	return h.Edges[len(h.Edges)-1]
 }
 
-// Quantiles estimates several quantiles at once.
-func (h HistSnapshot) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = h.Quantile(q)
-	}
-	return out
-}
-
 // Snapshot copies the live histogram into its exportable form.
 func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
@@ -76,17 +67,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	return HistSnapshot{Edges: h.edges, Counts: h.counts, Sum: h.sum, Count: h.n}.Quantile(q)
-}
-
-// HistQuantile estimates a quantile of the named histogram in the
-// snapshot, returning 0 when the histogram is absent or empty.
-func (s *Snapshot) HistQuantile(name string, q float64) float64 {
-	if s == nil {
-		return 0
-	}
-	h, ok := s.Histograms[name]
-	if !ok {
-		return 0
-	}
-	return h.Quantile(q)
 }

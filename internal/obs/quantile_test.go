@@ -54,9 +54,9 @@ func TestQuantileEmptyAndNil(t *testing.T) {
 	if r.Histogram("h", []float64{1}).Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should return 0")
 	}
-	var s *Snapshot
-	if s.HistQuantile("h", 0.5) != 0 {
-		t.Fatal("nil snapshot should return 0")
+	var s Snapshot
+	if s.Histograms["h"].Quantile(0.5) != 0 {
+		t.Fatal("a snapshot without the histogram should return 0")
 	}
 }
 
@@ -67,14 +67,15 @@ func TestSnapshotHistQuantile(t *testing.T) {
 		h.Observe(3)
 	}
 	s := r.Snapshot()
-	if got, want := s.HistQuantile("lat", 0.5), h.Quantile(0.5); got != want {
-		t.Fatalf("snapshot quantile %v != live %v", got, want)
+	for _, q := range []float64{0.5, 0.95} {
+		if got, want := s.Histograms["lat"].Quantile(q), h.Quantile(q); got != want {
+			t.Fatalf("snapshot quantile %v = %v != live %v", q, got, want)
+		}
+		if got, want := h.Snapshot().Quantile(q), h.Quantile(q); got != want {
+			t.Fatalf("histogram snapshot quantile %v = %v != live %v", q, got, want)
+		}
 	}
-	if s.HistQuantile("absent", 0.5) != 0 {
+	if s.Histograms["absent"].Quantile(0.5) != 0 {
 		t.Fatal("absent histogram should return 0")
-	}
-	qs := h.Snapshot().Quantiles(0.5, 0.95)
-	if len(qs) != 2 || qs[0] != h.Quantile(0.5) || qs[1] != h.Quantile(0.95) {
-		t.Fatalf("Quantiles = %v", qs)
 	}
 }

@@ -226,7 +226,7 @@ func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterCo
 	job adaptmr.JobConfig, pol control.Policy, lr *liveRun) ([]byte, error) {
 
 	cfg.Check = s.checkSet()
-	samples := pump(lr, 1)
+	samples := pump(lr)
 	res, run, err := control.Run(ctx, cfg, job, pol, true,
 		func(cl *cluster.Cluster, smp *analyze.Sampler, ctrl *control.Controller) {
 			seq := 0
@@ -237,12 +237,6 @@ func (s *Server) execStreamedAutotune(ctx context.Context, cfg adaptmr.ClusterCo
 					lr.publish("decision", data)
 				}
 			}
-			// The pump and the controller tick are both self-re-arming
-			// watchers; each discounts the other's calendar entry (the
-			// controller's Housekeeping allowance, the pump's watcher
-			// count) so they stop once only the two of them remain —
-			// otherwise they'd keep the engine alive forever.
-			ctrl.Housekeeping = 1
 			samples(cl, smp)
 		})
 	if err := s.publishEvaluation(lr, cfg.Check, run, err); err != nil {

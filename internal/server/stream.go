@@ -287,17 +287,14 @@ type streamJourney struct {
 // /v1/autotune share. The pump publishes one frame per
 // streamPumpInterval of simulated time, starting at the evaluation's
 // first instant so even a trivial run streams at least one sample, with
-// the wall clock counted from this call. watchers is how many
-// self-re-arming watchers the caller installs besides the pump; the pump
-// re-arms only while model events remain beyond those watchers, so it
-// never keeps a finished simulation alive.
-func pump(lr *liveRun, watchers int) func(*cluster.Cluster, *analyze.Sampler) {
+// the wall clock counted from this call. The pump is an engine watch
+// (sim.Engine.Watch), so it never keeps a finished simulation alive.
+func pump(lr *liveRun) func(*cluster.Cluster, *analyze.Sampler) {
 	started := time.Now()
 	return func(cl *cluster.Cluster, smp *analyze.Sampler) {
 		eng := cl.Eng
 		seq := 0
-		var fire func()
-		fire = func() {
+		eng.Watch(0, streamPumpInterval, func() {
 			sample := streamSample{
 				RunID:      lr.id,
 				Seq:        seq,
@@ -309,11 +306,7 @@ func pump(lr *liveRun, watchers int) func(*cluster.Cluster, *analyze.Sampler) {
 			if data, err := json.Marshal(sample); err == nil {
 				lr.publish("sample", data)
 			}
-			if eng.Pending() > watchers {
-				eng.Schedule(streamPumpInterval, fire)
-			}
-		}
-		eng.Schedule(0, fire)
+		})
 	}
 }
 
@@ -372,7 +365,7 @@ func (s *Server) execStreamedRun(ctx context.Context, cfg adaptmr.ClusterConfig,
 	cfg.Check = s.checkSet()
 	// Perf feeds the "perf" frame but stays out of the stored document:
 	// wall-clock values would make it non-deterministic.
-	rep, res, err := analyze.Run(ctx, cfg, job, plan, true, false, pump(lr, 0))
+	rep, res, err := analyze.Run(ctx, cfg, job, plan, true, false, pump(lr))
 	if err := s.publishEvaluation(lr, cfg.Check, res, err); err != nil {
 		return nil, err
 	}

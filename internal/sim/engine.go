@@ -262,6 +262,9 @@ type Engine struct {
 	free    []*Event
 	pooling bool
 
+	// watches counts the pending events Watch scheduled.
+	watches int
+
 	obs Observer
 }
 
@@ -352,6 +355,25 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	e.seq++
 	e.events.push(ev)
 	return ev
+}
+
+// Watch runs fn after first and then every period, for as long as events
+// other than watches are pending: a watcher (a sampler, a controller)
+// observes the simulation but never keeps a finished one alive, however
+// many watchers run beside it. Watch events are calendar events like any
+// other and fire in (time, sequence) order with the rest.
+func (e *Engine) Watch(first, period Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		e.watches--
+		fn()
+		if e.Pending() > e.watches {
+			e.watches++
+			e.Schedule(period, tick)
+		}
+	}
+	e.watches++
+	e.Schedule(first, tick)
 }
 
 // Stop makes Run or RunUntil return after the current event completes.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -296,3 +297,51 @@ func TestObserverSeesEveryFiredEvent(t *testing.T) {
 type observerFunc func(at Time)
 
 func (f observerFunc) EventFired(at Time) { f(at) }
+
+// TestWatchersStopWithTheModel pins Engine.Watch: watchers fire on their
+// period while other events are pending, discount one another, and stop
+// once only watchers remain, so two of them never keep a drained
+// simulation alive. A watcher fires at least once, at first, even with
+// nothing else pending.
+func TestWatchersStopWithTheModel(t *testing.T) {
+	e := New(1)
+	// The model: a chain of events, one per second, on the calendar and
+	// on a lane, ending at 10 s.
+	var step func()
+	n := 0
+	step = func() {
+		if n++; n < 10 {
+			if n%2 == 0 {
+				e.Lane(Second).Schedule(step)
+			} else {
+				e.Schedule(Second, step)
+			}
+		}
+	}
+	e.Schedule(0, step)
+	var fast, slow []Time
+	e.Watch(0, 250*Millisecond, func() { fast = append(fast, e.Now()) })
+	e.Watch(Second, 3*Second, func() { slow = append(slow, e.Now()) })
+	e.Run()
+	// The model's last event fires at 9 s: the fast watcher fires
+	// through it (37 times, 0 to 9 s); the slow one fires at 1, 4 and 7 s
+	// and once more at 10 s, where it finds nothing else pending and
+	// stops.
+	if len(fast) != 37 || fast[len(fast)-1] != Time(9*Second) {
+		t.Fatalf("fast watcher fired %d times, last at %v; want 37, last at 9s", len(fast), fast[len(fast)-1])
+	}
+	if want := []Time{Time(Second), Time(4 * Second), Time(7 * Second), Time(10 * Second)}; !slices.Equal(slow, want) {
+		t.Fatalf("slow watcher fired at %v, want %v", slow, want)
+	}
+	if e.Pending() != 0 || e.watches != 0 {
+		t.Fatalf("pending = %d with %d watches after the run, want 0 and 0", e.Pending(), e.watches)
+	}
+
+	lone := New(1)
+	fired := 0
+	lone.Watch(5, 5, func() { fired++ })
+	lone.Run()
+	if fired != 1 || lone.Now() != 5 {
+		t.Fatalf("a watcher alone fired %d times by %v, want once at 5", fired, lone.Now())
+	}
+}

@@ -99,8 +99,8 @@ type Host struct {
 	// submissions and the Dom0 requests the rings spawn) with a
 	// free-at-complete lifecycle. It is nil under journey tracing, which
 	// reads requests after queue completion, and detect-only under Check,
-	// whose ledger is pointer-keyed. Pooling never changes simulated
-	// results.
+	// so a checked run catches a request used after it was freed. Pooling
+	// never changes simulated results.
 	pool *block.Pool
 }
 
@@ -135,9 +135,9 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	}
 	if h.journeys == nil {
 		if cfg.Check != nil {
-			// Detect-only pool: lifecycle violations land in the checker's
-			// report; memory is never recycled, so the checker's
-			// pointer-keyed request ledger stays valid.
+			// Detect-only pool: memory is never recycled, so a freed
+			// request used again is caught, and lifecycle violations land
+			// in the checker's report.
 			poolName := fmt.Sprintf("host%d/pool", id)
 			h.pool = block.NewPool(true, func(format string, args ...any) {
 				cfg.Check.Report(poolName, "pool-lifecycle", eng.Now(), fmt.Sprintf(format, args...))

@@ -173,8 +173,8 @@ func TestRingLatencyAddsUp(t *testing.T) {
 	h.Domain(0).Submit(block.Read, 0, 8, true, 1, func(*block.Request) { completedAt = eng.Now() })
 	eng.Run()
 	// At minimum: 2 ring hops + the disk service time.
-	pos, xfer := h.Disk().ServiceTime(block.NewRequest(block.Read, 0, 8, true, 1), 0)
-	min := sim.Duration(2*cfg.RingLatency) + pos + xfer
+	seek, rot, xfer := h.Disk().ServiceParts(block.NewRequest(block.Read, 0, 8, true, 1), 0)
+	min := sim.Duration(2*cfg.RingLatency) + seek + rot + xfer
 	if completedAt < sim.Time(min) {
 		t.Fatalf("completed at %v, faster than physically possible (%v)", completedAt, min)
 	}

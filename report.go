@@ -52,9 +52,10 @@ func RunReport(cfg ClusterConfig, job JobConfig, pair Pair, opts ...Option) (*Re
 	return rep, nil
 }
 
-// CompareBenches gates a candidate bench against a baseline with the
-// given relative tolerance (0.05 = 5%). It errors when the two benches
-// come from different run configurations.
-func CompareBenches(base, cand Bench, tol float64) (Comparison, error) {
-	return analyze.Compare(base, cand, tol)
+// CompareBenches gates a candidate bench against a baseline: every
+// simulated field must match exactly, and the perf rows stay within
+// their bounds. It errors when the two benches come from different run
+// configurations.
+func CompareBenches(base, cand Bench) (Comparison, error) {
+	return analyze.Compare(base, cand)
 }

@@ -280,7 +280,7 @@ func TestGateBehaviour(t *testing.T) {
 
 	// Identical rerun: no regression.
 	same := runSortReport(t, reportConfig(2, 2, 1), 32).Bench
-	cmp, err := adaptmr.CompareBenches(base, same, 0.05)
+	cmp, err := adaptmr.CompareBenches(base, same)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestGateBehaviour(t *testing.T) {
 	slowCfg := reportConfig(2, 2, 1)
 	slowCfg.HostDiskSlowdown = map[int]float64{0: 2.0}
 	slow := runSortReport(t, slowCfg, 32).Bench
-	cmp, err = adaptmr.CompareBenches(base, slow, 0.05)
+	cmp, err = adaptmr.CompareBenches(base, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestGateBehaviour(t *testing.T) {
 
 	// Config mismatch errors out.
 	other := runSortReport(t, reportConfig(2, 2, 2), 32).Bench
-	if _, err := adaptmr.CompareBenches(base, other, 0.05); err == nil {
+	if _, err := adaptmr.CompareBenches(base, other); err == nil {
 		t.Fatal("seed mismatch should refuse to compare")
 	}
 }
