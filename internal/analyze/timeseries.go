@@ -14,18 +14,24 @@ import (
 // OnComplete) and disk.Disk.OnService — no trace post-processing, no
 // polling events. Attach it before the job starts, then hand it to Build.
 //
+// A sampler from NewSampler records the history Finalize buckets. The
+// zero Sampler keeps only the running counters that Live and Level read,
+// which is all an online controller or a live stream needs: it records
+// no history, and AttachDisk is a no-op on it.
+//
 // A merged child is counted as resolved at merge time (it leaves the
 // elevator by absorption, not by dispatch).
 type Sampler struct {
 	levels    map[string]*levelSeries // per level ("vm", "dom0")
+	history   bool                    // record the logs and spans Finalize reads
 	busy      [][]ival                // disk service spans, per attached disk
 	completed int64
 }
 
-// levelSeries holds one level's raw delta logs plus the running counters
-// Live() reads between simulation events (the adaptd SSE stream) without
-// replaying the logs. Hooks hold the *levelSeries resolved once at attach
-// time, so the per-event path does no map lookups.
+// levelSeries holds one level's raw delta logs (a history sampler's only)
+// plus the running counters Live and Level read between simulation events
+// without replaying the logs. Hooks hold the *levelSeries resolved once at
+// attach time, so the per-event path does no map lookups.
 type levelSeries struct {
 	depth deltaLog // waiting in elevator
 	outst deltaLog // issued but not completed
@@ -36,7 +42,7 @@ type levelSeries struct {
 	cumBytes int64
 
 	// Controller feature counters, all cumulative (windowed by
-	// subtraction in LiveSample.Window): completed read/write volume,
+	// subtraction in LevelSample.Window): completed read/write volume,
 	// completed request counts by class, and dispatch seek distance.
 	cumReadBytes  int64
 	cumWriteBytes int64
@@ -111,15 +117,18 @@ func (l *valLog) each(fn func(tsval)) {
 	}
 }
 
-// NewSampler returns an empty sampler.
+// NewSampler returns an empty sampler that records history for Finalize.
 func NewSampler() *Sampler {
-	return &Sampler{levels: map[string]*levelSeries{}}
+	return &Sampler{levels: map[string]*levelSeries{}, history: true}
 }
 
 // level resolves (creating on first use) the series for one level label.
 func (s *Sampler) level(name string) *levelSeries {
 	ls := s.levels[name]
 	if ls == nil {
+		if s.levels == nil {
+			s.levels = map[string]*levelSeries{}
+		}
 		ls = &levelSeries{}
 		s.levels[name] = ls
 	}
@@ -130,15 +139,20 @@ func (s *Sampler) level(name string) *levelSeries {
 // level label ("vm" queues aggregate together, as do "dom0").
 func (s *Sampler) AttachQueue(q *block.Queue, level string) {
 	ls := s.level(level)
+	hist := s.history
 	q.OnEnqueue(func(r *block.Request) {
-		ls.depth.add(r.Issued, +1)
-		ls.outst.add(r.Issued, +1)
+		if hist {
+			ls.depth.add(r.Issued, +1)
+			ls.outst.add(r.Issued, +1)
+		}
 		ls.curDepth++
 		ls.curOutst++
 	})
 	q.OnMerge(func(parent, child *block.Request) {
-		ls.depth.add(child.Issued, -1)
-		ls.outst.add(child.Issued, -1)
+		if hist {
+			ls.depth.add(child.Issued, -1)
+			ls.outst.add(child.Issued, -1)
+		}
 		ls.curDepth--
 		ls.curOutst--
 	})
@@ -147,7 +161,9 @@ func (s *Sampler) AttachQueue(q *block.Queue, level string) {
 	// -1 means no dispatch yet (the first dispatch contributes no seek).
 	lastEnd := int64(-1)
 	q.OnDispatch(func(r *block.Request) {
-		ls.depth.add(r.Dispatched, -1)
+		if hist {
+			ls.depth.add(r.Dispatched, -1)
+		}
 		ls.curDepth--
 		if lastEnd >= 0 {
 			d := r.Sector - lastEnd
@@ -160,8 +176,10 @@ func (s *Sampler) AttachQueue(q *block.Queue, level string) {
 		ls.dispatched++
 	})
 	q.OnComplete(func(r *block.Request) {
-		ls.outst.add(r.Completed, -1)
-		ls.bytes.add(r.Completed, r.Bytes())
+		if hist {
+			ls.outst.add(r.Completed, -1)
+			ls.bytes.add(r.Completed, r.Bytes())
+		}
 		ls.curOutst--
 		ls.cumBytes += r.Bytes()
 		if r.Op == block.Read {
@@ -184,8 +202,12 @@ func (s *Sampler) AttachQueue(q *block.Queue, level string) {
 }
 
 // AttachDisk chains onto the disk's OnService observer and records busy
-// spans.
+// spans, which only Finalize reads: on a sampler without history it
+// attaches nothing.
 func (s *Sampler) AttachDisk(d *disk.Disk) {
+	if !s.history {
+		return
+	}
 	overhead := d.Config().Overhead
 	prev := d.OnService
 	s.busy = append(s.busy, nil)
@@ -204,8 +226,8 @@ func (s *Sampler) AttachDisk(d *disk.Disk) {
 // volume (total and split by op), completed request counts by class, and
 // cumulative dispatch seek distance. Reading one is O(levels) — cheap
 // enough to take between simulation events for live streaming. Every
-// volume/count field is cumulative since attach; rates belong to Window,
-// which differences two samples.
+// volume/count field is cumulative since attach; rates belong to
+// LevelSample.Window, which differences two samples of one level.
 //
 // A sample taken before any attached queue saw traffic — or from a
 // sampler with no queues attached at all — is fully defined: empty
@@ -266,6 +288,37 @@ func (s *Sampler) Live(now sim.Time) LiveSample {
 	return ls
 }
 
+// LevelSample is one level's running counters at an instant, in
+// LiveSample's units: the part of a sample the online controller windows
+// over, read without building LiveSample's maps.
+type LevelSample struct {
+	SimTimeS    float64
+	Depth       int32
+	CumReadMB   float64
+	CumWriteMB  float64
+	Completed   int64
+	SyncDone    int64
+	Dispatched  int64
+	SeekSectors int64
+}
+
+// Level returns one level's running counters, stamped with the given
+// simulation time; a level no queue was attached under reads zero. Like
+// Live, it must be called from the simulation goroutine.
+func (s *Sampler) Level(now sim.Time, level string) LevelSample {
+	ls := LevelSample{SimTimeS: now.Seconds()}
+	if v := s.levels[level]; v != nil {
+		ls.Depth = v.curDepth
+		ls.CumReadMB = round6(float64(v.cumReadBytes) / mb)
+		ls.CumWriteMB = round6(float64(v.cumWriteBytes) / mb)
+		ls.Completed = v.completed
+		ls.SyncDone = v.syncDone
+		ls.Dispatched = v.dispatched
+		ls.SeekSectors = v.seekSectors
+	}
+	return ls
+}
+
 // WindowStats is the change between two live samples at one level,
 // expressed as the classification features the online controller consumes.
 // Every field is well-defined on degenerate windows: a zero or negative
@@ -293,16 +346,15 @@ type WindowStats struct {
 	SeekPerDispatch float64 `json:"seek_per_dispatch"`
 }
 
-// Window returns the stats for one level over the (prev, s] interval.
-// prev may be the zero LiveSample (treated as an empty start-of-run
-// sample); an unknown level yields all-zero stats.
-func (s LiveSample) Window(prev LiveSample, level string) WindowStats {
+// Window returns the level's stats over the (prev, s] interval. prev may
+// be the zero LevelSample (treated as an empty start-of-run sample).
+func (s LevelSample) Window(prev LevelSample) WindowStats {
 	w := WindowStats{
 		DurS:     s.SimTimeS - prev.SimTimeS,
-		Requests: s.Completed[level] - prev.Completed[level],
-		ReadMB:   round6(s.CumReadMB[level] - prev.CumReadMB[level]),
-		WriteMB:  round6(s.CumWriteMB[level] - prev.CumWriteMB[level]),
-		Depth:    s.Depth[level],
+		Requests: s.Completed - prev.Completed,
+		ReadMB:   round6(s.CumReadMB - prev.CumReadMB),
+		WriteMB:  round6(s.CumWriteMB - prev.CumWriteMB),
+		Depth:    s.Depth,
 	}
 	if w.DurS < 0 {
 		w.DurS = 0
@@ -315,10 +367,10 @@ func (s LiveSample) Window(prev LiveSample, level string) WindowStats {
 		w.ReadShare = round6(w.ReadMB / total)
 	}
 	if w.Requests > 0 {
-		w.SyncShare = round6(float64(s.SyncDone[level]-prev.SyncDone[level]) / float64(w.Requests))
+		w.SyncShare = round6(float64(s.SyncDone-prev.SyncDone) / float64(w.Requests))
 	}
-	if disp := s.Dispatched[level] - prev.Dispatched[level]; disp > 0 {
-		w.SeekPerDispatch = round6(float64(s.SeekSectors[level]-prev.SeekSectors[level]) / float64(disp))
+	if disp := s.Dispatched - prev.Dispatched; disp > 0 {
+		w.SeekPerDispatch = round6(float64(s.SeekSectors-prev.SeekSectors) / float64(disp))
 	}
 	return w
 }
@@ -361,6 +413,9 @@ type Timeseries struct {
 // full interval, so each level's series sums back to its completed
 // volume (MB = 2^20 bytes).
 func (s *Sampler) Finalize(start, end sim.Time, interval sim.Duration) Timeseries {
+	if !s.history {
+		panic("analyze: Finalize on a sampler without history (build it with NewSampler)")
+	}
 	span := end.Sub(start)
 	if span <= 0 || interval <= 0 {
 		return Timeseries{Depth: map[string][]int32{}, Outstanding: map[string][]int32{}, ThroughputMBps: map[string][]float64{}}

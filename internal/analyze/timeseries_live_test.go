@@ -49,21 +49,23 @@ func noNaN(t *testing.T, w WindowStats) {
 	}
 }
 
-// TestLiveBeforeFirstSample pins the satellite-2 contract: Live on a
+// TestLiveBeforeFirstSample pins the empty-sample contract: Live on a
 // sampler whose queues have produced nothing (and on one with no queues
-// at all) returns a fully defined empty sample, and windows over such
-// samples contain zeros, never NaN rates or stale values.
+// at all, built by NewSampler or the zero value) returns a fully defined
+// empty sample, and windows over such samples contain zeros, never NaN
+// rates or stale values.
 func TestLiveBeforeFirstSample(t *testing.T) {
 	// No queues attached at all.
-	bare := NewSampler()
-	ls := bare.Live(sim.Time(0))
-	if ls.Depth == nil || ls.CumMB == nil || ls.Completed == nil || ls.SeekSectors == nil {
-		t.Fatal("empty sampler returned nil maps")
+	for _, bare := range []*Sampler{NewSampler(), {}} {
+		ls := bare.Live(sim.Time(0))
+		if ls.Depth == nil || ls.CumMB == nil || ls.Completed == nil || ls.SeekSectors == nil {
+			t.Fatal("empty sampler returned nil maps")
+		}
+		if ls.Requests != 0 || len(ls.Depth) != 0 {
+			t.Fatalf("empty sampler not empty: %+v", ls)
+		}
+		noNaN(t, bare.Level(sim.Time(0), "dom0").Window(LevelSample{}))
 	}
-	if ls.Requests != 0 || len(ls.Depth) != 0 {
-		t.Fatalf("empty sampler not empty: %+v", ls)
-	}
-	noNaN(t, ls.Window(LiveSample{}, "dom0"))
 
 	// A queue attached but idle: the level exists with zero counters.
 	eng := sim.New(1)
@@ -74,7 +76,7 @@ func TestLiveBeforeFirstSample(t *testing.T) {
 	if first.Depth["dom0"] != 0 || first.CumMB["dom0"] != 0 || first.Completed["dom0"] != 0 {
 		t.Fatalf("pre-traffic sample not zero: %+v", first)
 	}
-	w := first.Window(LiveSample{}, "dom0")
+	w := s.Level(eng.Now(), "dom0").Window(LevelSample{})
 	noNaN(t, w)
 	if w != (WindowStats{}) {
 		t.Fatalf("pre-traffic window not zero: %+v", w)
@@ -92,21 +94,21 @@ func TestZeroDeltaWindow(t *testing.T) {
 	q.Submit(block.NewRequest(block.Read, 0, 2048, true, 1)) // 1 MB
 	eng.Run()
 
-	busy := s.Live(eng.Now())
-	active := busy.Window(LiveSample{}, "dom0")
+	busy := s.Level(eng.Now(), "dom0")
+	active := busy.Window(LevelSample{})
 	if active.ReadMB != 1 || active.Requests != 1 || active.ReadShare != 1 {
 		t.Fatalf("active window wrong: %+v", active)
 	}
 
 	// Identical samples: everything zero, nothing carried over.
-	idle := busy.Window(busy, "dom0")
+	idle := busy.Window(busy)
 	noNaN(t, idle)
 	if idle != (WindowStats{}) {
 		t.Fatalf("zero-delta window not zero: %+v", idle)
 	}
 
 	// Zero-duration window with the clock stopped but samples re-taken.
-	again := s.Live(eng.Now()).Window(busy, "dom0")
+	again := s.Level(eng.Now(), "dom0").Window(busy)
 	noNaN(t, again)
 	if again.ReadMBps != 0 || again.Requests != 0 {
 		t.Fatalf("zero-duration window leaked rates: %+v", again)
@@ -121,7 +123,7 @@ func TestWindowFeatures(t *testing.T) {
 	q := block.NewQueue(eng, &liveFIFO{}, &liveDev{eng: eng, lat: sim.Millisecond}, 1)
 	s.AttachQueue(q, "dom0")
 
-	prev := s.Live(eng.Now())
+	prev := s.Level(eng.Now(), "dom0")
 
 	// 3 MB of sync reads, 1 MB of async write; sequential then a jump.
 	q.Submit(block.NewRequest(block.Read, 0, 2048, true, 1))
@@ -130,7 +132,7 @@ func TestWindowFeatures(t *testing.T) {
 	q.Submit(block.NewRequest(block.Write, 0, 2048, false, 2))   // jump: 12288
 	eng.Run()
 
-	w := s.Live(eng.Now()).Window(prev, "dom0")
+	w := s.Level(eng.Now(), "dom0").Window(prev)
 	noNaN(t, w)
 	if w.ReadMB != 3 || w.WriteMB != 1 {
 		t.Fatalf("volumes: %+v", w)
@@ -150,5 +152,38 @@ func TestWindowFeatures(t *testing.T) {
 	}
 	if w.DurS <= 0 || w.ReadMBps <= 0 {
 		t.Fatalf("rates not positive over active window: %+v", w)
+	}
+}
+
+// TestLevelMatchesLive pins that the controller's per-level read and the
+// stream's full sample report the same counters, with or without
+// history, and that only a history sampler records what Finalize reads.
+func TestLevelMatchesLive(t *testing.T) {
+	for _, s := range []*Sampler{NewSampler(), {}} {
+		eng := sim.New(1)
+		q := block.NewQueue(eng, &liveFIFO{}, &liveDev{eng: eng, lat: sim.Millisecond}, 1)
+		s.AttachQueue(q, "dom0")
+		q.Submit(block.NewRequest(block.Read, 0, 2048, true, 1))
+		q.Submit(block.NewRequest(block.Write, 8192, 1024, false, 2))
+		q.Submit(block.NewRequest(block.Read, 2048, 512, true, 1))
+		eng.RunUntil(sim.Time(sim.Millisecond))
+		now := eng.Now()
+		live, lvl := s.Live(now), s.Level(now, "dom0")
+		want := LevelSample{
+			SimTimeS:    live.SimTimeS,
+			Depth:       live.Depth["dom0"],
+			CumReadMB:   live.CumReadMB["dom0"],
+			CumWriteMB:  live.CumWriteMB["dom0"],
+			Completed:   live.Completed["dom0"],
+			SyncDone:    live.SyncDone["dom0"],
+			Dispatched:  live.Dispatched["dom0"],
+			SeekSectors: live.SeekSectors["dom0"],
+		}
+		if lvl != want || lvl.Completed != 1 || lvl.Depth != 1 || lvl.Dispatched != 2 {
+			t.Fatalf("history %v: Level = %+v, Live's dom0 = %+v", s.history, lvl, want)
+		}
+		if got := s.levels["dom0"].bytes.chunks != nil; got != s.history {
+			t.Fatalf("history %v: completed-bytes log recorded = %v", s.history, got)
+		}
 	}
 }

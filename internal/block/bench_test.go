@@ -1,6 +1,7 @@
 package block
 
 import (
+	"slices"
 	"testing"
 
 	"adaptmr/internal/sim"
@@ -37,7 +38,6 @@ func (benchDev) Service(r *Request, done func(*Request)) { done(r) }
 // same object through the queue again without allocating a fresh one.
 func resetForResubmit(r *Request) {
 	r.state = stateNew
-	r.merged = nil
 	r.mergedInto = nil
 }
 
@@ -84,5 +84,69 @@ func TestHooksDisabledZeroAlloc(t *testing.T) {
 	res := testing.Benchmark(BenchmarkHooksDisabled)
 	if a := res.AllocsPerOp(); a != 0 {
 		t.Fatalf("hooks-disabled dispatch path allocates %d allocs/op, want 0", a)
+	}
+}
+
+// holdDev keeps the one request it services until finish completes it.
+type holdDev struct {
+	r    *Request
+	done func(*Request)
+}
+
+func (d *holdDev) Service(r *Request, done func(*Request)) { d.r, d.done = r, done }
+
+func (d *holdDev) finish() {
+	r := d.r
+	d.r = nil
+	d.done(r)
+}
+
+// TestMergeChainSteadyStateZeroAlloc pins the merge chain: once the pool
+// is warm, a queue that absorbs a back-merged and two front-merged
+// children into a waiting request, then completes the parent, allocates
+// nothing, and the children complete after the parent in merge order.
+func TestMergeChainSteadyStateZeroAlloc(t *testing.T) {
+	eng := sim.New(1)
+	p := NewPool(false, nil)
+	dev := &holdDev{}
+	q := NewQueue(eng, &mergingElv{max: 1024}, dev, 1)
+	submitted := make([]*Request, 0, 8)
+	completed := make([]*Request, 0, 8)
+	record := func(r *Request) { completed = append(completed, r) }
+	submit := func(op Op, sector int64) {
+		r := p.Get(op, sector, 8, false, 1)
+		r.OnComplete = record
+		submitted = append(submitted, r)
+		q.Submit(r)
+	}
+	cycle := func() {
+		submitted, completed = submitted[:0], completed[:0]
+		submit(Read, 0)     // dispatched: occupies the device
+		submit(Write, 1000) // waits in the elevator: the parent
+		submit(Write, 1008) // back merge
+		submit(Write, 992)  // front merge
+		submit(Write, 984)  // front merge
+		dev.finish()        // the blocker completes; the parent dispatches
+		dev.finish()        // the parent completes with its children
+	}
+	cycle()
+	// The parent completes first, then its children in merge order, which
+	// here is submission order.
+	if !slices.Equal(completed, submitted) {
+		t.Fatalf("completion order %v, want submission order %v", completed, submitted)
+	}
+	if st := q.Stats(); st.MergedRequests != 3 || st.WriteRequests != 1 || st.WriteBytes != 4*8*SectorSize {
+		t.Fatalf("stats = %+v, want 3 children merged into one 32-sector write", st)
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("merge and completion allocate %v objects per cycle, want 0", a)
+	}
+	if st := p.Stats(); st.Gets != st.Puts || len(p.free) != 5 {
+		t.Fatalf("pool stats %+v with %d free, want every request back", st, len(p.free))
+	}
+	for _, r := range p.free {
+		if r.mergedHead != nil || r.mergedTail != nil || r.mergedNext != nil || r.mergedInto != nil {
+			t.Fatalf("freed request %v keeps merge links", r)
+		}
 	}
 }

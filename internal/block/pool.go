@@ -63,11 +63,9 @@ func (p *Pool) Get(op Op, sector, count int64, sync bool, stream StreamID) *Requ
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		p.stats.Reuses++
-		// Put already dropped the pointer fields, keeping merged's
-		// truncated backing array so a recycled request merges without
-		// re-growing it, and pool is unchanged: only the scalars need
-		// resetting, which spares a whole-struct copy and its write
-		// barriers.
+		// Put already dropped the pointer fields and pool is unchanged:
+		// only the scalars need resetting, which spares a whole-struct
+		// copy and its write barriers.
 		r.Op, r.Sector, r.Count, r.Sync, r.Stream = op, sector, count, sync, stream
 		r.Issued, r.Dispatched, r.Completed = 0, 0, 0
 		r.Journey, r.BacklogHold = 0, 0
@@ -96,15 +94,12 @@ func (p *Pool) Put(r *Request) {
 	r.state = stateFreed
 	p.stats.Puts++
 	// Drop references so neither the freelist nor a quarantined checked-mode
-	// request roots callbacks or merge chains. The fast path keeps merged's
-	// truncated backing array (the completing Queue nils its slots).
+	// request roots callbacks or merge chains.
 	r.OnComplete = nil
-	r.mergedInto = nil
+	r.mergedHead, r.mergedTail, r.mergedNext, r.mergedInto = nil, nil, nil, nil
 	if p.checked {
-		r.merged = nil
 		return
 	}
-	r.merged = r.merged[:0]
 	p.free = append(p.free, r)
 }
 

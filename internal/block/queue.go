@@ -418,11 +418,7 @@ func (q *Queue) complete(r *Request) {
 	// The parent extent already covers every merged child, so byte counters
 	// are accounted once via the parent.
 	q.account(r)
-	q.stats.MergedRequests += int64(len(r.merged))
 	q.elv.Completed(r, now)
-	// finish clears r.merged; capture it first so pool-owned merged
-	// children can be freed alongside their parent below.
-	merged := r.merged
 	r.finish(now)
 	if q.hooks != nil {
 		for _, fn := range q.hooks.complete {
@@ -430,15 +426,18 @@ func (q *Queue) complete(r *Request) {
 		}
 	}
 	// Free-at-complete: once every completion callback and hook has run,
-	// nothing in the stack may touch the request again, so pool-owned
-	// requests (and the children merged into them) go back to their pool.
+	// nothing in the stack may touch the request again, so the merge
+	// chain is unlinked and pool-owned requests (and the children merged
+	// into them) go back to their pool.
+	m := r.mergedHead
+	r.mergedHead, r.mergedTail = nil, nil
 	r.release()
-	for i, m := range merged {
+	for m != nil {
+		next := m.mergedNext
+		m.mergedNext = nil
 		m.release()
-		// merged shares its backing array with the recycled parent's
-		// (truncated) merged slice; nil the slots so the retained capacity
-		// does not root freed children.
-		merged[i] = nil
+		q.stats.MergedRequests++
+		m = next
 	}
 	q.maybeFinishSwitch()
 	q.kick()

@@ -71,9 +71,13 @@ type Request struct {
 	// so journey decompositions can attribute switch stall exactly.
 	BacklogHold sim.Duration
 
-	// merged tracks requests coalesced into this one; their callbacks run
-	// when this request completes.
-	merged []*Request
+	// mergedHead and mergedTail chain the requests coalesced into this
+	// one, in merge order, through each child's mergedNext (as a Linux
+	// request links its bios through bi_next up to rq->biotail), so a
+	// merge allocates nothing. The children's callbacks run when this
+	// request completes.
+	mergedHead, mergedTail *Request
+	mergedNext             *Request
 	// mergedInto points from a coalesced request back to the request that
 	// absorbed it (observer hooks report merge pairs through it).
 	mergedInto *Request
@@ -157,9 +161,7 @@ func (r *Request) BackMerge(next *Request) {
 		panic("block: invalid back merge")
 	}
 	r.Count += next.Count
-	next.state = stateMerged
-	next.mergedInto = r
-	r.merged = append(r.merged, next)
+	r.absorb(next)
 }
 
 // FrontMerge prepends prev's extent to r.
@@ -169,27 +171,35 @@ func (r *Request) FrontMerge(prev *Request) {
 	}
 	r.Sector = prev.Sector
 	r.Count += prev.Count
-	prev.state = stateMerged
-	prev.mergedInto = r
-	r.merged = append(r.merged, prev)
+	r.absorb(prev)
+}
+
+// absorb chains child after the requests already merged into r, so the
+// children of back and front merges alike complete in merge order.
+func (r *Request) absorb(child *Request) {
+	child.state = stateMerged
+	child.mergedInto = r
+	if r.mergedTail == nil {
+		r.mergedHead = child
+	} else {
+		r.mergedTail.mergedNext = child
+	}
+	r.mergedTail = child
 }
 
 // finish runs completion callbacks for r and everything merged into it.
+// The chain stays linked; the completing Queue unlinks it.
 func (r *Request) finish(now sim.Time) {
 	r.Completed = now
 	r.state = stateDone
 	if r.OnComplete != nil {
 		r.OnComplete(r)
 	}
-	for _, m := range r.merged {
+	for m := r.mergedHead; m != nil; m = m.mergedNext {
 		m.Completed = now
 		m.state = stateDone
 		if m.OnComplete != nil {
 			m.OnComplete(m)
 		}
 	}
-	// Truncate rather than nil so a pooled request keeps the backing array
-	// across recycling; the completing Queue nils the slots after freeing
-	// the children (it still holds the full-length view).
-	r.merged = r.merged[:0]
 }

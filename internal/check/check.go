@@ -127,15 +127,41 @@ func (s *Set) Err() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// Finalize runs every attached checker's end-of-run audit (request leaks,
-// byte conservation). Call it once the simulation has fully drained; a
-// run abandoned mid-flight (context cancellation) should skip it.
+// Finalize runs the end-of-run audit (request leaks, byte conservation)
+// of every checker still attached: Retire has audited the others. Call it
+// once the simulation has fully drained; a run abandoned mid-flight
+// (context cancellation) should skip it.
 func (s *Set) Finalize() {
 	s.mu.Lock()
 	checkers := make([]*Invariants, len(s.checkers))
 	copy(checkers, s.checkers)
 	s.mu.Unlock()
 	for _, c := range checkers {
+		c.Final()
+	}
+}
+
+// Retire runs the end-of-run audit of every checker attached with eng,
+// folding its verdict into the set's log and total, and drops those
+// checkers, so the set no longer keeps their queues and engine alive.
+// Finalize then audits only the checkers still attached, so each checker
+// is audited once. A fleet retires a cell's checkers when the cell's
+// engine drains; call it only once eng's simulation has fully drained.
+func (s *Set) Retire(eng *sim.Engine) {
+	s.mu.Lock()
+	var retired []*Invariants
+	kept := s.checkers[:0]
+	for _, c := range s.checkers {
+		if c.eng == eng {
+			retired = append(retired, c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	clear(s.checkers[len(kept):])
+	s.checkers = kept
+	s.mu.Unlock()
+	for _, c := range retired {
 		c.Final()
 	}
 }

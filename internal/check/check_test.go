@@ -173,6 +173,45 @@ func TestCheckerDetectsLostRequest(t *testing.T) {
 	}
 }
 
+// TestRetireAuditsEachCheckerOnce pins the fold Retire performs: it
+// audits the checkers of one engine into the set's verdict at once and
+// drops them, and the later Finalize audits only the checkers still
+// attached, so each checker's leaks are reported exactly once.
+func TestRetireAuditsEachCheckerOnce(t *testing.T) {
+	set := NewSet()
+	p := iosched.DefaultParams()
+	var engs []*sim.Engine
+	for _, name := range []string{"test/a", "test/b"} {
+		eng := sim.New(1)
+		q := block.NewQueue(eng, iosched.MustNew(iosched.Noop, p), &lossyDevice{eng: eng, n: 2}, 2)
+		set.Attach(eng, q, name, p)
+		for i := 0; i < 3; i++ {
+			q.Submit(block.NewRequest(block.Read, int64(i)*64, 8, true, 1))
+		}
+		eng.Run()
+		engs = append(engs, eng)
+	}
+	count := func(queue string) int {
+		n := 0
+		for _, v := range set.Violations() {
+			if v.Queue == queue {
+				n++
+			}
+		}
+		return n
+	}
+	set.Retire(engs[0])
+	a := count("test/a")
+	if a == 0 || count("test/b") != 0 || len(set.checkers) != 1 {
+		t.Fatalf("after Retire: %d violations on a, %d on b, %d checkers kept; want a's audit only, b kept",
+			a, count("test/b"), len(set.checkers))
+	}
+	set.Finalize()
+	if got, b := count("test/a"), count("test/b"); got != a || b != a {
+		t.Fatalf("after Finalize: %d violations on a, %d on b, want %d each", got, b, a)
+	}
+}
+
 // TestSetErrCapsStorage pins that the violation log caps its storage but
 // keeps counting.
 func TestSetErrCapsStorage(t *testing.T) {

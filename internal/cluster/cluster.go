@@ -7,6 +7,7 @@ package cluster
 import (
 	"fmt"
 
+	"adaptmr/internal/block"
 	"adaptmr/internal/check"
 	"adaptmr/internal/guestio"
 	"adaptmr/internal/hdfs"
@@ -43,6 +44,11 @@ type Config struct {
 	// block queue in the cluster (each host's Dom0 queue and every guest
 	// queue). See internal/check; nil disables checking at zero cost.
 	Check *check.Set
+
+	// Pools, when set, hands host i the recycling request pool Pools[i]
+	// (see xen.HostConfig.Pool) that RequestPools returned for an earlier
+	// cluster whose engine has drained.
+	Pools []*block.Pool
 
 	// HostDiskSlowdown optionally makes specific hosts' disks slower by
 	// the given factor (2.0 = half the transfer rate, double the seeks) —
@@ -96,6 +102,9 @@ func New(cfg Config) *Cluster {
 		hostCfg := cfg.Host
 		hostCfg.Obs = cfg.Obs
 		hostCfg.Check = cfg.Check
+		if h < len(cfg.Pools) {
+			hostCfg.Pool = cfg.Pools[h]
+		}
 		if f, ok := cfg.HostDiskSlowdown[h]; ok && f > 0 {
 			hostCfg.Disk.TransferMBps /= f
 			hostCfg.Disk.SeekMin = sim.Duration(float64(hostCfg.Disk.SeekMin) * f)
@@ -112,6 +121,22 @@ func New(cfg Config) *Cluster {
 	}
 	c.DFS = hdfs.New(eng, cfg.HDFS, nodes, c.Net)
 	return c
+}
+
+// RequestPools returns each host's recycling request pool, or nil when
+// the hosts have none (journey tracing, Check). Hand them to another
+// cluster's Config.Pools only once this cluster's engine has drained,
+// when every request is back in its pool.
+func (c *Cluster) RequestPools() []*block.Pool {
+	var pools []*block.Pool
+	for _, h := range c.Hosts {
+		p := h.Pool()
+		if p == nil {
+			return nil
+		}
+		pools = append(pools, p)
+	}
+	return pools
 }
 
 // instrumentNet subscribes flow tracing/metrics to the network. Flow spans

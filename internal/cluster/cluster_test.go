@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
+	"adaptmr/internal/block"
+	"adaptmr/internal/check"
 	"adaptmr/internal/iosched"
 )
 
@@ -81,6 +84,52 @@ func TestSetPairAllCompletion(t *testing.T) {
 		if h.Pair().VMM != iosched.Noop {
 			t.Fatal("host missed the switch")
 		}
+	}
+}
+
+// burst submits n one-sector reads to every VM and drains the engine.
+func burst(cl *Cluster, n int) {
+	for vm := 0; vm < cl.NumVMs(); vm++ {
+		for i := 0; i < n; i++ {
+			cl.Domain(vm).Submit(block.Read, int64(i)*64, 1, true, 1, nil)
+		}
+	}
+	cl.Eng.Run()
+}
+
+// TestRequestPoolsCarryOver pins the pool hand-off: a cluster built with
+// a drained cluster's pools draws from them, so the same burst allocates
+// no request the first cluster did not already return, and a checked
+// cluster, whose pools only detect, offers none.
+func TestRequestPoolsCarryOver(t *testing.T) {
+	first := New(smallConfig())
+	burst(first, 20)
+	pools := first.RequestPools()
+	if len(pools) != 2 || slices.Contains(pools, nil) {
+		t.Fatalf("RequestPools = %v, want one pool per host", pools)
+	}
+	before := make([]block.PoolStats, len(pools))
+	for i, p := range pools {
+		before[i] = p.Stats()
+	}
+	cfg := smallConfig()
+	cfg.Pools = pools
+	second := New(cfg)
+	if got := second.RequestPools(); !slices.Equal(got, pools) {
+		t.Fatalf("second cluster's pools %v, want the first's %v", got, pools)
+	}
+	burst(second, 20)
+	for i, p := range pools {
+		st := p.Stats()
+		if gets, reuses := st.Gets-before[i].Gets, st.Reuses-before[i].Reuses; gets == 0 || reuses != gets {
+			t.Errorf("host %d: second burst got %d requests, %d reused, want all reused", i, gets, reuses)
+		}
+	}
+
+	checked := smallConfig()
+	checked.Check = check.NewSet()
+	if got := New(checked).RequestPools(); got != nil {
+		t.Fatalf("checked cluster offers pools %v", got)
 	}
 }
 

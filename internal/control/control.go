@@ -1,7 +1,7 @@
 // Package control is the online adaptive controller: the closed-loop
 // counterpart of the paper's offline meta-scheduler. Instead of profiling
 // candidate pairs up front and committing to a phase plan, the controller
-// watches the live I/O mix through analyze.Sampler.Live while the job (or
+// watches the live I/O mix through analyze.Sampler.Level while the job (or
 // a whole multi-job cell) runs, classifies each sampling window into a
 // regime — read-dominated, write-dominated, mixed or idle — and issues
 // cluster-wide elevator switches when the regime durably calls for a
@@ -289,11 +289,11 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) {
 	// The opening dwell budget is available immediately, so the controller
 	// can react to the first stable regime of the run.
 	c.lastSwitch = cl.Eng.Now().Add(-c.pol.MinDwell)
-	prev := smp.Live(cl.Eng.Now())
+	prev := smp.Level(cl.Eng.Now(), c.pol.Level)
 	cl.Eng.Watch(c.pol.Window, c.pol.Window, func() {
 		now := cl.Eng.Now()
-		cur := smp.Live(now)
-		c.evaluate(cl, cur.Window(prev, c.pol.Level), now)
+		cur := smp.Level(now, c.pol.Level)
+		c.evaluate(cl, cur.Window(prev), now)
 		prev = cur
 	})
 }

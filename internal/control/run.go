@@ -26,9 +26,11 @@ type Result struct {
 
 // AttachCluster attaches a fresh sampler to cl and a controller running
 // pol on top of it: the wiring every online run shares, a single job's
-// (Run) or a fleet cell's. Call it before traffic starts.
+// (Run) or a fleet cell's. Call it before traffic starts. Nothing
+// finalizes the sampler, so it keeps only the running counters (the zero
+// analyze.Sampler) and records no history.
 func AttachCluster(cl *cluster.Cluster, pol Policy) (*Controller, *analyze.Sampler) {
-	smp := analyze.NewSampler()
+	smp := new(analyze.Sampler)
 	smp.AttachCluster(cl)
 	c := New(pol)
 	c.Attach(cl, smp)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,7 +17,8 @@ import (
 // fleet-smoke job sets it); the regular suite exercises the same
 // machinery at small scale (byte-identity, 20-job fair-share under
 // check, flat live heap across cells). It logs the peak live heap next
-// to wall time and events.
+// to wall time and events, and fails when the peak shows finished cells
+// kept alive.
 func TestAcceptanceScale(t *testing.T) {
 	if os.Getenv("FLEET_ACCEPT") == "" {
 		t.Skip("acceptance-scale scenario; set FLEET_ACCEPT=1 to run")
@@ -54,6 +56,15 @@ func TestAcceptanceScale(t *testing.T) {
 	}
 	t.Logf("hosts=%d vms=%d jobs=%d makespan=%.1fs events=%d wall=%.1fs eps=%.0f peak_live_heap=%.1fMB",
 		res.Hosts, res.VMs, len(res.Jobs), res.Agg.MakespanS, res.SimEvents, res.WallS, res.EventsPerSec, peakMB)
+	// The live heap grows with the cells in flight, one per worker: the
+	// checked peak read 10.8–14.2 MB with 2 workers (7.5 MB with 1, 24 MB
+	// with 4), about 6 MB per worker, so the bound allows twice that. A
+	// check set that kept every finished cell read 46 MB with 2 workers.
+	workers := min(runtime.GOMAXPROCS(0), s.Cells)
+	if limit := 12 * float64(workers); peakMB > limit {
+		t.Fatalf("peak live heap %.1f MB over %.0f MB (12 MB per worker, %d workers): finished cells are retained",
+			peakMB, limit, workers)
+	}
 }
 
 // pollLiveHeap samples the live heap (/gc/heap/live:bytes, what the last

@@ -8,8 +8,12 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"adaptmr/internal/block"
 	"adaptmr/internal/check"
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/obs"
@@ -127,7 +131,9 @@ func liveHeapNow() uint64 {
 // run builds each cell right before running it and drops the cell's
 // cluster, job tracker and jobs when it finishes, so the live heap seen
 // as each cell starts stays flat instead of growing by one cluster per
-// cell.
+// cell. The first cell starts before any request pool exists; every
+// later one starts holding the one set of pools the cells pass on, so
+// the bound is taken from the second cell on.
 func TestFinishedCellsAreReleased(t *testing.T) {
 	s := SmokeScenario()
 	s.Cells = 6 // one job per cell
@@ -139,14 +145,113 @@ func TestFinishedCellsAreReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low := slices.Min(heaps)
 	t.Logf("live heap at each cell's start (bytes): %v", heaps)
+	heaps = heaps[1:]
+	low := slices.Min(heaps)
 	// A retained smoke-scale cell adds about 30 KB.
 	const slack = 16 << 10
 	if last := heaps[len(heaps)-1]; last > low+slack {
 		t.Fatalf("live heap grew %d KB over %d cells, want at most %d KB: finished cells are retained",
 			(last-low)>>10, len(heaps), slack>>10)
 	}
+}
+
+// TestCheckedCellsAreReleased pins the same bound under checking: a
+// cell's checkers are audited and dropped when its engine drains, so the
+// check set, whose checkers hold their queue and engine, does not keep
+// the finished cell alive. The first cell's Dom0 queue must be collected
+// while the later cells run, and the verdict must still cover every
+// cell. A finalizer observes the collection on a leaf object the queue's
+// hooks hold: one on the queue or the engine might never run, since both
+// sit in reference cycles.
+func TestCheckedCellsAreReleased(t *testing.T) {
+	s := SmokeScenario()
+	s.Cells = 3
+	cs := check.NewSet()
+	var collected atomic.Bool
+	var seen []bool
+	_, err := Run(s, Options{
+		Parallelism: 1,
+		Check:       cs,
+		OnCell: func(c int, cl *cluster.Cluster) {
+			if c == 0 {
+				leaf := new([64]byte)
+				runtime.SetFinalizer(leaf, func(*[64]byte) { collected.Store(true) })
+				cl.Hosts[0].Dom0Queue().OnSwitched(func(block.SwitchInfo) { leaf[0]++ })
+				return
+			}
+			seen = append(seen, collectedSoon(&collected))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seen, []bool{true, true}) {
+		t.Fatalf("first cell's queue collected as cells 1 and 2 start: %v, want [true true]", seen)
+	}
+	cs.Finalize()
+	if err := cs.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainedCellPoolsCarryOver pins the request-pool hand-off: each
+// cell a worker builds takes over the pools of a cell that has drained,
+// so a fleet grows at most one set of pools per worker, and a checked
+// fleet, whose pools only detect, carries none.
+func TestDrainedCellPoolsCarryOver(t *testing.T) {
+	s := tinyScenario()
+	s.Cells = 4
+	for _, par := range []int{1, 2} {
+		var mu sync.Mutex
+		sets := map[*block.Pool]bool{}
+		_, err := Run(s, Options{
+			Parallelism: par,
+			OnCell: func(_ int, cl *cluster.Cluster) {
+				pools := cl.RequestPools()
+				if len(pools) != s.HostsPerCell || slices.Contains(pools, nil) {
+					t.Errorf("cell pools %v, want one per host", pools)
+					return
+				}
+				mu.Lock()
+				sets[pools[0]] = true
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sets) > par {
+			t.Errorf("parallelism %d: %d cells built %d pool sets, want at most %d",
+				par, s.Cells, len(sets), par)
+		}
+	}
+	_, err := Run(s, Options{
+		Parallelism: 1,
+		Check:       check.NewSet(),
+		OnCell: func(c int, cl *cluster.Cluster) {
+			if pools := cl.RequestPools(); pools != nil {
+				t.Errorf("checked cell %d has recycling pools %v", c, pools)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// collectedSoon collects garbage until flag is set by a finalizer, for
+// at most a second (finalizers run on their own goroutine after the
+// collection that finds their object unreachable).
+func collectedSoon(flag *atomic.Bool) bool {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		runtime.GC()
+		if flag.Load() {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }
 
 // TestRunFleetHonoursCancel pins the context path: a cancelled context

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"adaptmr/internal/block"
 	"adaptmr/internal/check"
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/core"
@@ -29,7 +30,9 @@ type Options struct {
 
 	// Check attaches the runtime invariant harness to every block queue
 	// of every cell (the set is mutex-guarded and shared safely across
-	// cell goroutines).
+	// cell goroutines). Each cell that finishes its jobs has its checkers
+	// audited and dropped (check.Set.Retire), so a checked fleet holds
+	// only the cells in flight; the caller's Finalize audits the rest.
 	Check *check.Set
 
 	// Perf collects wall-clock telemetry (Result.WallS, EventsPerSec),
@@ -67,12 +70,21 @@ type cell struct {
 // OnCell — drives its engine until the calendar drains and keeps only
 // what the result and the fold read. A cell that drains with jobs
 // unfinished has deadlocked.
-func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instance) (cell, error) {
+//
+// The cell draws its request pools from shelf when a drained cell left
+// some there, and shelves its own once it drains. Pools hold only freed
+// requests and never change simulated results, so which cell takes which
+// set does not matter.
+func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instance, shelf chan []*block.Pool) (cell, error) {
 	cc := cluster.DefaultConfig()
 	cc.Hosts = s.HostsPerCell
 	cc.VMsPerHost = s.VMsPerHost
 	cc.Seed = cellSeed(s.Seed, c)
 	cc.Check = opt.Check
+	select {
+	case cc.Pools = <-shelf:
+	default:
+	}
 	cc.Obs = opt.Obs.Private(c, fmt.Sprintf("cell%d", c))
 	cl := cluster.New(cc)
 	cl.InstallPair(pair)
@@ -89,6 +101,14 @@ func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instanc
 	if !jt.allDone() {
 		return cell{}, fmt.Errorf("fleet: cell %d stalled with %d/%d jobs finished (model deadlock)",
 			c, len(jt.finished), jt.total)
+	}
+	if opt.Check != nil {
+		// The cell drained: audit its checkers now, so the set does not
+		// keep the finished cell alive until the fleet's Finalize.
+		opt.Check.Retire(cl.Eng)
+	}
+	if pools := cl.RequestPools(); pools != nil {
+		shelf <- pools // every request is back in its pool
 	}
 	jobs := jt.finished
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
@@ -125,11 +145,14 @@ func Run(s Scenario, opt Options) (*Result, error) {
 		wallStart = time.Now()
 	}
 	// Cells exchange no events, so each is built, run and released on its
-	// own worker; the first error in cell order is reported.
+	// own worker; the first error in cell order is reported. A drained
+	// cell's request pools go to the next cell built, so the fleet grows
+	// at most Parallelism sets of them.
 	cells := make([]cell, s.Cells)
 	errs := make([]error, s.Cells)
+	shelf := make(chan []*block.Pool, s.Cells) // a slot per cell: no send blocks
 	core.Fan(opt.Parallelism, s.Cells, func(c int) {
-		cells[c], errs[c] = runCell(s, opt, pair, c, perCell[c])
+		cells[c], errs[c] = runCell(s, opt, pair, c, perCell[c], shelf)
 	})
 	for _, err := range errs {
 		if err != nil {

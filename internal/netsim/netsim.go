@@ -30,6 +30,12 @@ func DefaultConfig() Config {
 }
 
 // Flow is one in-progress transfer.
+//
+// A handle is dead once its flow completes: the Network recycles the Flow
+// after OnFlowDone has observed it and before the flow's done callback
+// runs, so a later Send may hand the same pointer out again for another
+// transfer. Read a finished flow inside OnFlowDone, and drop any handle
+// Send returned by the time done runs.
 type Flow struct {
 	src, dst  int
 	bytes     float64 // total transfer size
@@ -87,6 +93,7 @@ type Network struct {
 	order    []int // links in first-use order
 
 	finished []*Flow // completeDue's scratch, cleared after each use
+	free     []*Flow // finished flows Send reuses
 
 	stats Stats
 
@@ -119,7 +126,7 @@ func (n *Network) Active() int { return len(n.flows) }
 
 // Send starts a transfer of bytes from src node to dst node and invokes
 // done on completion. Zero-byte transfers complete immediately (next
-// event).
+// event). The returned handle is dead once the flow completes (see Flow).
 func (n *Network) Send(src, dst int, bytes float64, done func()) *Flow {
 	if src < 0 || src >= n.nodes || dst < 0 || dst >= n.nodes {
 		panic("netsim: node out of range")
@@ -128,7 +135,14 @@ func (n *Network) Send(src, dst int, bytes float64, done func()) *Flow {
 		panic("netsim: negative transfer")
 	}
 	n.advance()
-	f := &Flow{src: src, dst: dst, bytes: bytes, remaining: bytes, start: n.eng.Now(), done: done}
+	var f *Flow
+	if k := len(n.free); k > 0 {
+		f = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		f = new(Flow)
+	}
+	*f = Flow{src: src, dst: dst, bytes: bytes, remaining: bytes, start: n.eng.Now(), done: done}
 	if src == dst {
 		f.links[0], f.nlinks = src*linkKinds+linkBridge, 1
 		n.stats.BridgeFlows++
@@ -284,8 +298,13 @@ func (n *Network) completeDue() {
 		if n.OnFlowDone != nil {
 			n.OnFlowDone(f)
 		}
-		if f.done != nil {
-			f.done()
+		// Recycle before done runs, so a transfer that done starts reuses
+		// the flow it follows.
+		done := f.done
+		f.done = nil
+		n.free = append(n.free, f)
+		if done != nil {
+			done()
 		}
 	}
 	clear(finished)

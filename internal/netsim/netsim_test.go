@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -359,13 +360,51 @@ func BenchmarkRecompute(b *testing.B) {
 	}
 }
 
-// TestSendCompleteSteadyStateAllocs pins the reused water-filling scratch:
-// once warm, a Send and the run to its completion allocate one object, the
-// returned *Flow. The completion event each Send supersedes is recycled as
-// soon as it is cancelled, so the engine allocates nothing.
+// TestSendCompleteSteadyStateAllocs pins the reused water-filling scratch
+// and flow recycling: once warm, a Send and the run to its completion
+// allocate nothing. The finished *Flow goes back to the network's
+// freelist, and the completion event each Send supersedes is recycled as
+// soon as it is cancelled.
 func TestSendCompleteSteadyStateAllocs(t *testing.T) {
 	cycle := sendCompleteCycle()
-	if a := testing.AllocsPerRun(100, cycle); a != 1 {
-		t.Fatalf("Send and completion allocate %v objects, want 1", a)
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("Send and completion allocate %v objects, want 0", a)
+	}
+}
+
+// TestRecycledFlowReportsNewTransfer pins the handle contract's other
+// side: a flow recycled for a new transfer, here one started from the
+// finished flow's own done callback, reports the new transfer's size,
+// start time, endpoints and rate, not the old one's.
+func TestRecycledFlowReportsNewTransfer(t *testing.T) {
+	type view struct {
+		f           *Flow
+		bytes, rate float64
+		start       sim.Time
+		src, dst    int
+	}
+	eng, n := testNet(3)
+	var seen []view
+	n.OnFlowDone = func(f *Flow) {
+		seen = append(seen, view{f, f.Bytes(), f.Rate(), f.Start(), f.Src(), f.Dst()})
+	}
+	var second *Flow
+	first := n.Send(0, 1, 100e6, func() {
+		second = n.Send(2, 2, 800e6, nil) // the bridge: 400 MB/s
+	})
+	eng.Run()
+	if second != first {
+		t.Fatal("the send from done did not reuse the finished flow")
+	}
+	at := sim.Time(sim.Second)
+	want := []view{
+		{first, 100e6, 100e6, 0, 0, 1},
+		{first, 800e6, 400e6, at, 2, 2},
+	}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("OnFlowDone saw %+v, want %+v", seen, want)
+	}
+	if eng.Now() != at.Add(2*sim.Second) {
+		t.Fatalf("second transfer finished at %v, want 3s", eng.Now())
 	}
 }

@@ -50,6 +50,11 @@ type HostConfig struct {
 	// queue built for this host (Dom0 and each guest). Violations
 	// accumulate in the set; nil disables checking at zero cost.
 	Check *check.Set
+	// Pool, when non-nil, is the recycling request pool the host draws
+	// from instead of a fresh one, so hosts built one after another reuse
+	// the requests an earlier, fully drained host returned (see
+	// Host.Pool). Checked and journey-tracing hosts ignore it.
+	Pool *block.Pool
 }
 
 // DefaultHostConfig mirrors the paper testbed: Xen 3.4.2, one SATA disk,
@@ -142,6 +147,8 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 			h.pool = block.NewPool(true, func(format string, args ...any) {
 				cfg.Check.Report(poolName, "pool-lifecycle", eng.Now(), fmt.Sprintf(format, args...))
 			})
+		} else if cfg.Pool != nil {
+			h.pool = cfg.Pool
 		} else {
 			h.pool = block.NewPool(false, nil)
 		}
@@ -150,6 +157,17 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 		h.domains = append(h.domains, newDomain(h, i))
 	}
 	return h
+}
+
+// Pool returns the recycling request pool the host draws from, or nil
+// when it has none: journey tracing pools nothing and Check's pool only
+// detects. Once the host's engine has drained every request is back in
+// it, so a later host may take it over through HostConfig.Pool.
+func (h *Host) Pool() *block.Pool {
+	if h.cfg.Check != nil {
+		return nil
+	}
+	return h.pool
 }
 
 // Obs returns the observability sink threaded through the host.

@@ -309,7 +309,9 @@ func TestRunFleetOnlineDeterminism(t *testing.T) {
 // controller on every cell: a controller kept for its outcome must not
 // keep its finished cell alive, so the live heap seen as each cell of a
 // serial run starts stays flat instead of growing by one cluster per
-// cell.
+// cell. The first cell starts before any request pool exists; every
+// later one starts holding the one set of pools the cells pass on, so
+// the bound is taken from the second cell on.
 func TestRunFleetOnlineReleasesCells(t *testing.T) {
 	s := adaptmr.SmokeFleetScenario()
 	s.Cells = 6 // one job per cell
@@ -326,8 +328,9 @@ func TestRunFleetOnlineReleasesCells(t *testing.T) {
 	if len(cells) != s.Cells || len(heaps) != s.Cells {
 		t.Fatalf("%d outcomes and %d heap readings, want %d", len(cells), len(heaps), s.Cells)
 	}
-	low := slices.Min(heaps)
 	t.Logf("live heap at each cell's start (bytes): %v", heaps)
+	heaps = heaps[1:]
+	low := slices.Min(heaps)
 	// A retained smoke-scale cell with its controller and sampler adds
 	// about 38 KB; each returned decision log about 1 KB.
 	const slack = 24 << 10
