@@ -362,12 +362,18 @@ func TestComparePerfGating(t *testing.T) {
 		t.Fatal("+2 allocs/event should trip the alloc gate")
 	}
 
-	// A sub-floor alloc wiggle (< allocAbsFloor) passes.
+	// A rise inside the relative bound (allocTol) passes; one just past
+	// it trips.
 	cand = base
-	cand.AllocsPerEvent = base.AllocsPerEvent + 0.3
+	cand.AllocsPerEvent = base.AllocsPerEvent * (1 + allocTol*0.9)
 	cmp, _ = Compare(base, cand)
 	if regressedMetric(cmp, "allocs_per_event") {
-		t.Fatal("sub-floor alloc change should not trip the gate")
+		t.Fatal("alloc change inside the relative bound should not trip the gate")
+	}
+	cand.AllocsPerEvent = base.AllocsPerEvent * (1 + allocTol*1.1)
+	cmp, _ = Compare(base, cand)
+	if !regressedMetric(cmp, "allocs_per_event") {
+		t.Fatal("alloc change past the relative bound should trip the gate")
 	}
 
 	// The absolute ceiling trips on the candidate alone, even against a
@@ -378,7 +384,7 @@ func TestComparePerfGating(t *testing.T) {
 	cand.AllocsPerEvent = 3.5
 	cmp, _ = Compare(drifted, cand)
 	if regressedMetric(cmp, "allocs_per_event") {
-		t.Fatal("relative alloc gate should be quiet within the floor of a drifted baseline")
+		t.Fatal("relative alloc gate should be quiet within 10% of a drifted baseline")
 	}
 	if !regressedMetric(cmp, "allocs_per_event_ceiling") {
 		t.Fatal("3.5 allocs/event should breach the 3.0 ceiling")

@@ -43,8 +43,8 @@ type Bench struct {
 
 	// Engine self-telemetry (schema v2), present only when the run was
 	// executed with perf collection enabled. allocs_per_event gates
-	// within half an allocation of the baseline and under an absolute
-	// ceiling; events_per_sec is wall-clock and machine-dependent, so it
+	// within 10% of the baseline and under an absolute ceiling;
+	// events_per_sec is wall-clock and machine-dependent, so it
 	// gates only on a halving; the rest are informational.
 	WallS          float64 `json:"wall_s,omitempty"`
 	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
@@ -118,14 +118,12 @@ func (c Comparison) Regressed() bool {
 	return false
 }
 
-// allocAbsFloor is the absolute slack for the allocs/event gate: below
-// half an extra allocation per event the gate stays quiet, so cold-path
-// bookkeeping noise cannot fail CI, while a per-request closure leak
-// (typically +1 alloc per I/O, many I/Os per event chain) still trips.
-// The pooled engine runs well under one allocation per event, so the
-// pre-pooling floor of 2.0 would have let a whole reintroduced
-// allocation-per-event slip through unnoticed.
-const allocAbsFloor = 0.5
+// allocTol is the relative slack for the allocs/event gate. Twelve fresh
+// gate processes of one build read the sort entry within 0.7% of their
+// median (0.17655–0.17774 allocs/event, 2 cores), so the bound sits more
+// than ten times above that spread, while one heap object per merge
+// index key (+16% on that entry) or a per-request closure still trips.
+const allocTol = 0.10
 
 // allocCeiling is the absolute allocations-per-event budget for the
 // pooled engine: a candidate above it fails the gate outright, no matter
@@ -176,7 +174,7 @@ func Compare(base, cand Bench) (Comparison, error) {
 	}
 	c.row("allocs_per_event", base.AllocsPerEvent, cand.AllocsPerEvent,
 		base.AllocsPerEvent > 0 && cand.AllocsPerEvent > 0,
-		cand.AllocsPerEvent > base.AllocsPerEvent+allocAbsFloor)
+		cand.AllocsPerEvent > base.AllocsPerEvent*(1+allocTol))
 	// The absolute budget gates on the candidate alone (the baseline is
 	// shown for context), so it fires even when the baseline itself has
 	// drifted over the ceiling.

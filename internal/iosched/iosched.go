@@ -8,6 +8,7 @@ package iosched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"adaptmr/internal/block"
@@ -270,112 +271,48 @@ func (f *fifo) remove(r *block.Request) {
 
 // merger indexes queued requests by start and end sector, mirroring the
 // block layer's rq hash, so an incoming request can be coalesced with an
-// adjacent queued request in O(1).
+// adjacent queued request in O(1). A merger owns one table keyed by
+// sector, whose slot for a key holds two buckets: the queued requests
+// that start there and those that end there.
 //
-// A bucket stores its first entry inline because almost every sector key
-// holds exactly one queued request at a time: the overflow slice only
-// allocates on a genuine collision, so steady-state indexing is
-// allocation-free. Bucket order evolves exactly like the plain
-// append/swap-remove slice it replaces (first is conceptual slot 0), so
-// candidate scan order — and therefore which request wins a merge — is
-// unchanged.
-type mergeBucket struct {
-	first *block.Request
-	rest  []*block.Request
+// A bucket keeps its first request in the slot itself, because almost
+// every key holds at most one request per bucket at a time; the rest go
+// to an overflow that is allocated when a second request joins a bucket
+// and released when both buckets are down to their first again. So
+// indexing allocates nothing per key. A bucket evolves like a plain
+// append/swap-remove slice whose slot 0 is the inline request: the
+// candidate scan order under a key, and therefore which request wins a
+// merge, is that slice's.
+type merger struct {
+	index      mergeTable
+	maxSectors int64
 }
 
-func (b *mergeBucket) add(r *block.Request) {
-	if b.first == nil && len(b.rest) == 0 {
-		b.first = r
-		return
-	}
-	b.rest = append(b.rest, r)
+func newMerger(maxSectors int64) *merger {
+	return &merger{index: newMergeTable(mergeTableMinBits), maxSectors: maxSectors}
 }
 
-// cut removes r, moving the last entry into its slot (the swap-remove the
-// slice version performed).
-func (b *mergeBucket) cut(r *block.Request) {
-	if b.first == r {
-		if n := len(b.rest); n > 0 {
-			b.first = b.rest[n-1]
-			b.rest[n-1] = nil
-			b.rest = b.rest[:n-1]
-		} else {
-			b.first = nil
-		}
-		return
-	}
-	for i, q := range b.rest {
-		if q == r {
-			n := len(b.rest)
-			b.rest[i] = b.rest[n-1]
-			b.rest[n-1] = nil
-			b.rest = b.rest[:n-1]
-			return
-		}
-	}
-}
+// The two bucket sides of a slot.
+const (
+	starts = 0 // requests that start at the key: front-merge candidates
+	ends   = 1 // requests that end at the key: back-merge candidates
+)
 
-// requeue moves r to the back of the bucket, where cutting and
-// re-adding it leaves it.
-func (b *mergeBucket) requeue(r *block.Request) {
-	b.cut(r)
-	b.add(r)
-}
+// mergeOverflow holds a slot's further requests by side, in bucket order
+// after the inline first.
+type mergeOverflow [2][]*block.Request
 
-// backMerger returns the first request in scan order that r can be
-// appended to, or nil.
-func (b *mergeBucket) backMerger(r *block.Request, maxSectors int64) *block.Request {
-	if b.first == nil {
-		return nil
-	}
-	if b.first.CanBackMerge(r, maxSectors) {
-		return b.first
-	}
-	for _, q := range b.rest {
-		if q.CanBackMerge(r, maxSectors) {
-			return q
-		}
-	}
-	return nil
-}
-
-// frontMerger returns the first request in scan order that r can be
-// prepended to, or nil.
-func (b *mergeBucket) frontMerger(r *block.Request, maxSectors int64) *block.Request {
-	if b.first == nil {
-		return nil
-	}
-	if b.first.CanFrontMerge(r, maxSectors) {
-		return b.first
-	}
-	for _, q := range b.rest {
-		if q.CanFrontMerge(r, maxSectors) {
-			return q
-		}
-	}
-	return nil
-}
-
-// mergeEntry holds everything indexed under one sector key: the queued
-// requests that start there and those that end there.
-type mergeEntry struct {
-	starts mergeBucket
-	ends   mergeBucket
-}
-
-func (e *mergeEntry) empty() bool { return e.starts.first == nil && e.ends.first == nil }
-
-// mergeTable maps a sector key to its entry. It is open-addressed: linear
+// mergeTable maps a sector key to its buckets. It is open-addressed: linear
 // probing over a power-of-two slot array from a multiplicative (Fibonacci)
 // hash of the key, backward-shift deletion so the table never holds
 // tombstones, and doubling at 3/4 load. Key -1 marks an empty slot, which
 // is safe because sectors are never negative. A Go map here spent most of
 // the merger's time hashing (DESIGN.md §13).
 //
-// A slot is a key and one pointer, 16 bytes. Keep it that small: a tuning
-// search builds about a thousand mergers, and storing the entry inline
-// in the slot raised the search's peak heap without running faster.
+// A slot is 32 bytes: the key, each bucket's first request and the
+// overflow pointer. Keep it no larger: a tuning search builds about a
+// thousand mergers, and 40-byte slots holding whole buckets raised the
+// search's peak heap without running faster.
 type mergeTable struct {
 	slots []mergeSlot
 	live  int
@@ -383,8 +320,9 @@ type mergeTable struct {
 }
 
 type mergeSlot struct {
-	key int64
-	e   *mergeEntry
+	key   int64
+	first [2]*block.Request // by side; nil when that bucket is empty
+	more  *mergeOverflow    // nil unless a bucket holds two or more
 }
 
 const (
@@ -430,25 +368,27 @@ func (t *mergeTable) makeRoom() bool {
 	for _, s := range old {
 		if s.key != emptyKey {
 			i, _ := t.lookup(s.key)
-			t.insertAt(i, s.key, s.e)
+			t.slots[i] = s
+			t.live++
 		}
 	}
 	return true
 }
 
-// insertAt stores key in slot i, the empty slot its lookup stopped on.
-func (t *mergeTable) insertAt(i int, key int64, e *mergeEntry) {
+// insertAt stores key, with empty buckets, in slot i, the empty slot its
+// lookup stopped on.
+func (t *mergeTable) insertAt(i int, key int64) {
 	if key < 0 {
 		panic("iosched: negative sector key")
 	}
-	t.slots[i] = mergeSlot{key, e}
+	t.slots[i] = mergeSlot{key: key}
 	t.live++
 }
 
 // deleteAt empties slot i, then walks the rest of its probe run and moves
-// back every entry whose home does not lie cyclically between the hole
-// and the entry itself, so each key stays reachable from its home without
-// tombstones.
+// back every slot whose key's home does not lie cyclically between the
+// hole and the slot itself, so each key stays reachable from its home
+// without tombstones.
 func (t *mergeTable) deleteAt(i int) {
 	mask := len(t.slots) - 1
 	for j := (i + 1) & mask; t.slots[j].key != emptyKey; j = (j + 1) & mask {
@@ -461,20 +401,122 @@ func (t *mergeTable) deleteAt(i int) {
 	t.live--
 }
 
-// merger owns one table keyed by sector. Entries are stored by pointer so
-// the hot path mutates them in place, and an entry leaves the table once
-// both its buckets empty — a missing key and an empty bucket offer
-// identical candidates, and dropping dead keys keeps the table sized to
-// the queued population instead of every sector the run ever touched.
-// Emptied entries go to a freelist keeping their overflow capacity.
-type merger struct {
-	index      mergeTable
-	free       []*mergeEntry
-	maxSectors int64
+// add puts r on side k of key's bucket; i and found are key's lookup. It
+// reports whether inserting the key grew the table, which moves every
+// slot.
+func (t *mergeTable) add(key int64, i int, found bool, k int, r *block.Request) bool {
+	grew := false
+	if !found {
+		if grew = t.makeRoom(); grew {
+			i, _ = t.lookup(key)
+		}
+		t.insertAt(i, key)
+	}
+	t.slots[i].add(k, r)
+	return grew
 }
 
-func newMerger(maxSectors int64) *merger {
-	return &merger{index: newMergeTable(mergeTableMinBits), maxSectors: maxSectors}
+// dropIfEmpty deletes slot i's key once both its buckets are empty: a
+// missing key and an empty bucket offer the same candidates, and dropping
+// dead keys keeps the table sized to the queued population instead of
+// every sector the run ever touched.
+func (t *mergeTable) dropIfEmpty(i int) {
+	if s := &t.slots[i]; s.first[starts] == nil && s.first[ends] == nil {
+		t.deleteAt(i)
+	}
+}
+
+// rest is side k's overflow: the bucket's requests after the first.
+func (s *mergeSlot) rest(k int) []*block.Request {
+	if s.more == nil {
+		return nil
+	}
+	return s.more[k]
+}
+
+// add appends r to side k's bucket.
+func (s *mergeSlot) add(k int, r *block.Request) {
+	if s.first[k] == nil {
+		s.first[k] = r
+		return
+	}
+	if s.more == nil {
+		s.more = new(mergeOverflow)
+	}
+	s.more[k] = append(s.more[k], r)
+}
+
+// cut removes r from side k's bucket, moving the bucket's last request
+// into its place, and reports whether r was there. The overflow goes
+// once neither bucket uses it.
+func (s *mergeSlot) cut(k int, r *block.Request) bool {
+	rest := s.rest(k)
+	n := len(rest) - 1
+	switch {
+	case s.first[k] == r && n < 0:
+		s.first[k] = nil
+		return true
+	case s.first[k] == r:
+		s.first[k] = rest[n]
+	default:
+		i := slices.Index(rest, r)
+		if i < 0 {
+			return false
+		}
+		rest[i] = rest[n]
+	}
+	rest[n] = nil
+	s.more[k] = rest[:n]
+	if len(s.more[starts])+len(s.more[ends]) == 0 {
+		s.more = nil
+	}
+	return true
+}
+
+// requeue moves r to the back of side k's bucket, where cutting and
+// re-adding it would leave it: r trades places with the last request.
+func (s *mergeSlot) requeue(k int, r *block.Request) {
+	rest := s.rest(k)
+	n := len(rest) - 1
+	switch {
+	case s.first[k] == r && n < 0:
+	case s.first[k] == r:
+		s.first[k], rest[n] = rest[n], r
+	default:
+		i := slices.Index(rest, r)
+		if i < 0 {
+			panic("iosched: merged request not in merge index")
+		}
+		rest[i], rest[n] = rest[n], r
+	}
+}
+
+// backMerger returns the first request ending at the key, in scan order,
+// that r can be appended to, or nil.
+func (s *mergeSlot) backMerger(r *block.Request, maxSectors int64) *block.Request {
+	if q := s.first[ends]; q == nil || q.CanBackMerge(r, maxSectors) {
+		return q
+	}
+	for _, q := range s.rest(ends) {
+		if q.CanBackMerge(r, maxSectors) {
+			return q
+		}
+	}
+	return nil
+}
+
+// frontMerger returns the first request starting at the key, in scan
+// order, that r can be prepended to, or nil.
+func (s *mergeSlot) frontMerger(r *block.Request, maxSectors int64) *block.Request {
+	if q := s.first[starts]; q == nil || q.CanFrontMerge(r, maxSectors) {
+		return q
+	}
+	for _, q := range s.rest(starts) {
+		if q.CanFrontMerge(r, maxSectors) {
+			return q
+		}
+	}
+	return nil
 }
 
 // mergeOrAdd coalesces r into a queued request and returns the grown
@@ -484,8 +526,8 @@ func newMerger(maxSectors int64) *merger {
 // attempted, like most 2.6 elevators.
 //
 // The lookup at r's start yields the back-merge candidates and r's own
-// start entry; the lookup at r's end yields the front-merge candidates
-// and r's own end entry. A merge moves only the grown request's key that
+// start slot; the lookup at r's end yields the front-merge candidates
+// and r's own end slot. A merge moves only the grown request's key that
 // changed, and re-orders its other bucket as removing and re-adding the
 // request would (cut, then append).
 func (m *merger) mergeOrAdd(r *block.Request) *block.Request {
@@ -494,93 +536,50 @@ func (m *merger) mergeOrAdd(r *block.Request) *block.Request {
 	si, sok := t.lookup(start)
 	ei, eok := t.lookup(end)
 	if sok {
-		old := t.slots[si].e
-		if q := old.ends.backMerger(r, m.maxSectors); q != nil {
+		if q := t.slots[si].backMerger(r, m.maxSectors); q != nil {
 			i, _ := t.lookup(q.Sector)
-			t.slots[i].e.starts.requeue(q)
-			old.ends.cut(q)
+			t.slots[i].requeue(starts, q)
+			t.slots[si].cut(ends, q)
 			q.BackMerge(r)
-			e, grew := m.entryAt(end, ei, eok)
-			e.ends.add(q)
-			if grew {
+			if t.add(end, ei, eok, ends, q) {
 				si, _ = t.lookup(start)
 			}
-			m.dropIfEmpty(si, old)
+			t.dropIfEmpty(si)
 			return q
 		}
 	}
 	if eok {
-		old := t.slots[ei].e
-		if q := old.starts.frontMerger(r, m.maxSectors); q != nil {
+		if q := t.slots[ei].frontMerger(r, m.maxSectors); q != nil {
 			i, _ := t.lookup(q.End())
-			t.slots[i].e.ends.requeue(q)
-			old.starts.cut(q)
+			t.slots[i].requeue(ends, q)
+			t.slots[ei].cut(starts, q)
 			q.FrontMerge(r)
-			e, grew := m.entryAt(start, si, sok)
-			e.starts.add(q)
-			if grew {
+			if t.add(start, si, sok, starts, q) {
 				ei, _ = t.lookup(end)
 			}
-			m.dropIfEmpty(ei, old)
+			t.dropIfEmpty(ei)
 			return q
 		}
 	}
-	e, grew := m.entryAt(start, si, sok)
-	e.starts.add(r)
-	if grew || ei == si {
+	if t.add(start, si, sok, starts, r) || ei == si {
 		// Inserting start moved every slot, or took the empty slot
 		// end's probe stopped on.
 		ei, _ = t.lookup(end)
 	}
-	e, _ = m.entryAt(end, ei, eok)
-	e.ends.add(r)
+	t.add(end, ei, eok, ends, r)
 	return nil
 }
 
-// entryAt returns the entry under key, creating it when absent; i and
-// found are key's lookup. It reports whether creating the entry grew the
-// table, which moves every slot.
-func (m *merger) entryAt(key int64, i int, found bool) (*mergeEntry, bool) {
-	t := &m.index
-	if found {
-		return t.slots[i].e, false
-	}
-	grew := t.makeRoom()
-	if grew {
-		i, _ = t.lookup(key)
-	}
-	var e *mergeEntry
-	if n := len(m.free); n > 0 {
-		e = m.free[n-1]
-		m.free[n-1] = nil
-		m.free = m.free[:n-1]
-	} else {
-		e = &mergeEntry{}
-	}
-	t.insertAt(i, key, e)
-	return e, grew
-}
-
-// dropIfEmpty releases e, stored in slot i, once both its buckets are
-// empty.
-func (m *merger) dropIfEmpty(i int, e *mergeEntry) {
-	if e.empty() {
-		m.index.deleteAt(i)
-		m.free = append(m.free, e)
-	}
-}
-
-// remove deletes r's index entries at dispatch.
+// remove deletes r's index entries at dispatch. It panics if r is missing
+// from either of its buckets (elevator bookkeeping bug): the index would
+// otherwise keep a stale candidate that a later request could merge into.
 func (m *merger) remove(r *block.Request) {
 	t := &m.index
-	if i, ok := t.lookup(r.Sector); ok {
-		e := t.slots[i].e
-		e.starts.cut(r)
-		m.dropIfEmpty(i, e)
-	}
-	if i, ok := t.lookup(r.End()); ok {
-		e := t.slots[i].e
-		e.ends.cut(r)
-		m.dropIfEmpty(i, e)
+	for k, key := range [2]int64{starts: r.Sector, ends: r.End()} {
+		i, ok := t.lookup(key)
+		if !ok || !t.slots[i].cut(k, r) {
+			panic("iosched: removing request not in merge index")
+		}
+		t.dropIfEmpty(i)
 	}
 }

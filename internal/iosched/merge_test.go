@@ -2,8 +2,10 @@ package iosched
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -15,21 +17,60 @@ import (
 // Go maps, one by start and one by end sector, with a merge removing and
 // re-adding both keys of the grown request.
 type refMerger struct {
-	byStart    map[int64]*mergeBucket
-	byEnd      map[int64]*mergeBucket
-	free       []*mergeBucket
+	byStart    map[int64]*refBucket
+	byEnd      map[int64]*refBucket
+	free       []*refBucket
 	maxSectors int64
+}
+
+// refBucket is the reference's bucket: a first request and a
+// swap-remove rest, which evolves like a plain append/swap-remove slice
+// whose slot 0 is first.
+type refBucket struct {
+	first *block.Request
+	rest  []*block.Request
+}
+
+func (b *refBucket) add(r *block.Request) {
+	if b.first == nil && len(b.rest) == 0 {
+		b.first = r
+		return
+	}
+	b.rest = append(b.rest, r)
+}
+
+// cut removes r, moving the last entry into its slot.
+func (b *refBucket) cut(r *block.Request) {
+	if b.first == r {
+		if n := len(b.rest); n > 0 {
+			b.first = b.rest[n-1]
+			b.rest[n-1] = nil
+			b.rest = b.rest[:n-1]
+		} else {
+			b.first = nil
+		}
+		return
+	}
+	for i, q := range b.rest {
+		if q == r {
+			n := len(b.rest)
+			b.rest[i] = b.rest[n-1]
+			b.rest[n-1] = nil
+			b.rest = b.rest[:n-1]
+			return
+		}
+	}
 }
 
 func newRefMerger(maxSectors int64) *refMerger {
 	return &refMerger{
-		byStart:    make(map[int64]*mergeBucket),
-		byEnd:      make(map[int64]*mergeBucket),
+		byStart:    make(map[int64]*refBucket),
+		byEnd:      make(map[int64]*refBucket),
 		maxSectors: maxSectors,
 	}
 }
 
-func (m *refMerger) bucket(idx map[int64]*mergeBucket, key int64) *mergeBucket {
+func (m *refMerger) bucket(idx map[int64]*refBucket, key int64) *refBucket {
 	b := idx[key]
 	if b == nil {
 		if n := len(m.free); n > 0 {
@@ -37,7 +78,7 @@ func (m *refMerger) bucket(idx map[int64]*mergeBucket, key int64) *mergeBucket {
 			m.free[n-1] = nil
 			m.free = m.free[:n-1]
 		} else {
-			b = &mergeBucket{}
+			b = &refBucket{}
 		}
 		idx[key] = b
 	}
@@ -113,13 +154,18 @@ type mergerTwins struct {
 	ids    map[*block.Request]int
 	queued [][2]*block.Request // [merger side, reference side]
 	seen   *mergeCoverage
+	// overflowed holds the keys whose slot had an overflow after the
+	// last operation.
+	overflowed map[int64]bool
 }
 
 // mergeCoverage counts the cases the differential test must reach:
 // sameSlot is a miss whose two lookups stopped on the same empty slot,
-// grown a miss that grew the table.
+// grown a miss that grew the table, firstOfThree the removal of the
+// first of a bucket of three or more, and emptied an overflow released
+// after holding requests.
 type mergeCoverage struct {
-	back, front, capped, shared, sameSlot, grown int
+	back, front, capped, shared, sameSlot, grown, firstOfThree, emptied int
 }
 
 func (w *mergerTwins) newPair(rng *rand.Rand) [2]*block.Request {
@@ -142,21 +188,31 @@ func (w *mergerTwins) pair(op block.Op, sector, count int64, sync bool, stream b
 	return p
 }
 
-// bucketIDs lists b's entries in scan order as logical ids.
-func (w *mergerTwins) bucketIDs(b *mergeBucket) []int {
-	if b == nil || b.first == nil {
+// bucketIDs lists a bucket's requests, first then rest, as logical ids.
+func (w *mergerTwins) bucketIDs(first *block.Request, rest []*block.Request) []int {
+	if first == nil {
 		return nil
 	}
-	out := []int{w.ids[b.first]}
-	for _, r := range b.rest {
+	out := []int{w.ids[first]}
+	for _, r := range rest {
 		out = append(out, w.ids[r])
 	}
 	return out
 }
 
+// refIDs lists the reference bucket b as logical ids.
+func (w *mergerTwins) refIDs(b *refBucket) []int {
+	if b == nil {
+		return nil
+	}
+	return w.bucketIDs(b.first, b.rest)
+}
+
 // sameIndex checks that the table holds exactly the union of the
-// reference maps' keys, and that each key's starts and ends buckets hold
-// the reference byStart and byEnd buckets' contents in the same order.
+// reference maps' keys, that each key's starts and ends buckets hold the
+// reference byStart and byEnd buckets' contents in the same order, and
+// that a slot has an overflow exactly when one of its buckets holds two
+// or more requests.
 func (w *mergerTwins) sameIndex() error {
 	keys := map[int64]bool{}
 	for k := range w.ref.byStart {
@@ -175,17 +231,19 @@ func (w *mergerTwins) sameIndex() error {
 	if used != len(keys) || tab.live != len(keys) {
 		return fmt.Errorf("table holds %d keys (live %d), reference %d", used, tab.live, len(keys))
 	}
+	overflowed := map[int64]bool{}
 	for key := range keys {
 		i, ok := tab.lookup(key)
 		if !ok {
 			return fmt.Errorf("key %d missing from the table", key)
 		}
-		e := tab.slots[i].e
+		s := &tab.slots[i]
 		for _, c := range []struct {
-			name     string
-			got, ref *mergeBucket
-		}{{"starts", &e.starts, w.ref.byStart[key]}, {"ends", &e.ends, w.ref.byEnd[key]}} {
-			got, want := w.bucketIDs(c.got), w.bucketIDs(c.ref)
+			name string
+			k    int
+			ref  *refBucket
+		}{{"starts", starts, w.ref.byStart[key]}, {"ends", ends, w.ref.byEnd[key]}} {
+			got, want := w.bucketIDs(s.first[c.k], s.rest(c.k)), w.refIDs(c.ref)
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("%s[%d]: bucket %v, reference %v", c.name, key, got, want)
 			}
@@ -193,7 +251,19 @@ func (w *mergerTwins) sameIndex() error {
 				w.seen.shared++
 			}
 		}
+		if further := len(s.rest(starts)) + len(s.rest(ends)); (s.more != nil) != (further > 0) {
+			return fmt.Errorf("key %d: overflow %p holds %d requests", key, s.more, further)
+		}
+		if s.more != nil {
+			overflowed[key] = true
+		}
 	}
+	for key := range w.overflowed {
+		if !overflowed[key] {
+			w.seen.emptied++
+		}
+	}
+	w.overflowed = overflowed
 	return nil
 }
 
@@ -233,6 +303,12 @@ func (w *mergerTwins) step(rng *rand.Rand) error {
 		i := rng.Intn(len(w.queued))
 		p := w.queued[i]
 		w.queued = append(w.queued[:i], w.queued[i+1:]...)
+		for k, key := range [2]int64{starts: p[0].Sector, ends: p[0].End()} {
+			j, _ := w.m.index.lookup(key)
+			if s := &w.m.index.slots[j]; s.first[k] == p[0] && len(s.rest(k)) >= 2 {
+				w.seen.firstOfThree++
+			}
+		}
 		w.m.remove(p[0])
 		w.ref.remove(p[1])
 		return w.sameIndex()
@@ -268,7 +344,8 @@ func (w *mergerTwins) step(rng *rand.Rand) error {
 // TestQuickMergerMatchesReference drives random mergeOrAdd and remove
 // sequences through the one-table merger and the map-based reference over
 // a small sector space — so keys are shared, buckets hold several
-// entries, the MaxSectors cap rejects merges, both back and front merges
+// entries, a bucket of three loses its first, overflows fill and are
+// released, the MaxSectors cap rejects merges, both back and front merges
 // happen, a miss's two lookups stop on the same empty slot and misses
 // grow the table — and requires the same merge winner and the same
 // bucket contents, in order, under every key after every operation.
@@ -289,7 +366,8 @@ func TestQuickMergerMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("coverage: %+v", seen)
-	if seen.back == 0 || seen.front == 0 || seen.capped == 0 || seen.shared == 0 || seen.sameSlot == 0 || seen.grown == 0 {
+	if seen.back == 0 || seen.front == 0 || seen.capped == 0 || seen.shared == 0 || seen.sameSlot == 0 ||
+		seen.grown == 0 || seen.firstOfThree == 0 || seen.emptied == 0 {
 		t.Fatalf("sequences missed a case: %+v", seen)
 	}
 }
@@ -329,16 +407,19 @@ func TestMergeGrowsTableMidMerge(t *testing.T) {
 	}
 }
 
-// put inserts key, which must be absent, growing the table as needed.
-func put(tab *mergeTable, key int64, e *mergeEntry) {
+// put inserts key, which must be absent, with slot contents s, growing
+// the table as needed.
+func put(tab *mergeTable, key int64, s mergeSlot) {
 	tab.makeRoom()
 	i, _ := tab.lookup(key)
-	tab.insertAt(i, key, e)
+	tab.insertAt(i, key)
+	tab.slots[i] = s
 }
 
 // checkTable requires tab to hold exactly want, every key reachable from
-// its home slot, and no key stored twice.
-func checkTable(t *testing.T, tab *mergeTable, want map[int64]*mergeEntry) {
+// its home slot with the contents it was put with, and no key stored
+// twice.
+func checkTable(t *testing.T, tab *mergeTable, want map[int64]mergeSlot) {
 	t.Helper()
 	if tab.live != len(want) {
 		t.Fatalf("table holds %d keys, want %d", tab.live, len(want))
@@ -347,7 +428,7 @@ func checkTable(t *testing.T, tab *mergeTable, want map[int64]*mergeEntry) {
 	for _, s := range tab.slots {
 		if s.key != emptyKey {
 			used++
-			if want[s.key] == nil {
+			if _, ok := want[s.key]; !ok {
 				t.Fatalf("table holds deleted key %d", s.key)
 			}
 		}
@@ -355,9 +436,9 @@ func checkTable(t *testing.T, tab *mergeTable, want map[int64]*mergeEntry) {
 	if used != len(want) {
 		t.Fatalf("%d slots in use for %d keys", used, len(want))
 	}
-	for k, e := range want {
-		if i, ok := tab.lookup(k); !ok || tab.slots[i].e != e {
-			t.Fatalf("key %d not found after deletions", k)
+	for k, s := range want {
+		if i, ok := tab.lookup(k); !ok || tab.slots[i] != s {
+			t.Fatalf("key %d not found with its contents after deletions", k)
 		}
 	}
 }
@@ -376,13 +457,20 @@ func keysHomedAt(tab *mergeTable, slot, n int, from int64) []int64 {
 
 // TestMergeTableDeleteWraps pins backward-shift deletion where a probe run
 // wraps past the end of the slot array, before and after the table grows.
+// Every key carries its own buckets, and every third an overflow, so a
+// shift or a rehash must move a slot's whole contents with its key.
 func TestMergeTableDeleteWraps(t *testing.T) {
 	tab := newMergeTable(mergeTableMinBits)
-	want := map[int64]*mergeEntry{}
+	want := map[int64]mergeSlot{}
 	add := func(k int64) {
-		e := &mergeEntry{}
-		want[k] = e
-		put(&tab, k, e)
+		s := mergeSlot{key: k}
+		s.first[starts] = block.NewRequest(block.Write, k, 8, false, 1)
+		s.first[ends] = block.NewRequest(block.Read, k, 8, true, 1)
+		if k%3 == 0 {
+			s.more = &mergeOverflow{starts: {block.NewRequest(block.Read, k, 8, false, 2)}}
+		}
+		want[k] = s
+		put(&tab, k, s)
 	}
 	del := func(k int64) {
 		i, ok := tab.lookup(k)
@@ -443,8 +531,9 @@ func TestMergeTableDeleteWraps(t *testing.T) {
 // TestMergerSteadyStateZeroAlloc pins the merge index's churn at zero
 // allocations once warm: a cycle that indexes 64 requests, offers 64
 // adjacent requests that may not merge (another stream) and so are
-// indexed too, and removes all 128 reuses the table's slots and the entry
-// freelist.
+// indexed too, and removes all 128 reuses the table's slots. An adjacent
+// probe shares a key with its queued neighbour but not a bucket, so no
+// slot needs an overflow.
 func TestMergerSteadyStateZeroAlloc(t *testing.T) {
 	m := newMerger(DefaultParams().MaxSectors)
 	queued := make([]*block.Request, 64)
@@ -475,7 +564,7 @@ func TestMergerSteadyStateZeroAlloc(t *testing.T) {
 			m.remove(r)
 		}
 	}
-	cycle() // grow the table and stock the entry freelist
+	cycle() // grow the table
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Fatalf("warm merger cycle allocates %v objects, want 0", a)
 	}
@@ -484,5 +573,84 @@ func TestMergerSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if m.index.live != 0 {
 		t.Fatalf("table holds %d keys after removing every request", m.index.live)
+	}
+}
+
+// mergeSink keeps a measured merger on the heap, so the count below does
+// not depend on escape analysis.
+var mergeSink *merger
+
+// TestMergerIndexAllocatesOnlyDoublings pins that indexing allocates
+// nothing per key: a fresh merger that indexes n disjoint requests, 2n
+// keys whose buckets hold one request each, allocates the merger, its
+// first slot array and one array per doubling, and nothing else.
+func TestMergerIndexAllocatesOnlyDoublings(t *testing.T) {
+	reqs := make([]*block.Request, 64)
+	for i := range reqs {
+		reqs[i] = block.NewRequest(block.Write, 64*int64(i), 8, false, 1)
+	}
+	merged := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		mergeSink = newMerger(DefaultParams().MaxSectors)
+		for _, r := range reqs {
+			if mergeSink.mergeOrAdd(r) != nil {
+				merged++
+			}
+		}
+	})
+	if merged != 0 || mergeSink.index.live != 2*len(reqs) {
+		t.Fatalf("%d disjoint requests merged %d times into %d keys", len(reqs), merged, mergeSink.index.live)
+	}
+	doublings := bits.Len(uint(len(mergeSink.index.slots))) - 1 - mergeTableMinBits
+	if want := float64(2 + doublings); allocs != want {
+		t.Fatalf("fresh merger indexing %d requests allocates %v objects, want %v: the merger, its first table and %d doublings",
+			len(reqs), allocs, want, doublings)
+	}
+}
+
+// TestMergerMissingRequestPanics pins that removing a request missing
+// from either of its buckets panics, as sortedList and fifo do, instead
+// of leaving a stale candidate that a later request could merge into; so
+// does a merge into a request missing from its other bucket.
+func TestMergerMissingRequestPanics(t *testing.T) {
+	newReq := func(stream block.StreamID) *block.Request {
+		return block.NewRequest(block.Write, 64, 8, false, stream)
+	}
+	for _, c := range []struct {
+		name string
+		run  func(m *merger)
+	}{
+		{"never indexed", func(m *merger) { m.remove(newReq(1)) }},
+		{"removed twice", func(m *merger) {
+			r := newReq(1)
+			m.mergeOrAdd(r)
+			m.remove(r)
+			m.remove(r)
+		}},
+		{"keys held by another request", func(m *merger) {
+			m.mergeOrAdd(newReq(1))
+			m.remove(newReq(2))
+		}},
+		{"extent moved behind the index", func(m *merger) {
+			r := newReq(1)
+			m.mergeOrAdd(r)
+			r.Count += 8 // its start bucket still holds it, its end bucket not
+			m.remove(r)
+		}},
+		{"merge after the start moved behind the index", func(m *merger) {
+			q := newReq(1)
+			m.mergeOrAdd(q)
+			q.Sector, q.Count = q.Sector-8, q.Count+8 // same end, new start
+			m.mergeOrAdd(block.NewRequest(block.Write, q.End(), 8, false, 1))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "not in merge index") {
+					t.Fatalf("no panic on a missing request (recovered %q)", msg)
+				}
+			}()
+			c.run(newMerger(DefaultParams().MaxSectors))
+		})
 	}
 }

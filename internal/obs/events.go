@@ -76,9 +76,9 @@ func (e Event) ArgStr(key string) string {
 }
 
 // Events returns every recorded event in normalized form, in recording
-// order: complete spans become [ts, ts+dur] intervals, async begin/end
-// pairs are joined into one span (unmatched begins close at their start
-// time), metadata and instants pass through. The returned slice is freshly
+// order: complete spans become [ts, ts+dur] intervals, an async
+// begin/end pair becomes one span over the length its begin recorded,
+// metadata and instants pass through. The returned slice is freshly
 // allocated, but Args alias the tracer's storage — treat them as
 // read-only.
 func (t *Tracer) Events() []Event {
@@ -98,13 +98,6 @@ func (t *Tracer) VisitEvents(fn func(Event)) {
 	if t == nil {
 		return
 	}
-	// Index async ends by id for begin/end joining.
-	ends := make(map[int64]sim.Time)
-	t.forEach(func(ev *traceEvent) {
-		if ev.ph == phAsyncEnd {
-			ends[ev.id] = ev.ts
-		}
-	})
 	t.forEach(func(ev *traceEvent) {
 		e := Event{
 			Name: ev.name, Cat: ev.cat,
@@ -112,14 +105,9 @@ func (t *Tracer) VisitEvents(fn func(Event)) {
 			PID: ev.pid, TID: ev.tid, Args: ev.args,
 		}
 		switch ev.ph {
-		case phComplete:
+		case phComplete, phAsyncBegin:
 			e.Kind = KindSpan
 			e.End = ev.ts.Add(ev.dur)
-		case phAsyncBegin:
-			e.Kind = KindSpan
-			if end, ok := ends[ev.id]; ok && end > ev.ts {
-				e.End = end
-			}
 		case phAsyncEnd:
 			return // folded into its begin
 		case phInstant:

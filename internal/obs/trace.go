@@ -44,7 +44,7 @@ type traceEvent struct {
 	cat  string
 	ph   byte
 	ts   sim.Time
-	dur  sim.Duration // phComplete only
+	dur  sim.Duration // phComplete and phAsyncBegin (the span to its end)
 	pid  int64
 	tid  int64
 	id   int64 // async events only
@@ -196,11 +196,13 @@ func (t *Tracer) AsyncSpan(pid, tid int64, cat, name string, start, end sim.Time
 	t.asyncPair(id, pid, tid, cat, name, start, end, args)
 }
 
-// asyncPair writes an async span's 'b'/'e' event pair.
+// asyncPair writes an async span's 'b'/'e' event pair. The begin also
+// keeps the span's length, which the JSON omits, so readers need not
+// join the pair by id.
 func (t *Tracer) asyncPair(id, pid, tid int64, cat, name string, start, end sim.Time, args []Arg) {
 	ev := t.slot()
 	ev.name, ev.cat, ev.ph = name, cat, phAsyncBegin
-	ev.ts, ev.pid, ev.tid, ev.id = start, pid, tid, id
+	ev.ts, ev.dur, ev.pid, ev.tid, ev.id = start, end.Sub(start), pid, tid, id
 	ev.args = t.saveArgs(args)
 	ev = t.slot()
 	ev.name, ev.cat, ev.ph = name, cat, phAsyncEnd
