@@ -39,7 +39,6 @@ import (
 	"adaptmr/internal/mapred"
 	"adaptmr/internal/obs"
 	"adaptmr/internal/obs/perfstat"
-	"adaptmr/internal/sim"
 	"adaptmr/internal/workloads"
 )
 
@@ -62,15 +61,6 @@ func AllPairs() []Pair { return iosched.AllPairs() }
 
 // ParsePair parses "ad" or "(anticipatory, deadline)" forms.
 func ParsePair(s string) (Pair, error) { return iosched.ParsePair(s) }
-
-// MustParsePair is ParsePair for known-valid literals.
-func MustParsePair(s string) Pair {
-	p, err := iosched.ParsePair(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
 
 // ClusterConfig describes the virtual testbed (hosts, VMs, disk, guest OS,
 // network, HDFS).
@@ -96,16 +86,8 @@ type Workload = workloads.Benchmark
 // WordCountBenchmark is the light-disk wordcount (with combiner) workload.
 func WordCountBenchmark(inputPerVM int64) Workload { return workloads.WordCount(inputPerVM) }
 
-// WordCountNoCombinerBenchmark is the moderate-disk wordcount variant.
-func WordCountNoCombinerBenchmark(inputPerVM int64) Workload {
-	return workloads.WordCountNoCombiner(inputPerVM)
-}
-
 // SortBenchmark is the heavy-disk stream-sort workload.
 func SortBenchmark(inputPerVM int64) Workload { return workloads.Sort(inputPerVM) }
-
-// BenchmarkSuite returns the paper's three benchmarks.
-func BenchmarkSuite(inputPerVM int64) []Workload { return workloads.Suite(inputPerVM) }
 
 // ---------------------------------------------------------------------------
 // Options (facade API v3)
@@ -244,8 +226,8 @@ type PerfStat = perfstat.Stat
 // fired should be discarded (failed evaluations are memoised).
 //
 // Honoured by Run, RunReport, every NewTuner entry point (Tune, RunPlan,
-// BruteForce, Profile), RunOnline, RunChain, TuneChain, and RunFleet and
-// RunFleetOnline, which pass it to every cell.
+// BruteForce), RunOnline, TuneChain, and RunFleet and RunFleetOnline,
+// which pass it to every cell.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
 // CheckSet aggregates runtime invariant checkers and their violations
@@ -402,24 +384,6 @@ func (t *Tuner) BruteForce() (core.RunResult, error) {
 	return res, nil
 }
 
-// Profile runs the job once per candidate pair with no switching and
-// returns per-phase durations — the meta-scheduler's profiling stage.
-// The runs are independent and execute on the worker pool.
-func (t *Tuner) Profile() ([]Profile, error) {
-	if t.initErr != nil {
-		return nil, t.initErr
-	}
-	pairs := t.pairs
-	if len(pairs) == 0 {
-		pairs = iosched.AllPairs()
-	}
-	res, err := t.runner.ProfilePairs(pairs)
-	if err := t.opts.verify(err); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // Evaluations reports how many distinct job executions the tuner has run.
 func (t *Tuner) Evaluations() int { return t.runner.Evaluations }
 
@@ -432,23 +396,6 @@ type ChainResult = core.ChainResult
 
 // ChainTuning is the result of tuning a chain stage by stage.
 type ChainTuning = core.ChainTuning
-
-// RunChain executes MapReduce stages back to back on one cluster, applying
-// one phase plan per stage; later stages read the data volume the previous
-// stage produced.
-func RunChain(cfg ClusterConfig, stages []JobConfig, plans []Plan, opts ...Option) (ChainResult, error) {
-	for _, s := range stages {
-		if err := s.Validate(); err != nil {
-			return ChainResult{}, fmt.Errorf("adaptmr: %w", err)
-		}
-	}
-	o := buildOptions(opts)
-	res, err := core.RunChain(o.ctx, o.apply(cfg), stages, plans)
-	if err := o.verify(err); err != nil {
-		return ChainResult{}, err
-	}
-	return res, nil
-}
 
 // TuneChain tunes each stage with the two-phase heuristic and compares the
 // composed chain against the all-default execution. WithParallelism sets
@@ -467,16 +414,6 @@ func TuneChain(cfg ClusterConfig, stages []JobConfig, opts ...Option) (ChainTuni
 	return res, nil
 }
 
-// Predictor estimates plan times from profiles plus a switch-cost model
-// without running simulations (the paper's envisioned prediction model).
-type Predictor = core.Predictor
-
-// NewPredictor builds a predictor over profiling data; cost may be nil to
-// treat switches as free.
-func NewPredictor(profiles []core.Profile, cost func(from, to Pair) sim.Duration) *Predictor {
-	return core.NewPredictor(profiles, cost)
-}
-
 // ExperimentsConfig parameterises the paper-artefact generators.
 type ExperimentsConfig = experiments.Config
 
@@ -488,13 +425,8 @@ func QuickExperiments() ExperimentsConfig { return experiments.Quick() }
 
 // RunExperiments regenerates the paper's tables and figures (all of them,
 // or the named subset: "fig1".."fig8", "table1", "table2") and writes the
-// rendered artefacts to w.
-func RunExperiments(cfg ExperimentsConfig, w io.Writer, only ...string) error {
-	return experiments.All(cfg, w, only...)
-}
-
-// RunExperimentsCSV is RunExperiments with per-artefact CSV data written to
-// csvDir (skipped when csvDir is empty).
-func RunExperimentsCSV(cfg ExperimentsConfig, w io.Writer, csvDir string, only ...string) error {
-	return experiments.AllWithCSV(cfg, w, csvDir, only...)
+// rendered artefacts to w, and each artefact's CSV data to
+// <csvDir>/<id>.csv unless csvDir is empty.
+func RunExperiments(cfg ExperimentsConfig, w io.Writer, csvDir string, only ...string) error {
+	return experiments.All(cfg, w, csvDir, only...)
 }

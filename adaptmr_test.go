@@ -26,15 +26,12 @@ func TestPairFacade(t *testing.T) {
 	if err != nil || p.VMM != adaptmr.Anticipatory || p.VM != adaptmr.Deadline {
 		t.Fatalf("ParsePair: %v %v", p, err)
 	}
-	if adaptmr.MustParsePair("cc") != adaptmr.DefaultPair {
-		t.Fatal("default pair")
+	if p, err := adaptmr.ParsePair("cc"); err != nil || p != adaptmr.DefaultPair {
+		t.Fatalf("ParsePair(cc) = %v, %v; want the default pair", p, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParsePair should panic on junk")
-		}
-	}()
-	adaptmr.MustParsePair("zz")
+	if _, err := adaptmr.ParsePair("zz"); err == nil {
+		t.Fatal("ParsePair accepted junk")
+	}
 }
 
 func TestRunFacade(t *testing.T) {
@@ -121,12 +118,7 @@ func TestRequestLifecyclesIdentical(t *testing.T) {
 }
 
 func TestBenchmarkFacade(t *testing.T) {
-	suite := adaptmr.BenchmarkSuite(64 << 20)
-	if len(suite) != 3 {
-		t.Fatalf("suite %d", len(suite))
-	}
 	if adaptmr.WordCountBenchmark(1).Job.Name != "wordcount" ||
-		adaptmr.WordCountNoCombinerBenchmark(1).Job.Name != "wordcount-nc" ||
 		adaptmr.SortBenchmark(1).Job.Name != "sort" {
 		t.Fatal("benchmark names")
 	}
@@ -204,7 +196,7 @@ func TestUniformPlanFacade(t *testing.T) {
 
 func TestRunExperimentsFacade(t *testing.T) {
 	var sb strings.Builder
-	if err := adaptmr.RunExperiments(adaptmr.QuickExperiments(), &sb, "table2"); err != nil {
+	if err := adaptmr.RunExperiments(adaptmr.QuickExperiments(), &sb, "", "table2"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Table II") {
@@ -234,11 +226,8 @@ func TestValidationFacade(t *testing.T) {
 		t.Fatal("RunOnline accepted a zero-input job")
 	}
 	good := adaptmr.SortBenchmark(96 << 20).Job
-	if _, err := adaptmr.RunChain(quickCluster(),
-		[]adaptmr.JobConfig{good, bad},
-		[]adaptmr.Plan{adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair),
-			adaptmr.UniformPlan(adaptmr.TwoPhases, adaptmr.DefaultPair)}); err == nil {
-		t.Fatal("RunChain accepted a zero-input stage")
+	if _, err := adaptmr.TuneChain(quickCluster(), []adaptmr.JobConfig{good, bad}); err == nil {
+		t.Fatal("TuneChain accepted a zero-input stage")
 	}
 
 	noName := good

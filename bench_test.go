@@ -284,34 +284,12 @@ func BenchmarkChainTuning(b *testing.B) {
 	cfg.Hosts = 2
 	cfg.VMsPerHost = 2
 	stages := []adaptmr.JobConfig{
-		adaptmr.WordCountNoCombinerBenchmark(96 << 20).Job,
+		workloads.WordCountNoCombiner(96 << 20).Job,
 		adaptmr.SortBenchmark(96 << 20).Job,
 	}
 	for i := 0; i < b.N; i++ {
 		out := must(adaptmr.TuneChain(cfg, stages))
 		b.ReportMetric(100*out.ImprovementOverDefault(), "vsDef%")
 		b.ReportMetric(float64(out.Evaluations), "evals")
-	}
-}
-
-// BenchmarkPredictorAccuracy measures the additive prediction model's
-// error on switching plans versus full simulations.
-func BenchmarkPredictorAccuracy(b *testing.B) {
-	cfg := adaptmr.DefaultClusterConfig()
-	cfg.Hosts = 2
-	cfg.VMsPerHost = 2
-	job := adaptmr.SortBenchmark(96 << 20).Job
-	for i := 0; i < b.N; i++ {
-		tuner := adaptmr.NewTuner(cfg, job).WithCandidates([]adaptmr.Pair{
-			adaptmr.DefaultPair,
-			adaptmr.MustParsePair("ad"),
-			adaptmr.MustParsePair("dd"),
-		})
-		out := must(tuner.Tune())
-		p := adaptmr.NewPredictor(out.Profiles, nil)
-		plan := adaptmr.NewPlan(adaptmr.TwoPhases, adaptmr.MustParsePair("ad"), adaptmr.DefaultPair)
-		predicted := p.Predict(plan).Seconds()
-		measured := must(tuner.RunPlan(plan)).Duration.Seconds()
-		b.ReportMetric(100*(predicted-measured)/measured, "err%")
 	}
 }

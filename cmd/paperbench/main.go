@@ -109,7 +109,7 @@ func main() {
 			fail(err)
 		}
 	}
-	if err := adaptmr.RunExperimentsCSV(cfg, w, *csvDir, subset...); err != nil {
+	if err := adaptmr.RunExperiments(cfg, w, *csvDir, subset...); err != nil {
 		fail(err)
 	}
 

@@ -42,17 +42,11 @@ func main() {
 
 	// First: how sensitive is this job to the static pair choice?
 	fmt.Println("static pairs:")
-	type row struct {
-		pair adaptmr.Pair
-		s    float64
-	}
-	var rows []row
 	for _, p := range []string{"cc", "ad", "ac", "dd", "nc"} {
 		pair, err := adaptmr.ParsePair(p)
 		check(err)
 		res, err := adaptmr.Run(cfg, job, pair)
 		check(err)
-		rows = append(rows, row{pair, res.Duration.Seconds()})
 		fmt.Printf("  %-26s %6.1f s\n", pair, res.Duration.Seconds())
 	}
 

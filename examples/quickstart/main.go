@@ -47,5 +47,7 @@ func main() {
 	gain := 100 * (def.Duration.Seconds() - res.Duration.Seconds()) / def.Duration.Seconds()
 	fmt.Printf("\n(Anticipatory, Deadline) beats the default by %.1f%% — the paper's\n", gain)
 	fmt.Println("Table I effect. Run examples/adaptive_sort to see the meta-scheduler")
-	fmt.Println("beat the best static pair by switching pairs mid-job.")
+	fmt.Println("profile all 16 pairs and search for a phase plan: on this sort it")
+	fmt.Println("keeps one pair, the best static one, because no mid-job switch pays")
+	fmt.Println(`for itself here (EXPERIMENTS.md, "On the compression").`)
 }

@@ -5,3 +5,12 @@ package adaptmr
 func RunFleetOnlineOnCell(s FleetScenario, onCell func(cell int), opts ...Option) (*FleetResult, []OnlineOutcome, error) {
 	return runFleetOnline(s, buildOptions(opts), onCell)
 }
+
+// MustParsePair is ParsePair for known-valid literals.
+func MustParsePair(s string) Pair {
+	p, err := ParsePair(s)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

@@ -18,8 +18,7 @@
 //     consecutive issued switches are always MinDwell apart);
 //   - amortisation: the modelled switch cost must fit inside CostBudget
 //     of the guaranteed dwell, consulted through the Fig-5 cost model
-//     (core.FigureFiveCost by default, or a measured matrix adapted with
-//     core.MatrixCost).
+//     (core.FigureFiveCost by default, or the policy's own Cost).
 //
 // Every window where the classifier wants a pair that is not installed
 // produces a Decision record — issued or held, with the gate that held it
@@ -109,8 +108,7 @@ type Policy struct {
 	WritePair iosched.Pair
 
 	// Cost models the Fig-5 switch cost. Nil selects core.FigureFiveCost
-	// over the attached cluster's re-init stall at Attach time; a measured
-	// matrix plugs in via core.MatrixCost.
+	// over the attached cluster's re-init stall at Attach time.
 	Cost func(from, to iosched.Pair) sim.Duration
 }
 

@@ -122,100 +122,39 @@ func TestTuneChain(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Predictor
+// Switch cost
 // ---------------------------------------------------------------------------
 
-func TestPredictorAdditivity(t *testing.T) {
-	ad := iosched.Pair{VMM: iosched.Anticipatory, VM: iosched.Deadline}
-	profiles := []Profile{
-		{Pair: iosched.DefaultPair, Total: 100, ByPhase: [3]sim.Duration{40, 10, 50}},
-		{Pair: ad, Total: 90, ByPhase: [3]sim.Duration{30, 10, 50}},
-	}
-	cost := func(from, to iosched.Pair) sim.Duration { return 5 }
-	p := NewPredictor(profiles, cost)
-
-	uniform := Uniform(TwoPhases, ad)
-	if got := p.Predict(uniform); got != 90 {
-		t.Fatalf("uniform prediction %v", got)
-	}
-	mixed := NewPlan(TwoPhases, ad, iosched.DefaultPair)
-	// 30 (ad ph1) + 60 (cc ph2+3) + 5 (switch) = 95.
-	if got := p.Predict(mixed); got != 95 {
-		t.Fatalf("mixed prediction %v", got)
-	}
-}
-
-func TestPredictorBestPlan(t *testing.T) {
-	ad := iosched.Pair{VMM: iosched.Anticipatory, VM: iosched.Deadline}
-	profiles := []Profile{
-		{Pair: iosched.DefaultPair, ByPhase: [3]sim.Duration{40, 10, 40}},
-		{Pair: ad, ByPhase: [3]sim.Duration{30, 10, 60}},
-	}
-	// Free switches: the optimum mixes ad's map phase with cc's reduce.
-	p := NewPredictor(profiles, nil)
-	plan, predicted := p.BestPlan(TwoPhases)
-	if plan.Pairs[0] != ad || plan.Pairs[1] != iosched.DefaultPair {
-		t.Fatalf("best plan %v", plan)
-	}
-	if predicted != 80 {
-		t.Fatalf("predicted %v", predicted)
-	}
-	// Expensive switches flip the optimum back to uniform.
-	p2 := NewPredictor(profiles, func(_, _ iosched.Pair) sim.Duration { return 50 })
-	plan2, _ := p2.BestPlan(TwoPhases)
-	if plan2.NumSwitches() != 0 {
-		t.Fatalf("switch-heavy optimum %v despite huge costs", plan2)
-	}
-}
-
-func TestPredictorAgainstSimulation(t *testing.T) {
-	r := testRunner()
-	cands := []iosched.Pair{cc, ad, nc}
-	profiles, err := r.ProfilePairs(cands)
-	if err != nil {
-		t.Fatalf("ProfilePairs: %v", err)
-	}
-	p := NewPredictor(profiles, nil)
-	// On uniform plans the prediction is exact by construction.
-	for _, pair := range cands {
-		plan := Uniform(TwoPhases, pair)
-		e, err := p.PredictError(r, plan)
-		if err != nil {
-			t.Fatalf("PredictError: %v", err)
+// TestFigureFiveCost pins the modelled Fig-5 cost: staying costs nothing,
+// and a switch costs the re-init stall plus the longer idle window of the
+// pair being left, so leaving anticipatory costs more than entering it.
+func TestFigureFiveCost(t *testing.T) {
+	p := iosched.DefaultParams()
+	// Distinct windows, so each case shows which side's idle was charged.
+	p.AnticExpire, p.SliceIdle = 6*sim.Millisecond, 8*sim.Millisecond
+	const reinit = 50 * sim.Millisecond
+	cost := FigureFiveCost(reinit, p)
+	pair := func(vmm, vm string) iosched.Pair { return iosched.Pair{VMM: vmm, VM: vm} }
+	an := pair(iosched.Anticipatory, iosched.Noop)
+	nn := pair(iosched.Noop, iosched.Noop)
+	for _, tc := range []struct {
+		name     string
+		from, to iosched.Pair
+		want     sim.Duration
+	}{
+		{"stay cfq", cc, cc, 0},
+		{"stay anticipatory", pair(iosched.Anticipatory, iosched.Anticipatory), pair(iosched.Anticipatory, iosched.Anticipatory), 0},
+		{"leave no idler", dd, cc, reinit},
+		{"leave vmm anticipatory", ad, cc, reinit + p.AnticExpire},
+		{"leave vm cfq", nc, ad, reinit + p.SliceIdle},
+		{"vmm idle longer", pair(iosched.CFQ, iosched.Anticipatory), nn, reinit + p.SliceIdle},
+		{"vm idle longer", pair(iosched.Anticipatory, iosched.CFQ), nn, reinit + p.SliceIdle},
+		{"leave anticipatory", an, nn, reinit + p.AnticExpire},
+		{"enter anticipatory", nn, an, reinit},
+	} {
+		if got := cost(tc.from, tc.to); got != tc.want {
+			t.Errorf("%s: cost(%s → %s) = %v, want %v", tc.name, tc.from.Code(), tc.to.Code(), got, tc.want)
 		}
-		if e < -1e-9 || e > 1e-9 {
-			t.Fatalf("uniform prediction error %.4f for %v", e, pair)
-		}
-	}
-	// On a switching plan the additive model must stay within 25%.
-	plan := NewPlan(TwoPhases, ad, cc)
-	e, err := p.PredictError(r, plan)
-	if err != nil {
-		t.Fatalf("PredictError: %v", err)
-	}
-	if e < -0.25 || e > 0.25 {
-		t.Fatalf("switching prediction error %.2f", e)
-	}
-}
-
-func TestPredictorValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for empty profiles")
-		}
-	}()
-	NewPredictor(nil, nil)
-}
-
-func TestMatrixCost(t *testing.T) {
-	pairs := []iosched.Pair{cc, ad}
-	m := [][]sim.Duration{{1, 2}, {3, 4}}
-	cost := MatrixCost(pairs, m)
-	if cost(cc, ad) != 2 || cost(ad, cc) != 3 {
-		t.Fatal("matrix lookup")
-	}
-	if cost(cc, nc) != 0 {
-		t.Fatal("unknown pair should cost 0")
 	}
 }
 

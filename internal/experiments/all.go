@@ -38,15 +38,10 @@ func Suite() []Entry {
 	}
 }
 
-// All runs the whole suite (or the named subset) and writes the rendered
-// artefacts to w.
-func All(cfg Config, w io.Writer, only ...string) error {
-	return AllWithCSV(cfg, w, "", only...)
-}
-
-// AllWithCSV additionally writes each artefact's raw data as
-// <csvDir>/<id>.csv when csvDir is non-empty.
-func AllWithCSV(cfg Config, w io.Writer, csvDir string, only ...string) error {
+// All runs the whole suite (or the named subset), writes the rendered
+// artefacts to w and each artefact's raw data as <csvDir>/<id>.csv when
+// csvDir is non-empty.
+func All(cfg Config, w io.Writer, csvDir string, only ...string) error {
 	want := map[string]bool{}
 	for _, id := range only {
 		want[id] = true

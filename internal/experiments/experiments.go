@@ -14,7 +14,6 @@ import (
 
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
-	"adaptmr/internal/sim"
 )
 
 // Config parameterises every experiment.
@@ -108,9 +107,6 @@ func (t Table) Render() string {
 	}
 	return b.String()
 }
-
-// secs converts a duration to seconds for table cells.
-func secs(d sim.Duration) float64 { return d.Seconds() }
 
 // pairCodes renders pair codes as column/row heads.
 func pairCodes(pairs []iosched.Pair) []string {

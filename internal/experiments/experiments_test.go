@@ -379,7 +379,7 @@ func TestSuiteAndAll(t *testing.T) {
 		ids[e.ID] = true
 	}
 	var sb strings.Builder
-	if err := All(Quick(), &sb, "fig8"); err != nil {
+	if err := All(Quick(), &sb, "", "fig8"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Fig 8") {

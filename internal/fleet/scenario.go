@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"adaptmr/internal/iosched"
@@ -215,6 +216,9 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("fleet: unknown arrival kind %q (want immediate, poisson or trace)", s.Arrivals.Kind)
 	}
+	if h := s.Arrivals.HorizonMS; h < 0 || h > maxArriveMS {
+		return fmt.Errorf("fleet: horizon_ms %d outside [0, %d]", h, maxArriveMS)
+	}
 	queues := map[string]bool{}
 	if s.Policy == PolicyCapacity {
 		if len(s.Queues) == 0 {
@@ -255,6 +259,11 @@ func (s Scenario) Validate() error {
 		if s.Arrivals.Kind == "trace" && len(j.ArriveMS) != j.Count {
 			return fmt.Errorf("fleet: jobs[%d] %q: trace arrivals need %d arrive_ms entries, got %d", i, j.ID, j.Count, len(j.ArriveMS))
 		}
+		for _, ms := range j.ArriveMS {
+			if ms < 0 || ms > maxArriveMS {
+				return fmt.Errorf("fleet: jobs[%d] %q: arrive_ms %d outside [0, %d]", i, j.ID, ms, maxArriveMS)
+			}
+		}
 		bench, err := workloads.ByName(j.Benchmark, j.InputPerVMMB<<20)
 		if err != nil {
 			return fmt.Errorf("fleet: jobs[%d] %q: %w", i, j.ID, err)
@@ -263,6 +272,12 @@ func (s Scenario) Validate() error {
 		cfg.Name = j.ID
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("fleet: jobs[%d] %q: %w", i, j.ID, err)
+		}
+	}
+	if s.Arrivals.Kind == "poisson" && s.Arrivals.HorizonMS == 0 {
+		// horizon's jobs/rate window, in nanoseconds.
+		if w := float64(s.TotalJobs()) / s.Arrivals.RatePerMin * 60 * float64(sim.Second); !(w >= 0 && w < math.MaxInt64) {
+			return fmt.Errorf("fleet: poisson window jobs/rate_per_min = %g ms outside [0, %d]", w/float64(sim.Millisecond), maxArriveMS)
 		}
 	}
 	return nil
@@ -296,6 +311,11 @@ type instance struct {
 	cell    int
 	arrive  sim.Time
 }
+
+// maxArriveMS is the latest arrival time, in milliseconds, that a
+// sim.Time holds (about 292 years); Validate bounds every arrival window
+// by it.
+const maxArriveMS = math.MaxInt64 / int64(sim.Millisecond)
 
 // horizon returns the arrival window of a Poisson scenario.
 func (s Scenario) horizon() sim.Duration {

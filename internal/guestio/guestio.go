@@ -204,14 +204,10 @@ type File struct {
 	dirtyAt   sim.Time
 
 	resident []span // cached sector ranges, ordered and disjoint
-
-	syncWaiters []*syncWaiter
 }
 
 type syncWaiter struct {
-	upTo    int64 // flushed watermark needed (file sectors)
-	pending int   // outstanding sync writes
-	flushed int64
+	pending int // outstanding sync writes
 	cb      func()
 }
 

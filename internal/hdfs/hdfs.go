@@ -61,9 +61,6 @@ func New(eng *sim.Engine, cfg Config, nodes []DataNode, net *netsim.Network) *DF
 	return &DFS{eng: eng, cfg: cfg, nodes: nodes, net: net}
 }
 
-// Config returns the filesystem configuration.
-func (d *DFS) Config() Config { return d.cfg }
-
 // Nodes returns the datanodes.
 func (d *DFS) Nodes() []DataNode { return d.nodes }
 

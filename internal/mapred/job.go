@@ -197,9 +197,6 @@ func NewJob(cl *cluster.Cluster, cfg Config) *Job {
 	return j
 }
 
-// Config returns the job configuration.
-func (j *Job) Config() Config { return j.cfg }
-
 // SetSlotGate installs the cross-job slot arbiter. It must be called
 // before Start; nil (the default) keeps the historical per-job slot
 // accounting, byte-identical to every existing single-job run.

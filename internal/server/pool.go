@@ -111,8 +111,5 @@ func (p *pool) drain(ctx context.Context) error {
 // depth is the number of admitted-but-not-yet-started tasks.
 func (p *pool) depth() int { return len(p.queue) }
 
-// capacity is the admission queue's bound.
-func (p *pool) capacity() int { return cap(p.queue) }
-
 // busyWorkers is how many workers are mid-task right now.
 func (p *pool) busyWorkers() int { return int(p.busy.Load()) }

@@ -170,12 +170,6 @@ func (h *Host) Pool() *block.Pool {
 	return h.pool
 }
 
-// Obs returns the observability sink threaded through the host.
-func (h *Host) Obs() obs.Sink { return h.cfg.Obs }
-
-// Config returns the host configuration.
-func (h *Host) Config() HostConfig { return h.cfg }
-
 // Disk returns the physical disk model.
 func (h *Host) Disk() *disk.Disk { return h.disk }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adaptmr"
+	"adaptmr/internal/workloads"
 )
 
 // onlineFingerprint captures every observable byte of an online run:
@@ -89,7 +90,7 @@ func TestRunOnlineProperty(t *testing.T) {
 	benches := []func(int64) adaptmr.Workload{
 		adaptmr.SortBenchmark,
 		adaptmr.WordCountBenchmark,
-		adaptmr.WordCountNoCombinerBenchmark,
+		workloads.WordCountNoCombiner,
 	}
 	// splitmix-style deterministic "random" workload draws: no global
 	// RNG, so the cases are stable across runs and machines.
