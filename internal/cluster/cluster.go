@@ -46,8 +46,11 @@ type Config struct {
 	Check *check.Set
 
 	// Pools, when set, hands host i the recycling request pool Pools[i]
-	// (see xen.HostConfig.Pool) that RequestPools returned for an earlier
-	// cluster whose engine has drained.
+	// (see xen.HostConfig.Pool), so a cluster reuses the requests an
+	// earlier, drained cluster returned (see PoolShelf). A pool is
+	// single-threaded: hand a set to one running cluster at a time, as
+	// core.Runner does with its evaluations. Checked and journey-tracing
+	// hosts ignore it.
 	Pools []*block.Pool
 
 	// HostDiskSlowdown optionally makes specific hosts' disks slower by
@@ -123,20 +126,40 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// RequestPools returns each host's recycling request pool, or nil when
-// the hosts have none (journey tracing, Check). Hand them to another
-// cluster's Config.Pools only once this cluster's engine has drained,
-// when every request is back in its pool.
-func (c *Cluster) RequestPools() []*block.Pool {
-	var pools []*block.Pool
-	for _, h := range c.Hosts {
-		p := h.Pool()
-		if p == nil {
-			return nil
-		}
-		pools = append(pools, p)
+// PoolShelf passes request pools from one run's testbed to the next, for
+// owners that build clusters one after another: an owner Takes a set
+// for each cluster it builds (Config.Pools) and Puts the set back once
+// that cluster's run has completed, when every request is back in its
+// pool, so the next cluster starts with the requests the last one
+// allocated. An abandoned run's in-flight requests never return, so its
+// set is dropped, not put back. Safe for concurrent use; the zero value
+// shelves nothing and hands out fresh sets.
+type PoolShelf chan []*block.Pool
+
+// NewPoolShelf returns a shelf that holds up to n sets.
+func NewPoolShelf(n int) PoolShelf { return make(PoolShelf, n) }
+
+// Take returns a shelved set, or a fresh one when none is shelved, grown
+// to at least one pool per host.
+func (s PoolShelf) Take(hosts int) []*block.Pool {
+	var set []*block.Pool
+	select {
+	case set = <-s:
+	default:
 	}
-	return pools
+	for len(set) < hosts {
+		set = append(set, block.NewPool(false, nil))
+	}
+	return set
+}
+
+// Put shelves set, whose last run completed, or drops it when the shelf
+// is full.
+func (s PoolShelf) Put(set []*block.Pool) {
+	select {
+	case s <- set:
+	default:
+	}
 }
 
 // instrumentNet subscribes flow tracing/metrics to the network. Flow spans

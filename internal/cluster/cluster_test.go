@@ -98,38 +98,54 @@ func burst(cl *Cluster, n int) {
 }
 
 // TestRequestPoolsCarryOver pins the pool hand-off: a cluster built with
-// a drained cluster's pools draws from them, so the same burst allocates
-// no request the first cluster did not already return, and a checked
-// cluster, whose pools only detect, offers none.
+// the set a drained cluster put on the shelf draws from it, so the same
+// burst allocates no request the first cluster did not already return,
+// and a checked cluster, whose pools only detect, leaves the set alone.
 func TestRequestPoolsCarryOver(t *testing.T) {
-	first := New(smallConfig())
-	burst(first, 20)
-	pools := first.RequestPools()
+	shelf := NewPoolShelf(1)
+	cfg := smallConfig()
+	cfg.Pools = shelf.Take(cfg.Hosts)
+	pools := cfg.Pools
 	if len(pools) != 2 || slices.Contains(pools, nil) {
-		t.Fatalf("RequestPools = %v, want one pool per host", pools)
+		t.Fatalf("Take = %v, want one pool per host", pools)
 	}
+	burst(New(cfg), 20)
+	shelf.Put(pools)
 	before := make([]block.PoolStats, len(pools))
 	for i, p := range pools {
-		before[i] = p.Stats()
+		if before[i] = p.Stats(); before[i].Gets == 0 || before[i].Puts != before[i].Gets {
+			t.Fatalf("host %d: first burst %+v, want every request back", i, before[i])
+		}
 	}
-	cfg := smallConfig()
-	cfg.Pools = pools
-	second := New(cfg)
-	if got := second.RequestPools(); !slices.Equal(got, pools) {
-		t.Fatalf("second cluster's pools %v, want the first's %v", got, pools)
+	cfg.Pools = shelf.Take(cfg.Hosts)
+	if !slices.Equal(cfg.Pools, pools) {
+		t.Fatalf("second cluster's pools %v, want the first's %v", cfg.Pools, pools)
 	}
-	burst(second, 20)
+	burst(New(cfg), 20)
 	for i, p := range pools {
 		st := p.Stats()
 		if gets, reuses := st.Gets-before[i].Gets, st.Reuses-before[i].Reuses; gets == 0 || reuses != gets {
 			t.Errorf("host %d: second burst got %d requests, %d reused, want all reused", i, gets, reuses)
 		}
 	}
+	shelf.Put(pools)
+
+	// A wider testbed gets the set grown by a fresh pool per extra host.
+	if got := shelf.Take(3); !slices.Equal(got[:2], pools) || len(got) != 3 || got[2] == nil {
+		t.Fatalf("Take(3) = %v, want the shelved set and one fresh pool", got)
+	}
+	if got := shelf.Take(2); slices.Contains(got, pools[0]) {
+		t.Fatalf("empty shelf handed out %v again", got)
+	}
 
 	checked := smallConfig()
 	checked.Check = check.NewSet()
-	if got := New(checked).RequestPools(); got != nil {
-		t.Fatalf("checked cluster offers pools %v", got)
+	checked.Pools = shelf.Take(checked.Hosts)
+	burst(New(checked), 20)
+	for i, p := range checked.Pools {
+		if st := p.Stats(); st.Gets != 0 {
+			t.Errorf("checked host %d drew %d requests from the set it was handed", i, st.Gets)
+		}
 	}
 }
 

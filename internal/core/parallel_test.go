@@ -206,3 +206,37 @@ func TestFanRunsEveryIndexOnce(t *testing.T) {
 	}
 	Fan(4, 0, func(int) { t.Fatal("Fan ran an index of an empty batch") })
 }
+
+// TestRunnerPoolsGoToOneEvaluationAtATime pins the Runner's pool
+// hand-off: with ClusterConfig.Pools set, four workers over eight plans
+// lend the set to one evaluation at a time, so under -race no two
+// evaluations share a pool, every result equals a run without pools, and
+// the set ends with every request back.
+func TestRunnerPoolsGoToOneEvaluationAtATime(t *testing.T) {
+	var plans []Plan
+	for _, p := range iosched.AllPairs()[:8] {
+		plans = append(plans, Uniform(TwoPhases, p))
+	}
+	fresh := testRunner()
+	fresh.Parallelism = 4
+	want, err := fresh.RunAll(plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := testRunner()
+	pooled.Parallelism = 4
+	pools := cluster.NewPoolShelf(1).Take(2)
+	pooled.ClusterConfig.Pools = pools
+	got, err := pooled.RunAll(plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("results with pools differ from results without")
+	}
+	for i, p := range pools {
+		if st := p.Stats(); st.Gets == 0 || st.Puts != st.Gets {
+			t.Errorf("pool %d: %+v, want traffic and every request back", i, st)
+		}
+	}
+}

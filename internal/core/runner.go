@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adaptmr/internal/block"
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/iosched"
 	"adaptmr/internal/mapred"
@@ -35,7 +36,8 @@ import (
 //     order (obs.Tracer.Absorb renumbers async ids), so the merged trace,
 //     metrics and report bytes match a 1-worker run.
 type Runner struct {
-	// ClusterConfig builds each evaluation's testbed.
+	// ClusterConfig builds each evaluation's testbed. Its Pools, when
+	// set, go to one evaluation at a time.
 	ClusterConfig cluster.Config
 	// Job is the workload under tuning.
 	Job mapred.Config
@@ -81,6 +83,11 @@ type Runner struct {
 	memo     map[string]*evalEntry // single-flight, keyed by Plan.Key()
 	pending  map[int]*evalEntry    // finished evaluations awaiting fold
 	foldNext int                   // next evaluation index to fold
+
+	// pools hands ClusterConfig.Pools to one evaluation at a time, since
+	// a request pool is single-threaded; the others build fresh pools.
+	// Only an evaluation that completed gives the set back.
+	pools chan []*block.Pool
 }
 
 // evalEntry is one single-flight evaluation slot. Whoever creates the
@@ -130,6 +137,12 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 	if r.pending == nil {
 		r.pending = make(map[int]*evalEntry)
 	}
+	if r.pools == nil {
+		r.pools = make(chan []*block.Pool, 1)
+		if r.ClusterConfig.Pools != nil {
+			r.pools <- r.ClusterConfig.Pools
+		}
+	}
 	ctx := r.Context
 	for i, plan := range plans {
 		key := plan.Key()
@@ -171,11 +184,19 @@ func (r *Runner) execute(ctx context.Context, e *evalEntry) {
 	if cc.Obs.Enabled() { // only an observed run needs the label, which allocates
 		cc.Obs = cc.Obs.Private(e.idx, e.plan.String())
 	}
+	cc.Pools = nil
+	select {
+	case cc.Pools = <-r.pools:
+	default:
+	}
 	var wire func(*cluster.Cluster)
 	if r.OnEvaluation != nil {
 		wire = func(cl *cluster.Cluster) { r.OnEvaluation(e.plan, cl) }
 	}
 	res, err := Execute(ctx, cc, r.Job, e.plan, r.CollectPerf, wire)
+	if cc.Pools != nil && err == nil {
+		r.pools <- cc.Pools
+	}
 
 	r.mu.Lock()
 	e.res, e.obs, e.err = res, cc.Obs, err

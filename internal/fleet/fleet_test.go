@@ -198,7 +198,7 @@ func TestCheckedCellsAreReleased(t *testing.T) {
 // TestDrainedCellPoolsCarryOver pins the request-pool hand-off: each
 // cell a worker builds takes over the pools of a cell that has drained,
 // so a fleet grows at most one set of pools per worker, and a checked
-// fleet, whose pools only detect, carries none.
+// fleet's hosts, whose pools only detect, leave the sets alone.
 func TestDrainedCellPoolsCarryOver(t *testing.T) {
 	s := tinyScenario()
 	s.Cells = 4
@@ -208,7 +208,7 @@ func TestDrainedCellPoolsCarryOver(t *testing.T) {
 		_, err := Run(s, Options{
 			Parallelism: par,
 			OnCell: func(_ int, cl *cluster.Cluster) {
-				pools := cl.RequestPools()
+				pools := cl.Config().Pools
 				if len(pools) != s.HostsPerCell || slices.Contains(pools, nil) {
 					t.Errorf("cell pools %v, want one per host", pools)
 					return
@@ -226,17 +226,23 @@ func TestDrainedCellPoolsCarryOver(t *testing.T) {
 				par, s.Cells, len(sets), par)
 		}
 	}
+	var handed [][]*block.Pool
 	_, err := Run(s, Options{
 		Parallelism: 1,
 		Check:       check.NewSet(),
-		OnCell: func(c int, cl *cluster.Cluster) {
-			if pools := cl.RequestPools(); pools != nil {
-				t.Errorf("checked cell %d has recycling pools %v", c, pools)
-			}
+		OnCell: func(_ int, cl *cluster.Cluster) {
+			handed = append(handed, cl.Config().Pools)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for c, pools := range handed {
+		for _, p := range pools {
+			if st := p.Stats(); st.Gets != 0 {
+				t.Errorf("checked cell %d drew %d requests from the pools it was handed", c, st.Gets)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"adaptmr/internal/block"
 	"adaptmr/internal/check"
 	"adaptmr/internal/cluster"
 	"adaptmr/internal/core"
@@ -71,20 +70,16 @@ type cell struct {
 // what the result and the fold read. A cell that drains with jobs
 // unfinished has deadlocked.
 //
-// The cell draws its request pools from shelf when a drained cell left
-// some there, and shelves its own once it drains. Pools hold only freed
-// requests and never change simulated results, so which cell takes which
-// set does not matter.
-func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instance, shelf chan []*block.Pool) (cell, error) {
+// The cell takes its request pools from shelf and puts them back once
+// every job has finished. Pools hold only freed requests and never change
+// simulated results, so which cell takes which set does not matter.
+func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instance, shelf cluster.PoolShelf) (cell, error) {
 	cc := cluster.DefaultConfig()
 	cc.Hosts = s.HostsPerCell
 	cc.VMsPerHost = s.VMsPerHost
 	cc.Seed = cellSeed(s.Seed, c)
 	cc.Check = opt.Check
-	select {
-	case cc.Pools = <-shelf:
-	default:
-	}
+	cc.Pools = shelf.Take(cc.Hosts)
 	cc.Obs = opt.Obs.Private(c, fmt.Sprintf("cell%d", c))
 	cl := cluster.New(cc)
 	cl.InstallPair(pair)
@@ -107,9 +102,7 @@ func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instanc
 		// keep the finished cell alive until the fleet's Finalize.
 		opt.Check.Retire(cl.Eng)
 	}
-	if pools := cl.RequestPools(); pools != nil {
-		shelf <- pools // every request is back in its pool
-	}
+	shelf.Put(cc.Pools) // every request is back in its pool
 	jobs := jt.finished
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	for _, rj := range jobs {
@@ -150,7 +143,7 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	// at most Parallelism sets of them.
 	cells := make([]cell, s.Cells)
 	errs := make([]error, s.Cells)
-	shelf := make(chan []*block.Pool, s.Cells) // a slot per cell: no send blocks
+	shelf := cluster.NewPoolShelf(s.Cells) // a slot per cell: no set is dropped
 	core.Fan(opt.Parallelism, s.Cells, func(c int) {
 		cells[c], errs[c] = runCell(s, opt, pair, c, perCell[c], shelf)
 	})

@@ -18,7 +18,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
 	"adaptmr/internal/iosched"
@@ -276,7 +275,7 @@ func (s Scenario) Validate() error {
 	}
 	if s.Arrivals.Kind == "poisson" && s.Arrivals.HorizonMS == 0 {
 		// horizon's jobs/rate window, in nanoseconds.
-		if w := float64(s.TotalJobs()) / s.Arrivals.RatePerMin * 60 * float64(sim.Second); !(w >= 0 && w < math.MaxInt64) {
+		if w := float64(s.TotalJobs()) / s.Arrivals.RatePerMin * 60 * float64(sim.Second); !(w >= 0 && w <= float64(maxArriveMS*int64(sim.Millisecond))) {
 			return fmt.Errorf("fleet: poisson window jobs/rate_per_min = %g ms outside [0, %d]", w/float64(sim.Millisecond), maxArriveMS)
 		}
 	}
@@ -312,10 +311,10 @@ type instance struct {
 	arrive  sim.Time
 }
 
-// maxArriveMS is the latest arrival time, in milliseconds, that a
-// sim.Time holds (about 292 years); Validate bounds every arrival window
-// by it.
-const maxArriveMS = math.MaxInt64 / int64(sim.Millisecond)
+// maxArriveMS is the latest arrival time, in milliseconds, that Validate
+// accepts: half the int64 nanosecond clock (about 146 years), which
+// leaves the other half for the cell's boot epoch and the jobs' runs.
+const maxArriveMS = 1 << 62 / int64(sim.Millisecond)
 
 // horizon returns the arrival window of a Poisson scenario.
 func (s Scenario) horizon() sim.Duration {

@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"adaptmr/internal/sim"
 )
 
 // probeScenario is the JSON of a 1 cell × 1 host × 1 VM scenario with one
@@ -18,7 +22,11 @@ func probeScenario(arrivals, arriveMS string) []byte {
 }
 
 // outOfRangeArrivals are scenarios whose arrival window is negative or
-// longer than a sim.Time holds; Parse must reject each, naming the field.
+// longer than half a sim.Time; Parse must reject each, naming the field.
+// The last three are trace times within 2 s of the clock's end: they fit
+// a sim.Time, but the cell's boot epoch or the job's own events then run
+// past it, so the job started at once with a wait of −9.2e12 ms, or the
+// run never ended.
 var outOfRangeArrivals = []struct {
 	name, field string
 	body        []byte
@@ -27,6 +35,9 @@ var outOfRangeArrivals = []struct {
 	{"jobs/rate window beyond int64 ns", "jobs/rate_per_min", probeScenario(`{"kind":"poisson","rate_per_min":1e-9}`, "")},
 	{"horizon beyond int64 ns", "horizon_ms", probeScenario(`{"kind":"poisson","rate_per_min":1,"horizon_ms":9000000000000000}`, "")},
 	{"negative horizon", "horizon_ms", probeScenario(`{"kind":"poisson","rate_per_min":1,"horizon_ms":-5}`, "")},
+	{"trace whose run overflows the clock", "arrive_ms", probeScenario(`{"kind":"trace"}`, `[9223372035000]`)},
+	{"trace whose boot epoch overflows the clock", "arrive_ms", probeScenario(`{"kind":"trace"}`, `[9223372035900]`)},
+	{"trace at the clock's last millisecond", "arrive_ms", probeScenario(`{"kind":"trace"}`, `[9223372036854]`)},
 }
 
 func TestArrivalWindowValidation(t *testing.T) {
@@ -35,8 +46,7 @@ func TestArrivalWindowValidation(t *testing.T) {
 			t.Errorf("%s: Parse error = %v, want one naming %s", tc.name, err, tc.field)
 		}
 	}
-	// The bound is exact: maxArriveMS ms is the last window int64
-	// nanoseconds hold.
+	// The bound is exact: maxArriveMS ms is the last window accepted.
 	for _, tc := range []struct {
 		name string
 		body []byte
@@ -46,7 +56,8 @@ func TestArrivalWindowValidation(t *testing.T) {
 		{"trace past the bound", probeScenario(`{"kind":"trace"}`, fmt.Sprintf("[%d]", maxArriveMS+1)), false},
 		{"horizon at the bound", probeScenario(fmt.Sprintf(`{"kind":"poisson","horizon_ms":%d}`, maxArriveMS), ""), true},
 		{"horizon past the bound", probeScenario(fmt.Sprintf(`{"kind":"poisson","horizon_ms":%d}`, maxArriveMS+1), ""), false},
-		{"jobs/rate window of 190 years", probeScenario(`{"kind":"poisson","rate_per_min":1e-8}`, ""), true},
+		{"jobs/rate window of 95 years", probeScenario(`{"kind":"poisson","rate_per_min":2e-8}`, ""), true},
+		{"jobs/rate window of 190 years", probeScenario(`{"kind":"poisson","rate_per_min":1e-8}`, ""), false},
 	} {
 		s, err := Parse(tc.body)
 		if (err == nil) != tc.ok {
@@ -63,17 +74,37 @@ func TestArrivalWindowValidation(t *testing.T) {
 	}
 }
 
+// TestArrivalAtTheBoundRuns pins the headroom the bound leaves: a job
+// arriving at the bound arrives on time, waits for nothing and finishes.
+func TestArrivalAtTheBoundRuns(t *testing.T) {
+	s, err := Parse(probeScenario(`{"kind":"trace"}`, fmt.Sprintf("[%d]", maxArriveMS)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	res, err := Run(s, Options{Parallelism: 1, Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := res.Jobs[0]; j.ArriveMS != maxArriveMS || j.WaitMS != 0 || j.DoneMS <= j.AdmitMS {
+		t.Fatalf("job arrived at %d ms, waited %d ms, done at %d ms; want arrival at %d ms, no wait, done after",
+			j.ArriveMS, j.WaitMS, j.DoneMS, maxArriveMS)
+	}
+}
+
 // FuzzScenario feeds arbitrary bytes to Parse. Nothing may panic, and an
 // accepted scenario of at most 256 instances (a cap that keeps a huge
-// count from only allocating) expands into arrivals at or after time
-// zero, each on a cell in [0, Cells).
+// count from only allocating) expands into arrivals in [0, maxArriveMS]
+// ms, which leaves half the clock for the run, each on a cell in
+// [0, Cells).
 func FuzzScenario(f *testing.F) {
 	smoke, err := json.Marshal(SmokeScenario())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(smoke)
-	for _, tc := range outOfRangeArrivals[:3] {
+	for _, tc := range outOfRangeArrivals {
 		f.Add(tc.body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -88,7 +119,7 @@ func FuzzScenario(f *testing.F) {
 			}
 		}
 		for _, inst := range s.expand() {
-			if inst.arrive < 0 {
+			if inst.arrive < 0 || inst.arrive > sim.Time(maxArriveMS*int64(sim.Millisecond)) {
 				t.Fatalf("accepted scenario: %s arrives at %v", inst.id, inst.arrive)
 			}
 			if inst.cell < 0 || inst.cell >= s.Cells {

@@ -183,7 +183,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			return prepared{}, err
 		}
 		if req.RunID == "" {
-			return prepared{key: key, timeout: timeout, exec: func(ctx context.Context) ([]byte, error) {
+			return prepared{key: key, timeout: timeout, cfg: cfg, exec: func(ctx context.Context, cfg adaptmr.ClusterConfig) ([]byte, error) {
 				return s.execAutotune(ctx, cfg, job, pol)
 			}}, nil
 		}
@@ -191,8 +191,8 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			return prepared{}, err
 		}
 		lr := s.streams.getOrCreate(req.RunID)
-		return prepared{key: key + ":stream:" + req.RunID, timeout: timeout, stream: lr,
-			exec: func(ctx context.Context) ([]byte, error) {
+		return prepared{key: key + ":stream:" + req.RunID, timeout: timeout, cfg: cfg, stream: lr,
+			exec: func(ctx context.Context, cfg adaptmr.ClusterConfig) ([]byte, error) {
 				return s.execStreamedAutotune(ctx, cfg, job, pol, lr)
 			}}, nil
 	})

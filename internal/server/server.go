@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"adaptmr"
+	"adaptmr/internal/cluster"
 	"adaptmr/internal/core"
 )
 
@@ -98,6 +99,7 @@ type Server struct {
 	logger *slog.Logger
 
 	pool    *pool
+	shelf   cluster.PoolShelf // warm request pools, at most one set per worker
 	flight  core.Group
 	met     *lockedRegistry
 	streams *streams
@@ -136,6 +138,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth)
+	s.shelf = cluster.NewPoolShelf(cfg.Workers)
 	s.met.setGauge(mQueueCapacity, float64(cfg.QueueDepth))
 	s.met.setGauge(mWorkersTotal, float64(cfg.Workers))
 
@@ -181,14 +184,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // ---------------------------------------------------------------------------
 
 // prepared is a parsed, validated, normalised request ready to execute:
-// its coalescing key, its deadline, and the execution closure that
-// produces the encoded 200 payload. stream, when non-nil, is the live
-// stream this request feeds; servePost terminates it on every exit path
-// so subscribers always see a terminal frame.
+// its coalescing key, its deadline, its testbed, and the execution
+// closure that produces the encoded 200 payload from that testbed.
+// stream, when non-nil, is the live stream this request feeds;
+// servePost terminates it on every exit path so subscribers always see a
+// terminal frame.
 type prepared struct {
 	key     string
 	timeout time.Duration
-	exec    func(ctx context.Context) ([]byte, error)
+	cfg     adaptmr.ClusterConfig
+	exec    func(ctx context.Context, cfg adaptmr.ClusterConfig) ([]byte, error)
 	stream  *liveRun
 }
 
@@ -231,12 +236,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				return prepared{}, err
 			}
 			lr := s.streams.getOrCreate(req.RunID)
-			return prepared{key: key + ":stream:" + req.RunID, timeout: timeout, stream: lr,
-				exec: func(ctx context.Context) ([]byte, error) {
+			return prepared{key: key + ":stream:" + req.RunID, timeout: timeout, cfg: cfg, stream: lr,
+				exec: func(ctx context.Context, cfg adaptmr.ClusterConfig) ([]byte, error) {
 					return s.execStreamedRun(ctx, cfg, job, plan, lr)
 				}}, nil
 		}
-		return prepared{key: key, timeout: timeout, exec: func(ctx context.Context) ([]byte, error) {
+		return prepared{key: key, timeout: timeout, cfg: cfg, exec: func(ctx context.Context, cfg adaptmr.ClusterConfig) ([]byte, error) {
 			tuner := s.newTuner(ctx, cfg, job)
 			res, err := tuner.RunPlan(plan)
 			s.noteEvaluations(tuner)
@@ -288,7 +293,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, endpoint, c
 		if err != nil {
 			return prepared{}, err
 		}
-		return prepared{key: key, timeout: timeout, exec: func(ctx context.Context) ([]byte, error) {
+		return prepared{key: key, timeout: timeout, cfg: cfg, exec: func(ctx context.Context, cfg adaptmr.ClusterConfig) ([]byte, error) {
 			tuner := s.newTuner(ctx, cfg, job).WithScheme(scheme).WithCandidates(candidates)
 			if endpoint == "bruteforce" {
 				res, err := tuner.BruteForce()
@@ -371,7 +376,14 @@ func (s *Server) servePost(w http.ResponseWriter, r *http.Request, endpoint, cou
 			}
 			ctx, cancel := context.WithTimeout(s.baseCtx, p.timeout)
 			defer cancel()
-			t.val, t.err = p.exec(ctx)
+			// The worker lends the run a warm set of request pools. Only
+			// a completed run returns every request to them, so only its
+			// set goes back on the shelf.
+			cfg := p.cfg
+			cfg.Pools = s.shelf.Take(cfg.Hosts)
+			if t.val, t.err = p.exec(ctx, cfg); t.err == nil {
+				s.shelf.Put(cfg.Pools)
+			}
 		}
 		if err := s.pool.submit(t); err != nil {
 			return nil, err

@@ -201,7 +201,8 @@ type laneEntry struct {
 }
 
 // Schedule runs fn after the lane's delay. It allocates nothing once the
-// ring has grown to the lane's peak occupancy.
+// ring has grown to the lane's peak occupancy, and panics, as
+// Engine.Schedule does, when the delay runs past the clock's end.
 func (l *Lane) Schedule(fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -210,7 +211,7 @@ func (l *Lane) Schedule(fn func()) {
 		l.grow()
 	}
 	e := l.eng
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: e.now.Add(l.d), seq: e.seq, fn: fn}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: e.after(l.d), seq: e.seq, fn: fn}
 	l.n++
 	e.seq++
 }
@@ -325,11 +326,22 @@ func (e *Engine) release(ev *Event) {
 }
 
 // Schedule runs fn after delay d. A negative delay is treated as zero.
+// A delay that runs past the end of the int64 clock panics: callers
+// bound their inputs, so only a bug can schedule one.
 func (e *Engine) Schedule(d Duration, fn func()) *Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now.Add(d), fn)
+	return e.At(e.after(d), fn)
+}
+
+// after returns the time d >= 0 from now, and panics if it overflows.
+func (e *Engine) after(d Duration) Time {
+	t := e.now.Add(d)
+	if t < e.now {
+		panic("sim: scheduled past the end of the int64 clock")
+	}
+	return t
 }
 
 // At runs fn at absolute time t. Times in the past fire at the current time.

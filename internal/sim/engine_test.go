@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -178,6 +179,33 @@ func TestNegativeDelayClamped(t *testing.T) {
 	e.Run()
 	if !fired || e.Now() != 0 {
 		t.Fatalf("negative delay: fired=%v now=%v", fired, e.Now())
+	}
+}
+
+// TestScheduleOverflowPanics pins the clock's end: a delay that carries
+// the clock past int64 panics, on the calendar and on a lane, instead of
+// wrapping into the past and firing at once.
+func TestScheduleOverflowPanics(t *testing.T) {
+	for name, schedule := range map[string]func(*Engine){
+		"calendar": func(e *Engine) { e.Schedule(100, func() {}) },
+		"lane":     func(e *Engine) { e.Lane(100).Schedule(func() {}) },
+	} {
+		e := New(1)
+		e.At(math.MaxInt64-10, func() {})
+		e.Run()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a delay of 100 ns at %v did not panic", name, e.Now())
+				}
+			}()
+			schedule(e)
+		}()
+		e.Schedule(10, func() {}) // the clock's last nanosecond is fine
+		e.Run()
+		if e.Now() != math.MaxInt64 {
+			t.Errorf("%s: clock at %v, want its last nanosecond", name, e.Now())
+		}
 	}
 }
 

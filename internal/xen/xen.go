@@ -53,7 +53,7 @@ type HostConfig struct {
 	// Pool, when non-nil, is the recycling request pool the host draws
 	// from instead of a fresh one, so hosts built one after another reuse
 	// the requests an earlier, fully drained host returned (see
-	// Host.Pool). Checked and journey-tracing hosts ignore it.
+	// cluster.PoolShelf). Checked and journey-tracing hosts ignore it.
 	Pool *block.Pool
 }
 
@@ -157,17 +157,6 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 		h.domains = append(h.domains, newDomain(h, i))
 	}
 	return h
-}
-
-// Pool returns the recycling request pool the host draws from, or nil
-// when it has none: journey tracing pools nothing and Check's pool only
-// detects. Once the host's engine has drained every request is back in
-// it, so a later host may take it over through HostConfig.Pool.
-func (h *Host) Pool() *block.Pool {
-	if h.cfg.Check != nil {
-		return nil
-	}
-	return h.pool
 }
 
 // Disk returns the physical disk model.
