@@ -81,10 +81,10 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// TestRequestLifecyclesIdentical pins that a host's three block-request
-// lifecycles simulate the same job: the default recycling pool, the
-// detect-only pool under invariant checking, and no pool under journey
-// tracing (journeys read requests after their queue completed them).
+// TestRequestLifecyclesIdentical pins that a host's two block-request
+// lifecycles simulate the same job, with and without journey tracing:
+// the default recycling pool and the detect-only pool under invariant
+// checking.
 func TestRequestLifecyclesIdentical(t *testing.T) {
 	job := adaptmr.SortBenchmark(96 << 20).Job
 	var want []byte
@@ -94,7 +94,8 @@ func TestRequestLifecyclesIdentical(t *testing.T) {
 	}{
 		{"recycling-pool", nil},
 		{"detect-only-pool", []adaptmr.Option{adaptmr.WithInvariantChecks()}},
-		{"no-pool", []adaptmr.Option{adaptmr.WithJourney()}},
+		{"journey-recycling-pool", []adaptmr.Option{adaptmr.WithJourney()}},
+		{"journey-detect-only-pool", []adaptmr.Option{adaptmr.WithJourney(), adaptmr.WithInvariantChecks()}},
 	} {
 		res, err := adaptmr.Run(quickCluster(), job, adaptmr.DefaultPair, tc.opts...)
 		if err != nil {

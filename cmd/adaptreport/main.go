@@ -169,8 +169,8 @@ func cmdRun(name string, args []string) {
 	lf := cliutil.BindLogFlag(fs)
 	format := fs.String("format", "md", "output format: md, html or json")
 	out := fs.String("o", "", "output path (default stdout)")
-	// Only run writes a bench: explain's journey log turns request pooling
-	// off, which moves the gated allocs_per_event.
+	// Only run writes a bench: explain's journey and decision logs
+	// allocate per request, which moves the gated allocs_per_event.
 	var benchOut *string
 	if name == "run" {
 		benchOut = fs.String("bench-out", "", "also write the run's bench summary here, as a one-entry suite")

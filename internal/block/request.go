@@ -187,6 +187,16 @@ func (r *Request) absorb(child *Request) {
 	r.mergedTail = child
 }
 
+// Each calls fn on r and then on every request merged into it, in merge
+// order. The chain stays linked until r's queue has run its completion
+// hooks, so a hook may walk it; after that r may be recycled.
+func (r *Request) Each(fn func(*Request)) {
+	fn(r)
+	for m := r.mergedHead; m != nil; m = m.mergedNext {
+		fn(m)
+	}
+}
+
 // finish runs completion callbacks for r and everything merged into it.
 // The chain stays linked; the completing Queue unlinks it.
 func (r *Request) finish(now sim.Time) {

@@ -45,13 +45,13 @@ type Config struct {
 	// queue). See internal/check; nil disables checking at zero cost.
 	Check *check.Set
 
-	// Pools, when set, hands host i the recycling request pool Pools[i]
-	// (see xen.HostConfig.Pool), so a cluster reuses the requests an
-	// earlier, drained cluster returned (see PoolShelf). A pool is
-	// single-threaded: hand a set to one running cluster at a time, as
-	// core.Runner does with its evaluations. Checked and journey-tracing
-	// hosts ignore it.
-	Pools []*block.Pool
+	// Pool is the recycling request pool every host of the cluster draws
+	// from (see xen.HostConfig.Pool); nil builds a fresh one. Handing in
+	// the pool of an earlier, drained cluster reuses the requests it
+	// returned (see PoolShelf). A pool is single-threaded: hand it to one
+	// running cluster at a time, as core.Runner does with its
+	// evaluations. Checked hosts ignore it.
+	Pool *block.Pool
 
 	// HostDiskSlowdown optionally makes specific hosts' disks slower by
 	// the given factor (2.0 = half the transfer rate, double the seeks) —
@@ -89,6 +89,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Hosts <= 0 || cfg.VMsPerHost <= 0 {
 		panic("cluster: need at least one host and one VM")
 	}
+	if cfg.Pool == nil {
+		cfg.Pool = block.NewPool(false, nil)
+	}
 	eng := sim.New(cfg.Seed)
 	c := &Cluster{Eng: eng, cfg: cfg}
 	c.Net = netsim.New(eng, cfg.Hosts, cfg.Net)
@@ -105,9 +108,7 @@ func New(cfg Config) *Cluster {
 		hostCfg := cfg.Host
 		hostCfg.Obs = cfg.Obs
 		hostCfg.Check = cfg.Check
-		if h < len(cfg.Pools) {
-			hostCfg.Pool = cfg.Pools[h]
-		}
+		hostCfg.Pool = cfg.Pool
 		if f, ok := cfg.HostDiskSlowdown[h]; ok && f > 0 {
 			hostCfg.Disk.TransferMBps /= f
 			hostCfg.Disk.SeekMin = sim.Duration(float64(hostCfg.Disk.SeekMin) * f)
@@ -127,37 +128,33 @@ func New(cfg Config) *Cluster {
 }
 
 // PoolShelf passes request pools from one run's testbed to the next, for
-// owners that build clusters one after another: an owner Takes a set
-// for each cluster it builds (Config.Pools) and Puts the set back once
-// that cluster's run has completed, when every request is back in its
-// pool, so the next cluster starts with the requests the last one
-// allocated. An abandoned run's in-flight requests never return, so its
-// set is dropped, not put back. Safe for concurrent use; the zero value
-// shelves nothing and hands out fresh sets.
-type PoolShelf chan []*block.Pool
+// owners that build clusters one after another: an owner Takes a pool
+// for each cluster it builds (Config.Pool) and Puts it back once that
+// cluster's run has completed, when every request is back in the pool,
+// so the next cluster starts with the requests the last one allocated.
+// An abandoned run's in-flight requests never return, so its pool is
+// dropped, not put back. Safe for concurrent use; the zero value shelves
+// nothing and hands out fresh pools.
+type PoolShelf chan *block.Pool
 
-// NewPoolShelf returns a shelf that holds up to n sets.
+// NewPoolShelf returns a shelf that holds up to n pools.
 func NewPoolShelf(n int) PoolShelf { return make(PoolShelf, n) }
 
-// Take returns a shelved set, or a fresh one when none is shelved, grown
-// to at least one pool per host.
-func (s PoolShelf) Take(hosts int) []*block.Pool {
-	var set []*block.Pool
+// Take returns a shelved pool, or a fresh one when none is shelved.
+func (s PoolShelf) Take() *block.Pool {
 	select {
-	case set = <-s:
+	case p := <-s:
+		return p
 	default:
+		return block.NewPool(false, nil)
 	}
-	for len(set) < hosts {
-		set = append(set, block.NewPool(false, nil))
-	}
-	return set
 }
 
-// Put shelves set, whose last run completed, or drops it when the shelf
-// is full.
-func (s PoolShelf) Put(set []*block.Pool) {
+// Put shelves p, whose last run completed, or drops it when the shelf is
+// full.
+func (s PoolShelf) Put(p *block.Pool) {
 	select {
-	case s <- set:
+	case s <- p:
 	default:
 	}
 }

@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"slices"
 	"testing"
 
 	"adaptmr/internal/block"
 	"adaptmr/internal/check"
 	"adaptmr/internal/iosched"
+	"adaptmr/internal/obs"
 )
 
 func smallConfig() Config {
@@ -97,55 +97,58 @@ func burst(cl *Cluster, n int) {
 	cl.Eng.Run()
 }
 
-// TestRequestPoolsCarryOver pins the pool hand-off: a cluster built with
-// the set a drained cluster put on the shelf draws from it, so the same
-// burst allocates no request the first cluster did not already return,
-// and a checked cluster, whose pools only detect, leaves the set alone.
+// TestRequestPoolsCarryOver pins the pool hand-off: every host of a
+// cluster, a journey-traced one included, draws every request of both
+// queue levels from the one Config.Pool; a cluster built with the pool a
+// drained cluster put on the shelf draws from it, so the same burst
+// allocates no request the first cluster did not already return; and a
+// checked cluster, whose pools only detect, leaves the pool alone.
 func TestRequestPoolsCarryOver(t *testing.T) {
-	shelf := NewPoolShelf(1)
-	cfg := smallConfig()
-	cfg.Pools = shelf.Take(cfg.Hosts)
-	pools := cfg.Pools
-	if len(pools) != 2 || slices.Contains(pools, nil) {
-		t.Fatalf("Take = %v, want one pool per host", pools)
-	}
-	burst(New(cfg), 20)
-	shelf.Put(pools)
-	before := make([]block.PoolStats, len(pools))
-	for i, p := range pools {
-		if before[i] = p.Stats(); before[i].Gets == 0 || before[i].Puts != before[i].Gets {
-			t.Fatalf("host %d: first burst %+v, want every request back", i, before[i])
+	const n = 20
+	for _, journeys := range []bool{false, true} {
+		shelf := NewPoolShelf(1)
+		cfg := smallConfig()
+		if journeys {
+			cfg.Obs.Journeys = obs.NewJourneyLog()
+		}
+		cfg.Pool = shelf.Take()
+		pool := cfg.Pool
+		cl := New(cfg)
+		if cl.Config().Pool != pool {
+			t.Fatalf("journeys %v: cluster pool %p, want the one handed in %p", journeys, cl.Config().Pool, pool)
+		}
+		burst(cl, n)
+		shelf.Put(pool)
+		// No two requests of a burst are contiguous, so none merge, and each
+		// guest request spawns one Dom0 request.
+		before := pool.Stats()
+		if want := uint64(2 * n * cl.NumVMs()); before.Gets != want || before.Puts != before.Gets {
+			t.Fatalf("journeys %v: first burst %+v, want %d requests drawn by every host and every one back", journeys, before, want)
+		}
+		cfg.Pool = shelf.Take()
+		if cfg.Pool != pool {
+			t.Fatalf("journeys %v: second cluster's pool %p, want the first's %p", journeys, cfg.Pool, pool)
+		}
+		burst(New(cfg), n)
+		st := pool.Stats()
+		if gets, reuses := st.Gets-before.Gets, st.Reuses-before.Reuses; gets != before.Gets || reuses != gets {
+			t.Errorf("journeys %v: second burst got %d requests, %d reused, want all %d reused", journeys, gets, reuses, before.Gets)
+		}
+		shelf.Put(pool)
+		if shelf.Take() != pool || shelf.Take() == pool {
+			t.Fatalf("journeys %v: the shelf handed out its pool twice or not at all", journeys)
 		}
 	}
-	cfg.Pools = shelf.Take(cfg.Hosts)
-	if !slices.Equal(cfg.Pools, pools) {
-		t.Fatalf("second cluster's pools %v, want the first's %v", cfg.Pools, pools)
-	}
-	burst(New(cfg), 20)
-	for i, p := range pools {
-		st := p.Stats()
-		if gets, reuses := st.Gets-before[i].Gets, st.Reuses-before[i].Reuses; gets == 0 || reuses != gets {
-			t.Errorf("host %d: second burst got %d requests, %d reused, want all reused", i, gets, reuses)
-		}
-	}
-	shelf.Put(pools)
-
-	// A wider testbed gets the set grown by a fresh pool per extra host.
-	if got := shelf.Take(3); !slices.Equal(got[:2], pools) || len(got) != 3 || got[2] == nil {
-		t.Fatalf("Take(3) = %v, want the shelved set and one fresh pool", got)
-	}
-	if got := shelf.Take(2); slices.Contains(got, pools[0]) {
-		t.Fatalf("empty shelf handed out %v again", got)
+	if New(smallConfig()).Config().Pool == nil {
+		t.Fatal("a cluster built without a pool has none")
 	}
 
 	checked := smallConfig()
 	checked.Check = check.NewSet()
-	checked.Pools = shelf.Take(checked.Hosts)
-	burst(New(checked), 20)
-	for i, p := range checked.Pools {
-		if st := p.Stats(); st.Gets != 0 {
-			t.Errorf("checked host %d drew %d requests from the set it was handed", i, st.Gets)
-		}
+	checked.Pool = NewPoolShelf(1).Take()
+	burst(New(checked), n)
+	if st := checked.Pool.Stats(); st.Gets != 0 {
+		t.Errorf("checked hosts drew %d requests from the pool they were handed", st.Gets)
 	}
 }
 

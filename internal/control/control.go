@@ -40,10 +40,10 @@ type Regime uint8
 const (
 	// RegimeIdle: too few completions to classify (MinRequests gate).
 	RegimeIdle Regime = iota
-	// RegimeRead: read share at or above ReadShareHigh with enough sync
+	// RegimeRead: read share at or above readShareHigh with enough sync
 	// traffic for anticipation to pay off.
 	RegimeRead
-	// RegimeWrite: read share at or below ReadShareLow.
+	// RegimeWrite: read share at or below readShareLow.
 	RegimeWrite
 	// RegimeMixed: anything in between — no pair preference, hold.
 	RegimeMixed
@@ -62,14 +62,23 @@ func (r Regime) String() string {
 	}
 }
 
+// The controller classifies the sampler's Dom0 level, the physical
+// spindle the paper's contention story is about, by each window's read
+// byte share: at or above readShareHigh is read-dominated, at or below
+// readShareLow write-dominated. A read-dominated window whose sync share
+// is below syncReadMin is mixed: anticipation only pays for synchronous
+// readers that block on their next request.
+const (
+	level         = "dom0"
+	readShareHigh = 0.6
+	readShareLow  = 0.25
+	syncReadMin   = 0.4
+)
+
 // Policy parameterises the controller. The zero value of every field is
 // replaced by its DefaultPolicy counterpart, so callers can override just
 // the knobs they care about.
 type Policy struct {
-	// Level is the sampler level the controller classifies ("dom0": the
-	// physical spindle the paper's contention story is about).
-	Level string
-
 	// StartPair is the pair installed at boot (zero = iosched.DefaultPair,
 	// the stock CFQ/CFQ configuration).
 	StartPair iosched.Pair
@@ -87,16 +96,6 @@ type Policy struct {
 	// MinRequests is the per-window completion count below which the
 	// window classifies as idle (held out of the streak entirely).
 	MinRequests int64
-
-	// ReadShareHigh / ReadShareLow split the regimes by the window's read
-	// byte share: >= High is read-dominated, <= Low is write-dominated.
-	ReadShareHigh float64
-	ReadShareLow  float64
-
-	// SyncReadMin demotes a read-dominated window to mixed when its sync
-	// share is below this bound: anticipation only pays for synchronous
-	// readers that block on their next request.
-	SyncReadMin float64
 
 	// CostBudget is the amortisation gate: a switch is issued only when
 	// Cost(from, to) <= CostBudget × MinDwell, i.e. the stall can pay for
@@ -118,15 +117,11 @@ type Policy struct {
 // 1.5 s of agreement before a switch, ten-second dwell.
 func DefaultPolicy() Policy {
 	return Policy{
-		Level:         "dom0",
 		StartPair:     iosched.DefaultPair,
 		Window:        500 * sim.Millisecond,
 		MinDwell:      10 * sim.Second,
 		StableWindows: 3,
 		MinRequests:   8,
-		ReadShareHigh: 0.6,
-		ReadShareLow:  0.25,
-		SyncReadMin:   0.4,
 		CostBudget:    0.02,
 		ReadPair:      iosched.Pair{VMM: iosched.Anticipatory, VM: iosched.CFQ},
 		WritePair:     iosched.Pair{VMM: iosched.CFQ, VM: iosched.CFQ},
@@ -136,9 +131,6 @@ func DefaultPolicy() Policy {
 // withDefaults fills zero fields from DefaultPolicy.
 func (p Policy) withDefaults() Policy {
 	def := DefaultPolicy()
-	if p.Level == "" {
-		p.Level = def.Level
-	}
 	if p.StartPair == (iosched.Pair{}) {
 		p.StartPair = def.StartPair
 	}
@@ -153,15 +145,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MinRequests <= 0 {
 		p.MinRequests = def.MinRequests
-	}
-	if p.ReadShareHigh == 0 {
-		p.ReadShareHigh = def.ReadShareHigh
-	}
-	if p.ReadShareLow == 0 {
-		p.ReadShareLow = def.ReadShareLow
-	}
-	if p.SyncReadMin == 0 {
-		p.SyncReadMin = def.SyncReadMin
 	}
 	if p.CostBudget == 0 {
 		p.CostBudget = def.CostBudget
@@ -180,12 +163,12 @@ func (p Policy) classify(w analyze.WindowStats) Regime {
 	switch {
 	case w.Requests < p.MinRequests:
 		return RegimeIdle
-	case w.ReadShare >= p.ReadShareHigh:
-		if w.SyncShare < p.SyncReadMin {
+	case w.ReadShare >= readShareHigh:
+		if w.SyncShare < syncReadMin {
 			return RegimeMixed
 		}
 		return RegimeRead
-	case w.ReadShare <= p.ReadShareLow:
+	case w.ReadShare <= readShareLow:
 		return RegimeWrite
 	default:
 		return RegimeMixed
@@ -287,10 +270,10 @@ func (c *Controller) Attach(cl *cluster.Cluster, smp *analyze.Sampler) {
 	// The opening dwell budget is available immediately, so the controller
 	// can react to the first stable regime of the run.
 	c.lastSwitch = cl.Eng.Now().Add(-c.pol.MinDwell)
-	prev := smp.Level(cl.Eng.Now(), c.pol.Level)
+	prev := smp.Level(cl.Eng.Now(), level)
 	cl.Eng.Watch(c.pol.Window, c.pol.Window, func() {
 		now := cl.Eng.Now()
-		cur := smp.Level(now, c.pol.Level)
+		cur := smp.Level(now, level)
 		c.evaluate(cl, cur.Window(prev), now)
 		prev = cur
 	})
@@ -330,7 +313,7 @@ func (c *Controller) evaluate(cl *cluster.Cluster, w analyze.WindowStats, now si
 	d := Decision{
 		At:     now,
 		AtS:    now.Seconds(),
-		Level:  c.pol.Level,
+		Level:  level,
 		Regime: regime.String(),
 		From:   c.installed.Code(),
 		To:     want.Code(),

@@ -208,10 +208,10 @@ func TestFanRunsEveryIndexOnce(t *testing.T) {
 }
 
 // TestRunnerPoolsGoToOneEvaluationAtATime pins the Runner's pool
-// hand-off: with ClusterConfig.Pools set, four workers over eight plans
-// lend the set to one evaluation at a time, so under -race no two
-// evaluations share a pool, every result equals a run without pools, and
-// the set ends with every request back.
+// hand-off: with ClusterConfig.Pool set, four workers over eight plans
+// lend the pool to one evaluation at a time, so under -race no two
+// evaluations share it, every result equals a run without a pool, and the
+// pool ends with every request back.
 func TestRunnerPoolsGoToOneEvaluationAtATime(t *testing.T) {
 	var plans []Plan
 	for _, p := range iosched.AllPairs()[:8] {
@@ -225,18 +225,16 @@ func TestRunnerPoolsGoToOneEvaluationAtATime(t *testing.T) {
 	}
 	pooled := testRunner()
 	pooled.Parallelism = 4
-	pools := cluster.NewPoolShelf(1).Take(2)
-	pooled.ClusterConfig.Pools = pools
+	pool := cluster.NewPoolShelf(1).Take()
+	pooled.ClusterConfig.Pool = pool
 	got, err := pooled.RunAll(plans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("results with pools differ from results without")
+		t.Error("results with a pool differ from results without")
 	}
-	for i, p := range pools {
-		if st := p.Stats(); st.Gets == 0 || st.Puts != st.Gets {
-			t.Errorf("pool %d: %+v, want traffic and every request back", i, st)
-		}
+	if st := pool.Stats(); st.Gets == 0 || st.Puts != st.Gets {
+		t.Errorf("pool %+v, want traffic and every request back", st)
 	}
 }

@@ -36,8 +36,8 @@ import (
 //     order (obs.Tracer.Absorb renumbers async ids), so the merged trace,
 //     metrics and report bytes match a 1-worker run.
 type Runner struct {
-	// ClusterConfig builds each evaluation's testbed. Its Pools, when
-	// set, go to one evaluation at a time.
+	// ClusterConfig builds each evaluation's testbed. Its Pool, when
+	// set, goes to one evaluation at a time.
 	ClusterConfig cluster.Config
 	// Job is the workload under tuning.
 	Job mapred.Config
@@ -84,10 +84,10 @@ type Runner struct {
 	pending  map[int]*evalEntry    // finished evaluations awaiting fold
 	foldNext int                   // next evaluation index to fold
 
-	// pools hands ClusterConfig.Pools to one evaluation at a time, since
-	// a request pool is single-threaded; the others build fresh pools.
-	// Only an evaluation that completed gives the set back.
-	pools chan []*block.Pool
+	// pool hands ClusterConfig.Pool to one evaluation at a time, since a
+	// request pool is single-threaded; the others build fresh pools. Only
+	// an evaluation that completed gives it back.
+	pool chan *block.Pool
 }
 
 // evalEntry is one single-flight evaluation slot. Whoever creates the
@@ -137,10 +137,10 @@ func (r *Runner) RunAll(plans []Plan) ([]RunResult, error) {
 	if r.pending == nil {
 		r.pending = make(map[int]*evalEntry)
 	}
-	if r.pools == nil {
-		r.pools = make(chan []*block.Pool, 1)
-		if r.ClusterConfig.Pools != nil {
-			r.pools <- r.ClusterConfig.Pools
+	if r.pool == nil {
+		r.pool = make(chan *block.Pool, 1)
+		if r.ClusterConfig.Pool != nil {
+			r.pool <- r.ClusterConfig.Pool
 		}
 	}
 	ctx := r.Context
@@ -184,9 +184,9 @@ func (r *Runner) execute(ctx context.Context, e *evalEntry) {
 	if cc.Obs.Enabled() { // only an observed run needs the label, which allocates
 		cc.Obs = cc.Obs.Private(e.idx, e.plan.String())
 	}
-	cc.Pools = nil
+	cc.Pool = nil
 	select {
-	case cc.Pools = <-r.pools:
+	case cc.Pool = <-r.pool:
 	default:
 	}
 	var wire func(*cluster.Cluster)
@@ -194,8 +194,8 @@ func (r *Runner) execute(ctx context.Context, e *evalEntry) {
 		wire = func(cl *cluster.Cluster) { r.OnEvaluation(e.plan, cl) }
 	}
 	res, err := Execute(ctx, cc, r.Job, e.plan, r.CollectPerf, wire)
-	if cc.Pools != nil && err == nil {
-		r.pools <- cc.Pools
+	if cc.Pool != nil && err == nil {
+		r.pool <- cc.Pool
 	}
 
 	r.mu.Lock()

@@ -196,52 +196,50 @@ func TestCheckedCellsAreReleased(t *testing.T) {
 }
 
 // TestDrainedCellPoolsCarryOver pins the request-pool hand-off: each
-// cell a worker builds takes over the pools of a cell that has drained,
-// so a fleet grows at most one set of pools per worker, and a checked
-// fleet's hosts, whose pools only detect, leave the sets alone.
+// cell a worker builds takes over the pool of a cell that has drained,
+// so a fleet grows at most one pool per worker, and a checked fleet's
+// hosts, whose pools only detect, leave the pools alone.
 func TestDrainedCellPoolsCarryOver(t *testing.T) {
 	s := tinyScenario()
 	s.Cells = 4
 	for _, par := range []int{1, 2} {
 		var mu sync.Mutex
-		sets := map[*block.Pool]bool{}
+		pools := map[*block.Pool]bool{}
 		_, err := Run(s, Options{
 			Parallelism: par,
 			OnCell: func(_ int, cl *cluster.Cluster) {
-				pools := cl.Config().Pools
-				if len(pools) != s.HostsPerCell || slices.Contains(pools, nil) {
-					t.Errorf("cell pools %v, want one per host", pools)
+				pool := cl.Config().Pool
+				if pool == nil {
+					t.Error("cell built without a request pool")
 					return
 				}
 				mu.Lock()
-				sets[pools[0]] = true
+				pools[pool] = true
 				mu.Unlock()
 			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sets) > par {
-			t.Errorf("parallelism %d: %d cells built %d pool sets, want at most %d",
-				par, s.Cells, len(sets), par)
+		if len(pools) > par {
+			t.Errorf("parallelism %d: %d cells built %d pools, want at most %d",
+				par, s.Cells, len(pools), par)
 		}
 	}
-	var handed [][]*block.Pool
+	var handed []*block.Pool
 	_, err := Run(s, Options{
 		Parallelism: 1,
 		Check:       check.NewSet(),
 		OnCell: func(_ int, cl *cluster.Cluster) {
-			handed = append(handed, cl.Config().Pools)
+			handed = append(handed, cl.Config().Pool)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c, pools := range handed {
-		for _, p := range pools {
-			if st := p.Stats(); st.Gets != 0 {
-				t.Errorf("checked cell %d drew %d requests from the pools it was handed", c, st.Gets)
-			}
+	for c, p := range handed {
+		if st := p.Stats(); st.Gets != 0 {
+			t.Errorf("checked cell %d drew %d requests from the pool it was handed", c, st.Gets)
 		}
 	}
 }

@@ -70,16 +70,16 @@ type cell struct {
 // what the result and the fold read. A cell that drains with jobs
 // unfinished has deadlocked.
 //
-// The cell takes its request pools from shelf and puts them back once
-// every job has finished. Pools hold only freed requests and never change
-// simulated results, so which cell takes which set does not matter.
+// The cell takes its request pool from shelf and puts it back once every
+// job has finished. A pool holds only freed requests and never changes
+// simulated results, so which cell takes which pool does not matter.
 func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instance, shelf cluster.PoolShelf) (cell, error) {
 	cc := cluster.DefaultConfig()
 	cc.Hosts = s.HostsPerCell
 	cc.VMsPerHost = s.VMsPerHost
 	cc.Seed = cellSeed(s.Seed, c)
 	cc.Check = opt.Check
-	cc.Pools = shelf.Take(cc.Hosts)
+	cc.Pool = shelf.Take()
 	cc.Obs = opt.Obs.Private(c, fmt.Sprintf("cell%d", c))
 	cl := cluster.New(cc)
 	cl.InstallPair(pair)
@@ -102,7 +102,7 @@ func runCell(s Scenario, opt Options, pair iosched.Pair, c int, insts []*instanc
 		// keep the finished cell alive until the fleet's Finalize.
 		opt.Check.Retire(cl.Eng)
 	}
-	shelf.Put(cc.Pools) // every request is back in its pool
+	shelf.Put(cc.Pool) // every request is back in the pool
 	jobs := jt.finished
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	for _, rj := range jobs {
@@ -139,11 +139,11 @@ func Run(s Scenario, opt Options) (*Result, error) {
 	}
 	// Cells exchange no events, so each is built, run and released on its
 	// own worker; the first error in cell order is reported. A drained
-	// cell's request pools go to the next cell built, so the fleet grows
-	// at most Parallelism sets of them.
+	// cell's request pool goes to the next cell built, so the fleet grows
+	// at most Parallelism pools.
 	cells := make([]cell, s.Cells)
 	errs := make([]error, s.Cells)
-	shelf := cluster.NewPoolShelf(s.Cells) // a slot per cell: no set is dropped
+	shelf := cluster.NewPoolShelf(s.Cells) // a slot per cell: no pool is dropped
 	core.Fan(opt.Parallelism, s.Cells, func(c int) {
 		cells[c], errs[c] = runCell(s, opt, pair, c, perCell[c], shelf)
 	})

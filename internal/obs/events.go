@@ -29,9 +29,6 @@ type Event struct {
 	Args  []Arg
 }
 
-// Dur returns the span length (zero for instants).
-func (e Event) Dur() sim.Duration { return e.End.Sub(e.Start) }
-
 // Arg returns the argument registered under key.
 func (e Event) Arg(key string) (Arg, bool) {
 	for _, a := range e.Args {
@@ -67,33 +64,12 @@ func (e Event) ArgFloat(key string) float64 {
 	return 0
 }
 
-// ArgStr returns the string argument under key ("" when absent).
-func (e Event) ArgStr(key string) string {
-	if a, ok := e.Arg(key); ok && a.kind == 2 {
-		return a.s
-	}
-	return ""
-}
-
-// Events returns every recorded event in normalized form, in recording
-// order: complete spans become [ts, ts+dur] intervals, an async
+// VisitEvents calls fn with every recorded event in normalized form, in
+// recording order: complete spans become [ts, ts+dur] intervals, an async
 // begin/end pair becomes one span over the length its begin recorded,
-// metadata and instants pass through. The returned slice is freshly
-// allocated, but Args alias the tracer's storage — treat them as
-// read-only.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	out := make([]Event, 0, t.n)
-	t.VisitEvents(func(e Event) { out = append(out, e) })
-	return out
-}
-
-// VisitEvents calls fn with every normalized event in recording order —
-// the same stream Events returns, without materializing the slice. Large
-// trace consumers (internal/analyze) use this to keep the post-run pass
-// allocation-free.
+// metadata and instants pass through. Args alias the tracer's storage —
+// treat them as read-only. Nothing is materialized, so large trace
+// consumers (internal/analyze) keep the post-run pass allocation-free.
 func (t *Tracer) VisitEvents(fn func(Event)) {
 	if t == nil {
 		return

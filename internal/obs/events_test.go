@@ -6,6 +6,21 @@ import (
 	"adaptmr/internal/sim"
 )
 
+// visited collects every event VisitEvents hands out.
+func visited(tr *Tracer) []Event {
+	var evs []Event
+	tr.VisitEvents(func(e Event) { evs = append(evs, e) })
+	return evs
+}
+
+// argStr returns the string argument under key ("" when absent).
+func argStr(e Event, key string) string {
+	if a, ok := e.Arg(key); ok && a.kind == 2 {
+		return a.s
+	}
+	return ""
+}
+
 func TestEventsNormalization(t *testing.T) {
 	tr := NewTracer()
 	tr.NameProcess(2, "host0")
@@ -13,7 +28,7 @@ func TestEventsNormalization(t *testing.T) {
 	tr.AsyncSpan(2, 1, "io.dom0", "write", sim.Time(1000), sim.Time(9000), F("wait_ms", 0.5), S("stream", "s1"))
 	tr.Instant(2, 1, "io.dom0", "merge", sim.Time(2000))
 
-	evs := tr.Events()
+	evs := visited(tr)
 	if len(evs) != 4 { // metadata + span + joined async + instant
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
@@ -26,7 +41,7 @@ func TestEventsNormalization(t *testing.T) {
 	if sp.Kind != KindSpan || sp.Name != "read" || sp.Cat != "disk" {
 		t.Fatalf("span = %+v", sp)
 	}
-	if sp.Start != 1500 || sp.End != 4500 || sp.Dur() != 3000 {
+	if sp.Start != 1500 || sp.End != 4500 || sp.End.Sub(sp.Start) != 3000 {
 		t.Fatalf("span interval [%d,%d]", sp.Start, sp.End)
 	}
 	if sp.ArgInt("sectors") != 8 {
@@ -43,23 +58,23 @@ func TestEventsNormalization(t *testing.T) {
 	if as.Start != 1000 || as.End != 9000 {
 		t.Fatalf("async pair not joined: [%d,%d]", as.Start, as.End)
 	}
-	if as.ArgFloat("wait_ms") != 0.5 || as.ArgStr("stream") != "s1" {
-		t.Fatalf("async args: wait_ms=%v stream=%q", as.ArgFloat("wait_ms"), as.ArgStr("stream"))
+	if as.ArgFloat("wait_ms") != 0.5 || argStr(as, "stream") != "s1" {
+		t.Fatalf("async args: wait_ms=%v stream=%q", as.ArgFloat("wait_ms"), argStr(as, "stream"))
 	}
-	if as.ArgInt("missing") != 0 || as.ArgStr("missing") != "" || as.ArgFloat("missing") != 0 {
+	if as.ArgInt("missing") != 0 || argStr(as, "missing") != "" || as.ArgFloat("missing") != 0 {
 		t.Fatal("absent args should be zero-valued")
 	}
 
 	in := evs[3]
-	if in.Kind != KindInstant || in.Start != 2000 || in.End != 2000 || in.Dur() != 0 {
+	if in.Kind != KindInstant || in.Start != 2000 || in.End != 2000 || in.End.Sub(in.Start) != 0 {
 		t.Fatalf("instant = %+v", in)
 	}
 }
 
 func TestEventsNilTracer(t *testing.T) {
 	var tr *Tracer
-	if got := tr.Events(); got != nil {
-		t.Fatalf("nil tracer Events = %v", got)
+	if got := visited(tr); got != nil {
+		t.Fatalf("nil tracer visited %v", got)
 	}
 }
 
@@ -69,7 +84,7 @@ func TestEventsAsyncPairsDisambiguatedByID(t *testing.T) {
 	tr := NewTracer()
 	tr.AsyncSpan(2, 1, "io.vm", "read", sim.Time(100), sim.Time(900))
 	tr.AsyncSpan(2, 1, "io.vm", "read", sim.Time(200), sim.Time(500))
-	evs := tr.Events()
+	evs := visited(tr)
 	if len(evs) != 2 {
 		t.Fatalf("got %d events", len(evs))
 	}

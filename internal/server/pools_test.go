@@ -10,61 +10,64 @@ import (
 	"adaptmr/internal/block"
 )
 
-// shelved returns the pool sets on s's shelf, leaving them there. Call it
+// shelved returns the pools on s's shelf, leaving them there. Call it
 // only while no request is in flight.
-func shelved(s *Server) [][]*block.Pool {
-	var sets [][]*block.Pool
+func shelved(s *Server) []*block.Pool {
+	var pools []*block.Pool
 	for len(s.shelf) > 0 {
-		sets = append(sets, <-s.shelf)
+		pools = append(pools, <-s.shelf)
 	}
-	for _, set := range sets {
-		s.shelf.Put(set)
+	for _, p := range pools {
+		s.shelf.Put(p)
 	}
-	return sets
+	return pools
 }
 
-// TestWarmServedRunReusesPools pins a worker's warm request pools: on a
+// TestWarmServedRunReusesPools pins a worker's warm request pool: on a
 // one-worker server, the second of two identical /v1/run requests takes
-// every request from the set the first left on the shelf, and its body
+// every request from the pool the first left on the shelf, and its body
 // is byte-identical to the first one's, which a cold server answered.
+// A streamed run, whose hosts trace journeys, reuses its pool too.
 func TestWarmServedRunReusesPools(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1}, nil)
-	req := smallRunReq("cc")
-	st, _, cold := postJSON(t, ts.URL+"/v1/run", req)
-	if st != http.StatusOK {
-		t.Fatalf("cold /v1/run = %d: %s", st, cold)
-	}
-	if want := localRunPayload(t, req); !bytes.Equal(cold, want) {
-		t.Fatalf("cold body differs from the facade's:\n cold: %s\n want: %s", cold, want)
-	}
-	sets := shelved(s)
-	if len(sets) != 1 || len(sets[0]) != testCluster.Hosts {
-		t.Fatalf("shelf after one run holds %d sets (%v), want one of %d pools", len(sets), sets, testCluster.Hosts)
-	}
-	before := make([]block.PoolStats, len(sets[0]))
-	for i, p := range sets[0] {
-		before[i] = p.Stats()
-	}
-	st, _, warm := postJSON(t, ts.URL+"/v1/run", req)
-	if st != http.StatusOK {
-		t.Fatalf("warm /v1/run = %d: %s", st, warm)
-	}
-	for i, p := range sets[0] {
-		now := p.Stats()
-		if gets, reuses := now.Gets-before[i].Gets, now.Reuses-before[i].Reuses; gets == 0 || reuses != gets {
-			t.Errorf("host %d: the warm run got %d requests, %d of them reused; want all reused", i, gets, reuses)
+	for _, streamed := range []bool{false, true} {
+		s, ts := newTestServer(t, Config{Workers: 1}, nil)
+		req := smallRunReq("cc")
+		want := localRunPayload(t, req)
+		post := func(runID string) []byte {
+			if streamed {
+				req.RunID = runID
+			}
+			st, _, body := postJSON(t, ts.URL+"/v1/run", req)
+			if st != http.StatusOK {
+				t.Fatalf("streamed %v: /v1/run = %d: %s", streamed, st, body)
+			}
+			return body
 		}
-	}
-	if !bytes.Equal(warm, cold) {
-		t.Errorf("warm body differs from the cold one:\n warm: %s\n cold: %s", warm, cold)
+		cold := post("cold-1")
+		if !bytes.Equal(cold, want) {
+			t.Fatalf("streamed %v: cold body differs from the facade's:\n cold: %s\n want: %s", streamed, cold, want)
+		}
+		pools := shelved(s)
+		if len(pools) != 1 {
+			t.Fatalf("streamed %v: shelf after one run holds %d pools, want one", streamed, len(pools))
+		}
+		before := pools[0].Stats()
+		warm := post("warm-1")
+		now := pools[0].Stats()
+		if gets, reuses := now.Gets-before.Gets, now.Reuses-before.Reuses; gets == 0 || reuses != gets {
+			t.Errorf("streamed %v: the warm run got %d requests, %d of them reused; want all reused", streamed, gets, reuses)
+		}
+		if !bytes.Equal(warm, cold) {
+			t.Errorf("streamed %v: warm body differs from the cold one:\n warm: %s\n cold: %s", streamed, warm, cold)
+		}
 	}
 }
 
 // TestAbandonedRunsDropTheirPools soaks a two-worker server with /v1/run
 // requests whose tiny deadline aborts them mid-run (504), interleaved
 // with normal /v1/run and /v1/autotune requests. Every 200 body equals
-// the facade's bytes, and after each wave every set on the shelf has
-// every request back: an aborted run's set, whose requests were in
+// the facade's bytes, and after each wave every pool on the shelf has
+// every request back: an aborted run's pool, whose requests were in
 // flight, is never handed on. CI runs it under -race.
 func TestAbandonedRunsDropTheirPools(t *testing.T) {
 	if testing.Short() {
@@ -123,11 +126,9 @@ func TestAbandonedRunsDropTheirPools(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		for _, set := range shelved(s) {
-			for i, p := range set {
-				if st := p.Stats(); st.Puts != st.Gets {
-					t.Fatalf("wave %d: a shelved set's pool %d has %d requests out", wave, i, st.Gets-st.Puts)
-				}
+		for i, p := range shelved(s) {
+			if st := p.Stats(); st.Puts != st.Gets {
+				t.Fatalf("wave %d: shelved pool %d has %d requests out", wave, i, st.Gets-st.Puts)
 			}
 		}
 	}

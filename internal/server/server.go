@@ -99,7 +99,7 @@ type Server struct {
 	logger *slog.Logger
 
 	pool    *pool
-	shelf   cluster.PoolShelf // warm request pools, at most one set per worker
+	shelf   cluster.PoolShelf // warm request pools, at most one per worker
 	flight  core.Group
 	met     *lockedRegistry
 	streams *streams
@@ -376,13 +376,13 @@ func (s *Server) servePost(w http.ResponseWriter, r *http.Request, endpoint, cou
 			}
 			ctx, cancel := context.WithTimeout(s.baseCtx, p.timeout)
 			defer cancel()
-			// The worker lends the run a warm set of request pools. Only
-			// a completed run returns every request to them, so only its
-			// set goes back on the shelf.
+			// The worker lends the run a warm request pool. Only a
+			// completed run returns every request to it, so only its
+			// pool goes back on the shelf.
 			cfg := p.cfg
-			cfg.Pools = s.shelf.Take(cfg.Hosts)
+			cfg.Pool = s.shelf.Take()
 			if t.val, t.err = p.exec(ctx, cfg); t.err == nil {
-				s.shelf.Put(cfg.Pools)
+				s.shelf.Put(cfg.Pool)
 			}
 		}
 		if err := s.pool.submit(t); err != nil {

@@ -25,8 +25,12 @@ import (
 //	A = L's Dom0 dispatch parent (L itself unless merged)
 //
 // and the stage arithmetic uses p's dispatch, L's queueing and A's disk
-// service. Merged guest children never cross the ring, which is why only
-// dispatch parents appear in dom0ByID.
+// service. A queue recycles a request once its completion hooks have run,
+// so the tracker reads requests only inside those hooks, while the merge
+// chain is still linked: when A completes at Dom0 it copies the leg of
+// every L in A's chain, keyed by journey id, and when p completes at the
+// guest it emits p and every request merged into it. Each entry is deleted
+// when it is read, so a drained host's tracker holds nothing.
 type journeyTracker struct {
 	h   *Host
 	log *obs.JourneyLog
@@ -34,29 +38,29 @@ type journeyTracker struct {
 
 	overhead sim.Duration
 
-	// guestVM remembers each pending guest request's originating domain and
-	// pre-merge geometry (merging mutates the parent's extent in place).
-	guestVM map[*block.Request]guestLeg
-	// guestKids collects merged children per guest dispatch parent; the
-	// queue-level OnComplete hook only fires for the parent, and by then
-	// Request.finish has already severed the merged list.
-	guestKids map[*block.Request][]*block.Request
-	// dom0ByID resolves a journey id to the Dom0-level request the ring
-	// submitted for it.
-	dom0ByID map[int64]*block.Request
-	// dom0Parent maps a merged Dom0 request to its dispatch parent.
-	dom0Parent map[*block.Request]*block.Request
-	// service keeps the disk's seek/rotation/transfer split per serviced
-	// (Dom0 dispatch parent) request.
-	service map[*block.Request]svcParts
+	// guest keeps each pending guest request's pre-merge extent (merging
+	// mutates the parent's extent in place), by journey id.
+	guest map[int64]guestLeg
+	// dom0 keeps each completed Dom0 leg, by journey id, until the guest
+	// request it served completes one ring hop later.
+	dom0 map[int64]dom0Leg
+	// svc is the disk's seek/rotation/transfer split for the request in
+	// service: the disk serves one request at a time, and the Dom0 queue
+	// runs a request's completion hooks before it dispatches the next.
+	svc svcParts
 }
 
 type guestLeg struct {
-	vm     int
-	sector int64
-	count  int64
-	stream block.StreamID
-	read   bool
+	sector, count int64
+}
+
+// dom0Leg is what a journey needs of its Dom0 request L after L is
+// recycled: L's queue timestamps and backlog hold, and its dispatch
+// parent's dispatch time and disk service split.
+type dom0Leg struct {
+	issued, dispatched, completed sim.Time
+	hold                          sim.Duration
+	svc                           svcParts
 }
 
 type svcParts struct {
@@ -65,24 +69,30 @@ type svcParts struct {
 
 func newJourneyTracker(h *Host) *journeyTracker {
 	t := &journeyTracker{
-		h:          h,
-		log:        h.cfg.Obs.Journeys,
-		tr:         h.cfg.Obs.Trace,
-		overhead:   h.cfg.Disk.Overhead,
-		guestVM:    make(map[*block.Request]guestLeg),
-		guestKids:  make(map[*block.Request][]*block.Request),
-		dom0ByID:   make(map[int64]*block.Request),
-		dom0Parent: make(map[*block.Request]*block.Request),
-		service:    make(map[*block.Request]svcParts),
+		h:        h,
+		log:      h.cfg.Obs.Journeys,
+		tr:       h.cfg.Obs.Trace,
+		overhead: h.cfg.Disk.Overhead,
+		guest:    make(map[int64]guestLeg),
+		dom0:     make(map[int64]dom0Leg),
 	}
-	h.dom0.OnEnqueue(func(r *block.Request) { t.dom0ByID[r.Journey] = r })
-	h.dom0.OnMerge(func(parent, child *block.Request) { t.dom0Parent[child] = parent })
+	h.dom0.OnComplete(func(a *block.Request) {
+		a.Each(func(l *block.Request) {
+			t.dom0[l.Journey] = dom0Leg{
+				issued:     l.Issued,
+				dispatched: a.Dispatched,
+				completed:  l.Completed,
+				hold:       l.BacklogHold,
+				svc:        t.svc,
+			}
+		})
+	})
 	prev := h.disk.OnServiceDetail
 	h.disk.OnServiceDetail = func(r *block.Request, seek, rot, xfer sim.Duration) {
 		if prev != nil {
 			prev(r, seek, rot, xfer)
 		}
-		t.service[r] = svcParts{seek: seek, rot: rot, xfer: xfer}
+		t.svc = svcParts{seek: seek, rot: rot, xfer: xfer}
 	}
 	return t
 }
@@ -90,60 +100,35 @@ func newJourneyTracker(h *Host) *journeyTracker {
 // attachGuest subscribes the tracker to one domain's queue. Journey ids are
 // assigned here, at enqueue — before the backlog check and before any merge —
 // so ids follow deterministic submission order even through switch drains.
+// A guest dispatch parent completes one ring hop after its Dom0 leg, so
+// every earlier hop is stamped by then.
 func (t *journeyTracker) attachGuest(d *Domain) {
 	vm := d.Index
 	d.q.OnEnqueue(func(r *block.Request) {
 		r.Journey = t.log.NextID()
-		t.guestVM[r] = guestLeg{
-			vm:     vm,
-			sector: r.Sector,
-			count:  r.Count,
-			stream: r.Stream,
-			read:   r.Op == block.Read,
-		}
+		t.guest[r.Journey] = guestLeg{sector: r.Sector, count: r.Count}
 	})
-	d.q.OnMerge(func(parent, child *block.Request) {
-		t.guestKids[parent] = append(t.guestKids[parent], child)
+	d.q.OnComplete(func(p *block.Request) {
+		l, ok := t.dom0[p.Journey]
+		delete(t.dom0, p.Journey)
+		p.Each(func(g *block.Request) { t.emit(vm, p, g, l, ok) })
 	})
-	d.q.OnComplete(func(r *block.Request) { t.finalize(r) })
 }
 
-// finalize runs at guest-parent completion, when every earlier hop is fully
-// stamped: the Dom0 leg completed one ring latency ago and the disk service
-// split was captured at Dom0 dispatch.
-func (t *journeyTracker) finalize(p *block.Request) {
-	l := t.dom0ByID[p.Journey]
-	delete(t.dom0ByID, p.Journey)
-	var a *block.Request
-	if l != nil {
-		a = l
-		if par := t.dom0Parent[l]; par != nil {
-			a = par
-			delete(t.dom0Parent, l)
-		}
-	}
-	t.emit(p, p, l, a)
-	for _, c := range t.guestKids[p] {
-		t.emit(p, c, l, a)
-	}
-	delete(t.guestKids, p)
-}
-
-func (t *journeyTracker) emit(p, g, l, a *block.Request) {
-	leg := t.guestVM[g]
-	delete(t.guestVM, g)
+func (t *journeyTracker) emit(vm int, p, g *block.Request, l dom0Leg, linked bool) {
+	leg := t.guest[g.Journey]
+	delete(t.guest, g.Journey)
 
 	var stages [obs.NumStages]sim.Duration
 	stages[obs.StageGuestStall] = g.BacklogHold
 	stages[obs.StageGuestQueue] = p.Dispatched.Sub(g.Issued) - g.BacklogHold
-	if l != nil && a != nil {
-		parts := t.service[a]
-		stages[obs.StageRing] = l.Issued.Sub(p.Dispatched) + g.Completed.Sub(l.Completed)
-		stages[obs.StageDom0Stall] = l.BacklogHold
-		stages[obs.StageDom0Queue] = a.Dispatched.Sub(l.Issued) - l.BacklogHold
-		stages[obs.StageSeek] = parts.seek
-		stages[obs.StageRotation] = parts.rot
-		stages[obs.StageTransfer] = parts.xfer
+	if linked {
+		stages[obs.StageRing] = l.issued.Sub(p.Dispatched) + g.Completed.Sub(l.completed)
+		stages[obs.StageDom0Stall] = l.hold
+		stages[obs.StageDom0Queue] = l.dispatched.Sub(l.issued) - l.hold
+		stages[obs.StageSeek] = l.svc.seek
+		stages[obs.StageRotation] = l.svc.rot
+		stages[obs.StageTransfer] = l.svc.xfer
 		stages[obs.StageOverhead] = t.overhead
 	} else {
 		// No Dom0 leg resolved (a linkage bug, not a workload condition):
@@ -156,9 +141,9 @@ func (t *journeyTracker) emit(p, g, l, a *block.Request) {
 	rec := obs.JourneyRec{
 		ID:        g.Journey,
 		Host:      t.h.ID,
-		VM:        leg.vm,
-		Read:      leg.read,
-		Stream:    int64(leg.stream),
+		VM:        vm,
+		Read:      g.Op == block.Read,
+		Stream:    int64(g.Stream),
 		Sector:    leg.sector,
 		Sectors:   leg.count,
 		Merged:    g != p,
@@ -182,7 +167,7 @@ func (t *journeyTracker) emit(p, g, l, a *block.Request) {
 		if rec.Read {
 			op = "read"
 		}
-		t.tr.AsyncSpan(t.h.cfg.Obs.HostPID(t.h.ID), obs.VMTID(leg.vm), "journey", op,
+		t.tr.AsyncSpan(t.h.cfg.Obs.HostPID(t.h.ID), obs.VMTID(vm), "journey", op,
 			rec.Issued, rec.Completed,
 			obs.I("j", rec.ID),
 			obs.I("sector", rec.Sector),

@@ -51,9 +51,9 @@ type HostConfig struct {
 	// accumulate in the set; nil disables checking at zero cost.
 	Check *check.Set
 	// Pool, when non-nil, is the recycling request pool the host draws
-	// from instead of a fresh one, so hosts built one after another reuse
-	// the requests an earlier, fully drained host returned (see
-	// cluster.PoolShelf). Checked and journey-tracing hosts ignore it.
+	// from instead of a fresh one, so hosts share one pool and hosts built
+	// one after another reuse the requests an earlier, fully drained host
+	// returned (see cluster.PoolShelf). Checked hosts ignore it.
 	Pool *block.Pool
 }
 
@@ -102,9 +102,8 @@ type Host struct {
 
 	// pool recycles every request the host's stack creates (guest
 	// submissions and the Dom0 requests the rings spawn) with a
-	// free-at-complete lifecycle. It is nil under journey tracing, which
-	// reads requests after queue completion, and detect-only under Check,
-	// so a checked run catches a request used after it was freed. Pooling
+	// free-at-complete lifecycle. It is detect-only under Check, so a
+	// checked run catches a request used after it was freed. Pooling
 	// never changes simulated results.
 	pool *block.Pool
 }
@@ -138,20 +137,19 @@ func NewHost(eng *sim.Engine, id int, numVMs int, cfg HostConfig) *Host {
 	if cfg.Obs.Journeys != nil {
 		h.journeys = newJourneyTracker(h)
 	}
-	if h.journeys == nil {
-		if cfg.Check != nil {
-			// Detect-only pool: memory is never recycled, so a freed
-			// request used again is caught, and lifecycle violations land
-			// in the checker's report.
-			poolName := fmt.Sprintf("host%d/pool", id)
-			h.pool = block.NewPool(true, func(format string, args ...any) {
-				cfg.Check.Report(poolName, "pool-lifecycle", eng.Now(), fmt.Sprintf(format, args...))
-			})
-		} else if cfg.Pool != nil {
-			h.pool = cfg.Pool
-		} else {
-			h.pool = block.NewPool(false, nil)
-		}
+	switch {
+	case cfg.Check != nil:
+		// Detect-only pool: memory is never recycled, so a freed request
+		// used again is caught, and lifecycle violations land in the
+		// checker's report.
+		poolName := fmt.Sprintf("host%d/pool", id)
+		h.pool = block.NewPool(true, func(format string, args ...any) {
+			cfg.Check.Report(poolName, "pool-lifecycle", eng.Now(), fmt.Sprintf(format, args...))
+		})
+	case cfg.Pool != nil:
+		h.pool = cfg.Pool
+	default:
+		h.pool = block.NewPool(false, nil)
 	}
 	for i := 0; i < numVMs; i++ {
 		h.domains = append(h.domains, newDomain(h, i))
@@ -211,8 +209,8 @@ func (h *Host) Switching() bool {
 	return false
 }
 
-// QuiesceThen runs fn once all queues on the host are idle (used by tests
-// and the dd/sysbench harnesses for clean epochs).
+// Idle reports whether every queue on the host is empty: nothing queued,
+// held in a switch backlog or in flight.
 func (h *Host) Idle() bool {
 	if h.dom0.Pending() > 0 {
 		return false
@@ -291,7 +289,7 @@ func (rg *ring) putOp(o *ringOp) {
 // elevator sees each VM as a single process), then queued at Dom0.
 func (o *ringOp) forward() {
 	d := o.rg.d
-	host := d.host.newRequest(o.guest.Op, d.extentStart+o.guest.Sector, o.guest.Count, o.guest.Sync, block.StreamID(d.Index))
+	host := d.host.pool.Get(o.guest.Op, d.extentStart+o.guest.Sector, o.guest.Count, o.guest.Sync, block.StreamID(d.Index))
 	// The Dom0 request inherits the guest request's journey id, which
 	// is what lets a physical disk service be attributed back to the
 	// guest submission it served.
@@ -364,17 +362,9 @@ func (d *Domain) Submit(op block.Op, sector, count int64, sync bool, stream bloc
 	if sector < 0 || sector+count > d.extentLen {
 		panic(fmt.Sprintf("xen: guest request [%d+%d] outside VM extent of %d sectors", sector, count, d.extentLen))
 	}
-	r := d.host.newRequest(op, sector, count, sync, stream)
+	r := d.host.pool.Get(op, sector, count, sync, stream)
 	r.OnComplete = onComplete
 	d.q.Submit(r)
-}
-
-// newRequest allocates a request from the host pool when pooling is on.
-func (h *Host) newRequest(op block.Op, sector, count int64, sync bool, stream block.StreamID) *block.Request {
-	if h.pool != nil {
-		return h.pool.Get(op, sector, count, sync, stream)
-	}
-	return block.NewRequest(op, sector, count, sync, stream)
 }
 
 // Service implements block.Device for the guest queue: the request crosses

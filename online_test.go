@@ -311,8 +311,8 @@ func TestRunFleetOnlineDeterminism(t *testing.T) {
 // keep its finished cell alive, so the live heap seen as each cell of a
 // serial run starts stays flat instead of growing by one cluster per
 // cell. The first cell starts before any request pool exists; every
-// later one starts holding the one set of pools the cells pass on, so
-// the bound is taken from the second cell on.
+// later one starts holding the one pool the cells pass on, so the bound
+// is taken from the second cell on.
 func TestRunFleetOnlineReleasesCells(t *testing.T) {
 	s := adaptmr.SmokeFleetScenario()
 	s.Cells = 6 // one job per cell
